@@ -18,7 +18,7 @@ echo "==================== fault injection (tsan) ===================="
 # production build stays injection-free.  TSan proves the pool's unwind
 # paths (throwing worker, bad_alloc, delayed task) are race-free.
 FAULT_BUILD=build-faultsan
-FAULT_TESTS=(fault_injection_test parallel_explore_test anytime_test bind_cache_test)
+FAULT_TESTS=(fault_injection_test explore_threads_test anytime_test bind_cache_test)
 cmake -B "$FAULT_BUILD" -DSDF_FAULT_INJECTION=ON -DSDF_SANITIZE=thread
 cmake --build "$FAULT_BUILD" --target "${FAULT_TESTS[@]}" -j "$(nproc)"
 for t in "${FAULT_TESTS[@]}"; do
@@ -76,48 +76,34 @@ for spec in examples/specs/*.json; do
   "$SDF" lint "$spec"
 done
 
-echo "============ binding cache: front equivalence on examples ============"
-# The cache may only change work counters, never verdicts: the JSON front
-# with and without --no-bind-cache must be byte-identical, sequentially and
-# under the parallel engine's shared cache.  Only the "front" key is
-# compared — stats legitimately differ (wall time, cache counters).
+echo "==== front equivalence: threads x (default, --no-bind-cache, --no-hier) ===="
+# The binding cache and the hierarchical solve path may only change work
+# counters, never verdicts, and the thread count may only change work
+# accounting, never the front.  Every (threads, mode) combination must give
+# a JSON front byte-identical to the default run at one thread.  Only the
+# "front" key is compared: stats legitimately differ (wall time, cache and
+# band counters).  settop/decoder exercise hier's not-decomposable
+# fallback, nested.json its real per-group path.
 extract_front() {
   python3 -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["front"], indent=1))'
 }
 for spec in examples/specs/*.json; do
+  "$SDF" explore --json --no-stats --threads 1 "$spec" \
+    | extract_front > /tmp/sdf_front_ref.$$
   for threads in 1 4; do
-    echo "front diff (threads=$threads) $spec"
-    "$SDF" explore --json --no-stats --threads "$threads" "$spec" \
-      | extract_front > /tmp/sdf_front_cache_on.$$
-    "$SDF" explore --json --no-stats --threads "$threads" --no-bind-cache "$spec" \
-      | extract_front > /tmp/sdf_front_cache_off.$$
-    diff -u /tmp/sdf_front_cache_on.$$ /tmp/sdf_front_cache_off.$$ || {
-      echo "check_all: cache-on/off fronts differ for $spec (threads=$threads)" >&2
-      exit 1
-    }
+    for mode in "" --no-bind-cache --no-hier; do
+      echo "front diff (threads=$threads ${mode:-default}) $spec"
+      "$SDF" explore --json --no-stats --threads "$threads" $mode "$spec" \
+        | extract_front > /tmp/sdf_front_cmp.$$
+      diff -u /tmp/sdf_front_ref.$$ /tmp/sdf_front_cmp.$$ || {
+        echo "check_all: front differs for $spec (threads=$threads ${mode:-default})" >&2
+        exit 1
+      }
+    done
   done
 done
-rm -f /tmp/sdf_front_cache_on.$$ /tmp/sdf_front_cache_off.$$
+rm -f /tmp/sdf_front_ref.$$ /tmp/sdf_front_cmp.$$
 
-echo "======== hierarchical solve: front equivalence, hier vs --no-hier ========"
-# The hierarchical path decomposes the binding query; it may change only
-# the node counters, never a verdict.  Fronts with and without --no-hier
-# must be byte-identical on every example spec (settop/decoder exercise the
-# not-decomposable fallback, nested.json the real per-group path), both
-# sequentially and under the parallel engine's shared HierCache.
-for spec in examples/specs/*.json; do
-  for threads in 1 4; do
-    echo "hier front diff (threads=$threads) $spec"
-    "$SDF" explore --json --no-stats --threads "$threads" "$spec" \
-      | extract_front > /tmp/sdf_front_hier_on.$$
-    "$SDF" explore --json --no-stats --threads "$threads" --no-hier "$spec" \
-      | extract_front > /tmp/sdf_front_hier_off.$$
-    diff -u /tmp/sdf_front_hier_on.$$ /tmp/sdf_front_hier_off.$$ || {
-      echo "check_all: hier/no-hier fronts differ for $spec (threads=$threads)" >&2
-      exit 1
-    }
-  done
-done
 # The equivalence above would be vacuous if the hierarchical path silently
 # never engaged: assert it actually decomposes nested.json (sub-solves > 0)
 # and correctly stands down on the paper models (sub-solves == 0).
@@ -133,7 +119,6 @@ import json, sys
 stats = json.load(sys.stdin)["stats"]
 assert stats["hier_subsolves"] == 0, "hier path engaged on a flat-only spec"
 '
-rm -f /tmp/sdf_front_hier_on.$$ /tmp/sdf_front_hier_off.$$
 
 echo "============ static analyzer: sound bounds, identical fronts ============"
 # Two contracts, asserted per example spec:

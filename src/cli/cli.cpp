@@ -8,7 +8,6 @@
 #include "explore/evolutionary.hpp"
 #include "explore/explorer.hpp"
 #include "explore/incremental.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "explore/queries.hpp"
 #include "explore/report.hpp"
 #include "explore/sensitivity.hpp"
@@ -316,12 +315,8 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   flags.define("seed", "1", "EA seed");
   flags.define("threads", "1",
                "evaluation threads; 0 auto-detects one per hardware thread "
-               "(std::thread::hardware_concurrency, floor 1); any value "
-               "other than 1 selects the parallel cost-band engine");
-  flags.define("band-target", "0",
-               "adaptive-band setpoint: surviving candidates to aim for per "
-               "cost band (0 = auto, scaled from the thread count); parallel "
-               "engine only");
+               "(std::thread::hardware_concurrency, floor 1); the front is "
+               "identical for every count");
   flags.define("deadline-ms", "0",
                "wall-clock budget in milliseconds (0 = unlimited)");
   flags.define("max-solver-nodes", "0",
@@ -388,12 +383,6 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     return 2;
   }
   options.num_threads = static_cast<std::size_t>(threads);
-  const int band_target = flags.get_int("band-target");
-  if (band_target < 0) {
-    err << "--band-target must be >= 0\n";
-    return 2;
-  }
-  options.band_target = static_cast<std::size_t>(band_target);
 
   const long deadline_ms = flags.get_int("deadline-ms");
   const long max_nodes = flags.get_int("max-solver-nodes");
@@ -427,12 +416,6 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     options.resume = &*resume_state;
   }
 
-  // Both engines produce bit-identical fronts; 1 thread keeps the classic
-  // single-loop engine (no band machinery at all).
-  const auto run_explore = [&options](const SpecificationGraph& s) {
-    return options.num_threads == 1 ? explore(s, options)
-                                    : parallel_explore(s, options);
-  };
   // Saves the resume checkpoint (if requested) and picks the exit code:
   // 0 = complete front, 3 = partial result because the budget ran out.
   const auto finish = [&checkpoint_path, &err](const ExploreResult& result) {
@@ -458,13 +441,13 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   };
 
   if (flags.get_bool("json") && !flags.get_bool("evolutionary")) {
-    const ExploreResult result = run_explore(spec.value());
+    const ExploreResult result = explore(spec.value(), options);
     out << explore_result_to_json(spec.value(), result).dump(2) << '\n';
     return finish(result);
   }
 
   if (!flags.get("budget").empty() || !flags.get("target-f").empty()) {
-    const ExploreResult result = run_explore(spec.value());
+    const ExploreResult result = explore(spec.value(), options);
     if (!flags.get("budget").empty()) {
       const double budget = flags.get_double("budget");
       if (const Implementation* best =
@@ -512,7 +495,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
       exit_code = 3;
     }
   } else {
-    ExploreResult result = run_explore(spec.value());
+    ExploreResult result = explore(spec.value(), options);
     front = result.front;
     stats = result.stats;
     f_max = result.max_flexibility;
@@ -536,6 +519,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
         << " universe=" << stats.universe
         << " candidates=" << stats.candidates_generated
         << " possible_allocations=" << stats.possible_allocations
+        << " branches_pruned=" << stats.branches_pruned
         << " attempts=" << stats.implementation_attempts
         << " solver_calls=" << stats.solver_calls
         << " solver_nodes=" << stats.solver_nodes
@@ -548,10 +532,8 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
         << " hier_hits=" << stats.hier_hits
         << " flat_cache_entries=" << stats.flat_cache_entries
         << " flat_cache_evictions=" << stats.flat_cache_evictions;
-    if (stats.threads != 0) {
-      out << " threads=" << stats.threads << " bands=" << stats.bands
-          << " band_capacity_last=" << stats.band_capacity_last;
-    }
+    if (stats.threads > 1)
+      out << " threads=" << stats.threads << " bands=" << stats.bands;
     if (stats.stop_reason != StopReason::kCompleted) {
       out << " stop_reason=" << stop_reason_name(stats.stop_reason)
           << " budget_abandoned=" << stats.budget_abandoned

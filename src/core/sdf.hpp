@@ -46,7 +46,6 @@
 #include "explore/exhaustive.hpp"
 #include "explore/explorer.hpp"
 #include "explore/incremental.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "explore/queries.hpp"
 #include "explore/report.hpp"
 #include "explore/sensitivity.hpp"

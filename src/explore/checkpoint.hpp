@@ -128,8 +128,7 @@ struct ExploreResumeState {
 /// Validates `ck` against `spec`/`options` (via the stored digests),
 /// restores `stream` to the checkpointed cursor, and deterministically
 /// rebuilds the front's implementations (unbudgeted — their work was
-/// already accounted when the checkpoint was taken).  Shared by the
-/// sequential and parallel engines.
+/// already accounted when the checkpoint was taken).
 [[nodiscard]] Result<ExploreResumeState> restore_explore_checkpoint(
     const ExploreCheckpoint& ck, const SpecificationGraph& spec,
     const ExploreOptions& options, CostOrderedAllocations& stream);

@@ -18,6 +18,38 @@
 // plus all still-addable units) cannot beat the incumbent — a strict
 // branch-and-bound strengthening that never changes the result.
 //
+// Cost bands.  All per-candidate work — the §5 dominance filter,
+// activatability, flexibility estimation and the binding construction — is
+// independent between candidates, so the engine drains the stream in
+// *bands* (runs of consecutive candidates, grouped into levels of equal
+// allocation cost), evaluates a band, and then merges it on one thread in
+// stream order with the acceptance rules above.  With `num_threads == 1` a
+// band holds one candidate and no pool exists: that is the sequential loop
+// of §4.  With more threads a band is evaluated on a work-stealing pool and
+// an adaptive controller sizes the next band by how many candidates of the
+// last one reached the binding construction.
+//
+// Determinism.  The merge is the only place the Pareto front, the
+// equivalents lists and the incumbent f_cur are updated, and it always
+// runs in stream order — so the front is bit-identical for any thread
+// count.  Concurrency only decides *which* candidates get fully evaluated
+// versus pruned early, and the pruning rules are chosen so that a
+// candidate skipped in a band could never have contributed to the
+// one-thread front:
+//   - the committed incumbent (merged bands and earlier levels of the
+//     current band) precedes every candidate of the current level in
+//     stream order, so the one-thread incumbent at that candidate is at
+//     least as large — the usual bound comparison applies;
+//   - within one level (equal cost) the bound is applied *strictly*: a
+//     concurrently found implementation with strictly higher flexibility
+//     at the same cost always pops this candidate's point during the
+//     merge, whatever the order, so skipping it is safe even in
+//     `collect_equivalents` mode (ties are never skipped).
+// The shared incumbents are plain atomic maxima; stale reads only cause
+// extra implementation attempts, never a different front.  Work counters
+// (attempts, bound skips) therefore depend on the thread count; at one
+// thread they are those of the sequential algorithm.
+//
 // EXPLORE is an *anytime* algorithm: a `RunBudget` (deadline, solver-node
 // cap, allocation cap, cancel token) interrupts the run cooperatively, and
 // an interrupted run returns the partial front together with a
@@ -25,8 +57,8 @@
 // increasing cost order, the partial front is provably exact for every
 // cost strictly below `ExploreStats::exact_up_to_cost` — no allocation
 // cheaper than that bound is unexamined.  Interrupted runs also carry an
-// `ExploreCheckpoint` from which a later run resumes bit-identically (see
-// explore/checkpoint.hpp).
+// `ExploreCheckpoint` from which a later run, at any thread count, resumes
+// bit-identically (see explore/checkpoint.hpp).
 #pragma once
 
 #include <cstdint>
@@ -67,22 +99,9 @@ struct ExploreOptions {
   /// Safety cap on generated candidates (0 = unlimited).  Only non-empty
   /// candidates count: the stream's empty base allocation is free.
   std::uint64_t max_candidates = 0;
-  /// Worker threads for `parallel_explore` (0 = one per hardware thread).
-  /// Ignored by the sequential `explore`.
-  std::size_t num_threads = 0;
-  /// Band capacity for `parallel_explore`: how many candidates are drained
-  /// from the stream and evaluated concurrently between two deterministic
-  /// merges.  Larger bands expose more parallelism but evaluate against a
-  /// staler incumbent.  0 = adaptive: the capacity starts scaled from
-  /// `num_threads` and is grown/shrunk per band by the measured number of
-  /// candidates that survive the cheap filters (see `band_target`); any
-  /// non-zero value pins the capacity and disables adaptation.  The merged
-  /// front is band-size invariant, so adaptation never changes results.
-  std::size_t band_capacity = 0;
-  /// Adaptive-band setpoint: surviving (implementation-attempted)
-  /// candidates to aim for per band.  Only read when `band_capacity == 0`;
-  /// 0 = auto (scaled from the thread count).  CLI: `--band-target`.
-  std::size_t band_target = 0;
+  /// Evaluation threads (0 = one per hardware thread).  1 runs the
+  /// sequential algorithm; any count yields the same front.
+  std::size_t num_threads = 1;
   /// Anytime limits; the default budget never interrupts anything.
   RunBudget budget;
   /// Resume from a prior interrupted run's checkpoint.  Not owned; must
@@ -151,17 +170,12 @@ struct ExploreStats {
   /// before the candidate loop; included in `wall_seconds`.
   double index_build_seconds = 0.0;
 
-  // ---- parallel-engine extras (zero for the sequential engine) -------------
+  // ---- cost bands -----------------------------------------------------------
   std::size_t threads = 0;             ///< evaluation threads actually used
   std::uint64_t bands = 0;             ///< cost bands drained and merged
   std::size_t peak_band_size = 0;      ///< largest band (candidates)
-  /// Adaptive-band controller activity (zero when `band_capacity` pinned
-  /// the size): capacity doublings, halvings, and the capacity in effect
-  /// for the last band assembled.
-  std::uint64_t bands_grown = 0;
-  std::uint64_t bands_shrunk = 0;
-  std::size_t band_capacity_last = 0;
-  /// Per-phase wall-time breakdown of `parallel_explore`.
+  /// Per-phase wall-time breakdown; measured only when a pool runs (more
+  /// than one thread), zero otherwise.
   double enumerate_seconds = 0.0;      ///< stream drain + branch bound
   double evaluate_seconds = 0.0;       ///< concurrent candidate evaluation
   double merge_seconds = 0.0;          ///< deterministic band merge
@@ -171,6 +185,9 @@ struct ExploreStats {
   /// approximates the parallel speedup of the evaluation phase.
   double filter_cpu_seconds = 0.0;
   double implement_cpu_seconds = 0.0;
+
+  /// Adds one binding construction's solver and cache work.
+  void add(const ImplementationStats& work);
 };
 
 struct ExploreResult {
@@ -182,7 +199,7 @@ struct ExploreResult {
   double max_flexibility = 0.0;
   ExploreStats stats;
   /// Non-ok when the run failed: a bad resume checkpoint leaves the result
-  /// empty; a failed worker task (parallel engine) stops the run with
+  /// empty; a failed candidate evaluation stops the run with
   /// `stop_reason == kWorkerError` — the merged partial front and the
   /// checkpoint stay valid, so such a run can still be resumed.
   Status status;
@@ -198,8 +215,7 @@ struct ExploreResult {
 [[nodiscard]] ExploreResult explore(const SpecificationGraph& spec,
                                     const ExploreOptions& options = {});
 
-/// Deterministic work counters, stats form ↔ checkpoint form (shared by the
-/// sequential and parallel engines).
+/// Deterministic work counters, stats form ↔ checkpoint form.
 [[nodiscard]] ExploreCheckpoint::Counters checkpoint_counters(
     const ExploreStats& stats);
 void apply_checkpoint_counters(const ExploreCheckpoint::Counters& counters,

@@ -95,14 +95,7 @@ UpgradeResult explore_upgrades(const SpecificationGraph& spec,
     ImplementationStats istats;
     std::optional<Implementation> impl =
         build_implementation(cs, *a, eval_impl, &istats);
-    result.stats.solver_calls += istats.solver_calls;
-    result.stats.solver_nodes += istats.solver_nodes;
-    result.stats.cache_hits_feasible += istats.cache_hits_feasible;
-    result.stats.cache_hits_infeasible += istats.cache_hits_infeasible;
-    result.stats.cache_revalidations += istats.cache_revalidations;
-    result.stats.analysis_pruned += istats.analysis_pruned;
-    result.stats.hier_subsolves += istats.hier_subsolves;
-    result.stats.hier_hits += istats.hier_hits;
+    result.stats.add(istats);
     if (istats.budget_exceeded()) {
       // Abandoned mid-evaluation: this candidate is unknown, not infeasible.
       ++result.stats.budget_abandoned;

@@ -50,8 +50,13 @@ Json explore_result_to_json(const SpecificationGraph& spec,
   stats.emplace_back(
       "possible_allocations",
       Json(static_cast<double>(result.stats.possible_allocations)));
+  stats.emplace_back(
+      "flexibility_estimations",
+      Json(static_cast<double>(result.stats.flexibility_estimations)));
   stats.emplace_back("bound_skipped",
                      Json(static_cast<double>(result.stats.bound_skipped)));
+  stats.emplace_back("branches_pruned",
+                     Json(static_cast<double>(result.stats.branches_pruned)));
   stats.emplace_back(
       "implementation_attempts",
       Json(static_cast<double>(result.stats.implementation_attempts)));
@@ -70,6 +75,8 @@ Json explore_result_to_json(const SpecificationGraph& spec,
       Json(static_cast<double>(result.stats.cache_revalidations)));
   stats.emplace_back("cache_entries",
                      Json(static_cast<double>(result.stats.cache_entries)));
+  stats.emplace_back("analysis_pruned",
+                     Json(static_cast<double>(result.stats.analysis_pruned)));
   stats.emplace_back("hier_subsolves",
                      Json(static_cast<double>(result.stats.hier_subsolves)));
   stats.emplace_back("hier_hits",
@@ -97,18 +104,11 @@ Json explore_result_to_json(const SpecificationGraph& spec,
   if (result.stats.stop_reason != StopReason::kCompleted)
     stats.emplace_back("exact_up_to_cost",
                        Json(result.stats.exact_up_to_cost));
-  if (result.stats.threads != 0) {
-    // Parallel-engine extras: band shape and the per-phase time breakdown.
-    stats.emplace_back("threads", Json(result.stats.threads));
-    stats.emplace_back("bands",
-                       Json(static_cast<double>(result.stats.bands)));
-    stats.emplace_back("peak_band_size", Json(result.stats.peak_band_size));
-    stats.emplace_back("bands_grown",
-                       Json(static_cast<double>(result.stats.bands_grown)));
-    stats.emplace_back("bands_shrunk",
-                       Json(static_cast<double>(result.stats.bands_shrunk)));
-    stats.emplace_back("band_capacity_last",
-                       Json(result.stats.band_capacity_last));
+  // Band shape and, when a pool ran, the per-phase time breakdown.
+  stats.emplace_back("threads", Json(result.stats.threads));
+  stats.emplace_back("bands", Json(static_cast<double>(result.stats.bands)));
+  stats.emplace_back("peak_band_size", Json(result.stats.peak_band_size));
+  if (result.stats.threads > 1) {
     stats.emplace_back("enumerate_seconds",
                        Json(result.stats.enumerate_seconds));
     stats.emplace_back("evaluate_seconds", Json(result.stats.evaluate_seconds));

@@ -19,7 +19,6 @@
 #include "explore/exhaustive.hpp"
 #include "explore/explorer.hpp"
 #include "explore/incremental.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "util/run_budget.hpp"
@@ -76,14 +75,13 @@ void expect_same_counters(const ExploreStats& a, const ExploreStats& b) {
 /// Runs an interrupt/resume chain under `budget` until it completes and
 /// returns the final run's result.  `runs` reports the chain length.
 ExploreResult run_chain(const SpecificationGraph& spec, ExploreOptions options,
-                        const RunBudget& budget, bool parallel, int* runs) {
+                        const RunBudget& budget, int* runs) {
   options.budget = budget;
   std::optional<ExploreCheckpoint> ck;
   *runs = 0;
   while (true) {
     options.resume = ck.has_value() ? &*ck : nullptr;
-    ExploreResult result =
-        parallel ? parallel_explore(spec, options) : explore(spec, options);
+    ExploreResult result = explore(spec, options);
     ++*runs;
     EXPECT_TRUE(result.status.ok()) << result.status.error().message;
     if (!result.checkpoint.has_value()) return result;
@@ -279,7 +277,7 @@ TEST(AnytimeExplore, AllocationBudgetChainMatchesUninterruptedRun) {
   budget.max_allocations = 4;
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), full_walk(), budget, /*parallel=*/false, &runs);
+      run_chain(settop(), full_walk(), budget, &runs);
   EXPECT_GT(runs, 2);  // the budget really did interrupt repeatedly
   EXPECT_TRUE(chained.stats.resumed);
   EXPECT_EQ(chained.stats.frontier_remaining, 0u);
@@ -300,7 +298,7 @@ TEST(AnytimeExplore, SolverNodeBudgetChainMatchesUninterruptedRun) {
       std::max<std::uint64_t>(full.stats.solver_nodes / 6, 64);
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), full_walk(), budget, /*parallel=*/false, &runs);
+      run_chain(settop(), full_walk(), budget, &runs);
   EXPECT_GT(runs, 1);
   expect_same_front(chained.front, full.front);
   expect_same_counters(chained.stats, full.stats);
@@ -321,7 +319,7 @@ TEST(AnytimeExplore, CacheOffChainKeepsSolverNodesInvariant) {
   budget.max_allocations = 4;
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), options, budget, /*parallel=*/false, &runs);
+      run_chain(settop(), options, budget, &runs);
   EXPECT_GT(runs, 2);
   expect_same_front(chained.front, full.front);
   expect_same_counters(chained.stats, full.stats);
@@ -347,7 +345,7 @@ TEST(AnytimeExplore, CachedChainKeepsQueryCountsAndSavesNodes) {
   budget.max_allocations = 4;
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), full_walk(), budget, /*parallel=*/false, &runs);
+      run_chain(settop(), full_walk(), budget, &runs);
   EXPECT_GT(runs, 2);
   expect_same_front(chained.front, full.front);
   expect_same_counters(chained.stats, full.stats);
@@ -363,7 +361,7 @@ TEST(AnytimeExplore, EquivalentCollectingChainMatchesUninterruptedRun) {
   budget.max_allocations = 3;
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), options, budget, /*parallel=*/false, &runs);
+      run_chain(settop(), options, budget, &runs);
   EXPECT_GT(runs, 2);
   expect_same_front(chained.front, full.front);
   expect_same_counters(chained.stats, full.stats);
@@ -377,11 +375,11 @@ TEST(AnytimeExplore, ParallelChainMatchesUninterruptedSequentialRun) {
   budget.max_allocations = 6;
   int runs = 0;
   const ExploreResult chained =
-      run_chain(settop(), options, budget, /*parallel=*/true, &runs);
+      run_chain(settop(), options, budget, &runs);
   EXPECT_GT(runs, 1);
   EXPECT_TRUE(chained.stats.resumed);
-  // Parallel resume guarantees front identity; work counters may differ
-  // (bands evaluate against a staler incumbent than the sequential loop).
+  // Multi-thread resume guarantees front identity; work counters may
+  // differ (bands evaluate against a staler incumbent than one thread).
   expect_same_front(chained.front, full.front);
 }
 
@@ -390,7 +388,7 @@ TEST(AnytimeExplore, ParallelInterruptionCarriesCertificate) {
   ExploreOptions options = full_walk();
   options.num_threads = 4;
   options.budget.max_allocations = 6;
-  const ExploreResult partial = parallel_explore(settop(), options);
+  const ExploreResult partial = explore(settop(), options);
   ASSERT_TRUE(partial.status.ok());
   ASSERT_TRUE(partial.checkpoint.has_value());
   EXPECT_EQ(partial.stats.stop_reason, StopReason::kAllocations);
@@ -406,8 +404,8 @@ TEST(AnytimeExplore, ParallelInterruptionCarriesCertificate) {
 }
 
 TEST(AnytimeExplore, SequentialCheckpointResumesInParallelEngine) {
-  // Thread count and band capacity are excluded from the options digest on
-  // purpose: they change work accounting, never the front.
+  // The thread count is excluded from the options digest on purpose: it
+  // changes work accounting, never the front.
   ExploreOptions options = full_walk();
   options.budget.max_allocations = 5;
   const ExploreResult partial = explore(settop(), options);
@@ -417,7 +415,7 @@ TEST(AnytimeExplore, SequentialCheckpointResumesInParallelEngine) {
   ExploreOptions resume = full_walk();
   resume.num_threads = 4;
   resume.resume = &ck;
-  const ExploreResult resumed = parallel_explore(settop(), resume);
+  const ExploreResult resumed = explore(settop(), resume);
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.error().message;
   const ExploreResult full = explore(settop(), full_walk());
   expect_same_front(resumed.front, full.front);

@@ -17,7 +17,6 @@
 #include "bind/eca.hpp"
 #include "bind/solver.hpp"
 #include "explore/explorer.hpp"
-#include "explore/parallel_explorer.hpp"
 #include "flex/activatability.hpp"
 #include "gen/spec_generator.hpp"
 #include "spec/compiled.hpp"
@@ -587,8 +586,8 @@ TEST(BindCacheExplore, ParallelSharedCacheFrontMatchesSequential) {
   ExploreOptions no_cache = options;
   no_cache.implementation.use_bind_cache = false;
 
-  const ExploreResult par_on = parallel_explore(settop(), options);
-  const ExploreResult par_off = parallel_explore(settop(), no_cache);
+  const ExploreResult par_on = explore(settop(), options);
+  const ExploreResult par_off = explore(settop(), no_cache);
   const ExploreResult seq = explore(settop(), ExploreOptions{});
   ASSERT_TRUE(par_on.status.ok());
   ASSERT_TRUE(par_off.status.ok());
@@ -698,7 +697,7 @@ TEST(BindCacheFaults, CacheFaultInAParallelRunIsResumable) {
   options.num_threads = 2;
 
   FaultInjector::arm("bind_cache.insert", FaultKind::kThrow, 5);
-  const ExploreResult broken = parallel_explore(spec, options);
+  const ExploreResult broken = explore(spec, options);
   FaultInjector::disarm_all();
 
   ASSERT_FALSE(broken.status.ok());
@@ -709,11 +708,11 @@ TEST(BindCacheFaults, CacheFaultInAParallelRunIsResumable) {
   // and must still reproduce the uninterrupted front bit-identically.
   ExploreOptions resumed_options = options;
   resumed_options.resume = &*broken.checkpoint;
-  const ExploreResult finished = parallel_explore(spec, resumed_options);
+  const ExploreResult finished = explore(spec, resumed_options);
   ASSERT_TRUE(finished.status.ok()) << finished.status.error().message;
   EXPECT_EQ(finished.stats.stop_reason, StopReason::kCompleted);
 
-  const ExploreResult uninterrupted = parallel_explore(spec, options);
+  const ExploreResult uninterrupted = explore(spec, options);
   expect_fronts_equal(finished, uninterrupted);
 }
 

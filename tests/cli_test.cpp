@@ -283,11 +283,10 @@ TEST_F(CliTest, ExploreRejectsBadFlags) {
   EXPECT_EQ(run({"explore", settop_path(), "--deadline-ms=-5"}), 2);
   EXPECT_EQ(run({"explore", settop_path(), "--resume"}), 2);  // no --checkpoint
   EXPECT_EQ(run({"explore", settop_path(), "--threads=-1"}), 2);
-  EXPECT_EQ(run({"explore", settop_path(), "--band-target=-1"}), 2);
 }
 
 TEST_F(CliTest, ExploreThreadsZeroAutoDetectsHardwareConcurrency) {
-  // --threads 0 selects the parallel engine with one worker per hardware
+  // --threads 0 evaluates cost bands with one thread per hardware
   // thread; the resolved count (>= 1 even when hardware_concurrency()
   // reports 0) must show up in the stats, and the front must match the
   // sequential default byte for byte.
@@ -300,22 +299,26 @@ TEST_F(CliTest, ExploreThreadsZeroAutoDetectsHardwareConcurrency) {
   ASSERT_NE(stats, nullptr);
   EXPECT_GE(stats->number_or("threads", 0), 1.0);
   EXPECT_GE(stats->number_or("bands", 0), 1.0);
-  EXPECT_GE(stats->number_or("band_capacity_last", 0), 1.0);
+  EXPECT_GE(stats->number_or("peak_band_size", 0), 1.0);
 }
 
-TEST_F(CliTest, ExploreBandTargetFlagReachesTheAdaptiveController) {
-  // An absurd setpoint forces the controller to grow bands; the result is
-  // still the settop front and the JSON reports the controller activity.
-  EXPECT_EQ(run({"explore", settop_path(), "--json", "--threads=2",
-                 "--band-target=100000"}),
-            0);
+TEST_F(CliTest, ExploreJsonReportsEveryPruningCounter) {
+  // Counters that once never reached --json.
+  EXPECT_EQ(run({"explore", settop_path(), "--json"}), 0);
   Result<Json> doc = Json::parse(out_.str());
   ASSERT_TRUE(doc.ok()) << doc.error().message;
-  EXPECT_EQ(doc.value().find("front")->as_array().size(), 6u);
   const Json* stats = doc.value().find("stats");
   ASSERT_NE(stats, nullptr);
-  EXPECT_GE(stats->number_or("bands_grown", -1), 0.0);
-  EXPECT_EQ(stats->number_or("bands_shrunk", -1), 0.0);
+  for (const char* key :
+       {"branches_pruned", "flexibility_estimations", "analysis_pruned"})
+    EXPECT_NE(stats->find(key), nullptr) << key;
+  EXPECT_EQ(stats->number_or("flexibility_estimations", -1),
+            stats->number_or("possible_allocations", -2));
+  EXPECT_GT(stats->number_or("branches_pruned", -1), 0.0);
+
+  // The text stats line carries the branch-bound count too.
+  EXPECT_EQ(run({"explore", settop_path()}), 0);
+  EXPECT_NE(out_.str().find(" branches_pruned="), std::string::npos);
 }
 
 TEST_F(CliTest, ExploreBudgetExhaustionExitsThreeAndWritesCheckpoint) {

@@ -1,8 +1,8 @@
 // Exception safety of the thread pool and, when the build enables
 // SDF_FAULT_INJECTION, the deterministic fault-injection harness itself.
 //
-// The pool tests run in every build: a throwing task is the contract the
-// parallel EXPLORE engine relies on ("a failed worker surfaces as a Status,
+// The pool tests run in every build: a throwing task is the contract
+// multi-thread EXPLORE relies on ("a failed worker surfaces as a Status,
 // the pool drains and stays usable").  The gated tests additionally drive
 // the armed injection sites — including the acceptance scenario: a worker
 // exception mid-band surfaces as a Status with a valid checkpoint, and the
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "explore/parallel_explorer.hpp"
+#include "explore/explorer.hpp"
 #include "spec/paper_models.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
@@ -143,8 +143,8 @@ TEST(FaultInjection, InjectedEvaluationFaultSurfacesAndRunResumes) {
   ExploreOptions options;
   options.num_threads = 2;
 
-  FaultInjector::arm("parallel_explore.evaluate", FaultKind::kThrow, 3);
-  const ExploreResult broken = parallel_explore(spec, options);
+  FaultInjector::arm("explore.evaluate", FaultKind::kThrow, 3);
+  const ExploreResult broken = explore(spec, options);
   FaultInjector::disarm_all();
 
   ASSERT_FALSE(broken.status.ok());
@@ -158,12 +158,12 @@ TEST(FaultInjection, InjectedEvaluationFaultSurfacesAndRunResumes) {
   // uninterrupted run's front bit-identically.
   ExploreOptions resumed_options = options;
   resumed_options.resume = &*broken.checkpoint;
-  const ExploreResult finished = parallel_explore(spec, resumed_options);
+  const ExploreResult finished = explore(spec, resumed_options);
   ASSERT_TRUE(finished.status.ok()) << finished.status.error().message;
   EXPECT_EQ(finished.stats.stop_reason, StopReason::kCompleted);
   EXPECT_TRUE(finished.stats.resumed);
 
-  const ExploreResult uninterrupted = parallel_explore(spec, options);
+  const ExploreResult uninterrupted = explore(spec, options);
   ASSERT_EQ(finished.front.size(), uninterrupted.front.size());
   for (std::size_t i = 0; i < finished.front.size(); ++i) {
     SCOPED_TRACE("front row " + std::to_string(i));
@@ -179,8 +179,8 @@ TEST(FaultInjection, InjectedBadAllocAbortsTheRunResumably) {
   const SpecificationGraph spec = models::make_settop_spec();
   ExploreOptions options;
   options.num_threads = 2;
-  FaultInjector::arm("parallel_explore.evaluate", FaultKind::kBadAlloc, 1);
-  const ExploreResult broken = parallel_explore(spec, options);
+  FaultInjector::arm("explore.evaluate", FaultKind::kBadAlloc, 1);
+  const ExploreResult broken = explore(spec, options);
   FaultInjector::disarm_all();
   ASSERT_FALSE(broken.status.ok());
   EXPECT_EQ(broken.stats.stop_reason, StopReason::kWorkerError);
