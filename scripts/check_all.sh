@@ -157,6 +157,51 @@ PY
 done
 rm -f /tmp/sdf_nested_s.$$
 
+echo "============ front door: load time linear in the spec's bytes ============"
+# nested-xl has 8.9x the bytes of nested-m.  `sdf validate` (load, compile,
+# lint) on it may take at most 15x as long, best of 3 each: a ratio needs
+# no host-specific threshold.  A quadratic name lookup in the reader gave
+# 32.5-34.7, hashed names 9.3-14.1 (4-core x86-64 Xeon, GCC 12,
+# RelWithDebInfo; compile and lint still grow faster than the bytes, see
+# ROADMAP.md).  Then a budgeted
+# explore --json on nested-xl must stop for its budget and print strict
+# JSON: its raw design-point count (2^1057) overflows a double, and JSON
+# has no spelling for infinity.
+"$SDF" generate --preset=nested-m --seed=1 > /tmp/sdf_nested_m.$$
+"$SDF" generate --preset=nested-xl --seed=1 > /tmp/sdf_nested_xl.$$
+python3 - "$SDF" /tmp/sdf_nested_m.$$ /tmp/sdf_nested_xl.$$ <<'PY'
+import json, os, subprocess, sys, time
+sdf, small, large = sys.argv[1:4]
+MAX_TIME_RATIO = 15
+
+def best_of_3(path):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        subprocess.run([sdf, "validate", path], stdout=subprocess.DEVNULL,
+                       check=True)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+t_small, t_large = best_of_3(small), best_of_3(large)
+ratio = t_large / t_small
+print(f"  validate nested-m {t_small:.3f} s, nested-xl {t_large:.3f} s: "
+      f"time ratio {ratio:.1f}, byte ratio "
+      f"{os.path.getsize(large) / os.path.getsize(small):.1f}")
+assert ratio <= MAX_TIME_RATIO, f"time ratio {ratio:.1f} > {MAX_TIME_RATIO}"
+
+def reject(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+run = subprocess.run([sdf, "explore", "--max-allocations=64", "--json",
+                      large], capture_output=True, text=True)
+assert run.returncode == 3, f"exit {run.returncode}, expected 3: {run.stderr}"
+stats = json.loads(run.stdout, parse_constant=reject)["stats"]
+assert stats["stop_reason"] == "allocations", stats["stop_reason"]
+assert stats["raw_design_points"] is None, stats["raw_design_points"]
+PY
+rm -f /tmp/sdf_nested_m.$$ /tmp/sdf_nested_xl.$$
+
 echo "============ static analyzer: sound bounds, identical fronts ============"
 # Two contracts, asserted per example spec:
 #   1. The solved front lies inside the analyzer's whole-spec cost interval

@@ -15,8 +15,12 @@ namespace {
 
 constexpr const char* kFormat = "sdf-explore-checkpoint";
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
+/// FNV-1a over `text`, continuing from `h` (so chunked input hashes the
+/// same as the concatenation).
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t h = kFnvOffsetBasis) {
   for (unsigned char c : text) {
     h ^= c;
     h *= 1099511628211ULL;
@@ -264,9 +268,14 @@ Result<ExploreCheckpoint> ExploreCheckpoint::from_stream(ByteReader& in) {
 }
 
 Result<std::string> explore_spec_digest(const SpecificationGraph& spec) {
-  Result<std::string> text = spec_to_string(spec);
-  if (!text.ok()) return text.error().wrap("checkpoint digest");
-  return hex64(fnv1a64(text.value()));
+  // FNV-1a of `spec_to_string`'s bytes, hashed chunk by chunk as the writer
+  // emits them, so no DOM or whole-spec string is ever built.
+  std::uint64_t h = kFnvOffsetBasis;
+  JsonWriter out(2, [&h](std::string_view chunk) { h = fnv1a64(chunk, h); });
+  if (Status s = write_spec(spec, out); !s.ok())
+    return s.error().wrap("checkpoint digest");
+  out.flush();
+  return hex64(h);
 }
 
 std::string explore_options_digest(const ExploreOptions& options) {

@@ -44,6 +44,7 @@ inline constexpr const char* kRuleCapacityImpossible = "SDF018";
 inline constexpr const char* kRuleBoundEmptyFront = "SDF019";
 inline constexpr const char* kRuleDominatedAlternative = "SDF020";
 inline constexpr const char* kRuleCommUnsatisfiable = "SDF021";
+inline constexpr const char* kRuleDuplicateName = "SDF022";
 
 /// One lint finding.
 struct Diagnostic {

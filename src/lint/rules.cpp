@@ -9,6 +9,7 @@
 #include "flex/flexibility.hpp"
 #include "sched/utilization.hpp"
 #include "spec/compiled.hpp"
+#include "spec/spec_io.hpp"
 #include "util/strings.hpp"
 
 namespace sdf::lint_internal {
@@ -346,6 +347,29 @@ void check_comm_unsatisfiable(LintContext& ctx) {
   }
 }
 
+// ---- SDF022: a node or cluster name used twice in one graph ------------------
+
+void check_duplicate_name(LintContext& ctx) {
+  const auto scan = [&](const HierarchicalGraph& g, const char* side) {
+    const std::string consequence =
+        "' in graph '" + g.name() +
+        "'; the file format refers to nodes and clusters by name, so this "
+        "specification cannot be saved, and an explore run cannot "
+        "checkpoint it";
+    const DuplicateNames dups = find_duplicate_names(g);
+    for (NodeId n : dups.nodes)
+      ctx.report(std::string(side) + ":" + node_path(g, n),
+                 "duplicate node name '" + g.node(n).name + consequence,
+                 "give every node of the graph its own name");
+    for (ClusterId c : dups.clusters)
+      ctx.report(std::string(side) + ":" + cluster_path(g, c),
+                 "duplicate cluster name '" + g.cluster(c).name + consequence,
+                 "give every cluster of the graph its own name");
+  };
+  scan(ctx.spec.problem(), "problem");
+  scan(ctx.spec.architecture(), "architecture");
+}
+
 }  // namespace
 
 void LintContext::report(std::string location, std::string message,
@@ -430,6 +454,10 @@ const std::vector<RuleDef>& rule_defs() {
        "a dependence edge admits no candidate resource pair that could ever "
        "communicate",
        &check_comm_unsatisfiable},
+      {kRuleDuplicateName, "duplicate-name", Severity::kError,
+       "two nodes or two clusters of one graph share a name; the file "
+       "format, and so the checkpoint digest, cannot tell them apart",
+       &check_duplicate_name},
   };
   return defs;
 }

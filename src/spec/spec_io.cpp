@@ -1,142 +1,140 @@
 #include "spec/spec_io.hpp"
 
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
-
-#include "util/strings.hpp"
 
 namespace sdf {
 namespace {
 
 // ---- writing ----------------------------------------------------------------
 
-Json attrs_to_json(const std::map<std::string, double, std::less<>>& attrs) {
-  JsonObject obj;
-  for (const auto& [k, v] : attrs) obj.emplace_back(k, Json(v));
-  return Json(std::move(obj));
+void write_attrs(JsonWriter& w,
+                 const std::map<std::string, double, std::less<>>& attrs) {
+  w.begin_object();
+  for (const auto& [k, v] : attrs) w.key(k).number(v);
+  w.end_object();
 }
 
-Result<Json> cluster_to_json(const HierarchicalGraph& g, ClusterId cid);
+void write_cluster(JsonWriter& w, const HierarchicalGraph& g, ClusterId cid);
 
-Result<Json> node_to_json(const HierarchicalGraph& g, NodeId nid) {
+void write_node(JsonWriter& w, const HierarchicalGraph& g, NodeId nid) {
   const Node& n = g.node(nid);
-  JsonObject obj;
-  obj.emplace_back("name", Json(n.name));
-  obj.emplace_back("kind",
-                   Json(n.is_interface() ? "interface" : "vertex"));
-  if (!n.attrs.empty()) obj.emplace_back("attrs", attrs_to_json(n.attrs));
+  w.begin_object();
+  w.key("name").string(n.name);
+  w.key("kind").string(n.is_interface() ? "interface" : "vertex");
+  if (!n.attrs.empty()) write_attrs(w.key("attrs"), n.attrs);
   if (n.is_interface()) {
-    JsonArray clusters;
-    for (ClusterId cid : n.clusters) {
-      Result<Json> c = cluster_to_json(g, cid);
-      if (!c.ok()) return c;
-      clusters.push_back(std::move(c).value());
-    }
-    obj.emplace_back("clusters", Json(std::move(clusters)));
+    w.key("clusters").begin_array();
+    for (ClusterId cid : n.clusters) write_cluster(w, g, cid);
+    w.end_array();
     if (!n.ports.empty()) {
-      JsonArray ports;
+      w.key("ports").begin_array();
       for (PortId pid : n.ports) {
         const Port& p = g.port(pid);
-        JsonObject pj;
-        pj.emplace_back("name", Json(p.name));
-        pj.emplace_back("direction",
-                        Json(p.direction == PortDirection::kIn ? "in" : "out"));
-        JsonObject mapping;
-        for (const auto& [cid, target] : p.mapping)
-          mapping.emplace_back(g.cluster(cid).name,
-                               Json(g.node(target).name));
-        if (!mapping.empty())
-          pj.emplace_back("mapping", Json(std::move(mapping)));
-        ports.push_back(Json(std::move(pj)));
+        w.begin_object();
+        w.key("name").string(p.name);
+        w.key("direction").string(p.direction == PortDirection::kIn ? "in"
+                                                                    : "out");
+        if (!p.mapping.empty()) {
+          w.key("mapping").begin_object();
+          for (const auto& [cid, target] : p.mapping)
+            w.key(g.cluster(cid).name).string(g.node(target).name);
+          w.end_object();
+        }
+        w.end_object();
       }
-      obj.emplace_back("ports", Json(std::move(ports)));
+      w.end_array();
     }
   }
-  return Json(std::move(obj));
+  w.end_object();
 }
 
-Result<Json> cluster_to_json(const HierarchicalGraph& g, ClusterId cid) {
+void write_cluster(JsonWriter& w, const HierarchicalGraph& g, ClusterId cid) {
   const Cluster& c = g.cluster(cid);
-  JsonObject obj;
-  obj.emplace_back("name", Json(c.name));
-  if (!c.attrs.empty()) obj.emplace_back("attrs", attrs_to_json(c.attrs));
-  JsonArray nodes;
-  for (NodeId nid : c.nodes) {
-    Result<Json> n = node_to_json(g, nid);
-    if (!n.ok()) return n;
-    nodes.push_back(std::move(n).value());
+  w.begin_object();
+  w.key("name").string(c.name);
+  if (!c.attrs.empty()) write_attrs(w.key("attrs"), c.attrs);
+  w.key("nodes").begin_array();
+  for (NodeId nid : c.nodes) write_node(w, g, nid);
+  w.end_array();
+  if (!c.edges.empty()) {
+    w.key("edges").begin_array();
+    for (EdgeId eid : c.edges) {
+      const Edge& e = g.edge(eid);
+      w.begin_object();
+      w.key("from").string(g.node(e.from).name);
+      w.key("to").string(g.node(e.to).name);
+      if (e.src_port.valid())
+        w.key("src_port").string(g.port(e.src_port).name);
+      if (e.dst_port.valid())
+        w.key("dst_port").string(g.port(e.dst_port).name);
+      if (!e.attrs.empty()) write_attrs(w.key("attrs"), e.attrs);
+      w.end_object();
+    }
+    w.end_array();
   }
-  obj.emplace_back("nodes", Json(std::move(nodes)));
-  JsonArray edges;
-  for (EdgeId eid : c.edges) {
-    const Edge& e = g.edge(eid);
-    JsonObject ej;
-    ej.emplace_back("from", Json(g.node(e.from).name));
-    ej.emplace_back("to", Json(g.node(e.to).name));
-    if (e.src_port.valid())
-      ej.emplace_back("src_port", Json(g.port(e.src_port).name));
-    if (e.dst_port.valid())
-      ej.emplace_back("dst_port", Json(g.port(e.dst_port).name));
-    if (!e.attrs.empty()) ej.emplace_back("attrs", attrs_to_json(e.attrs));
-    edges.push_back(Json(std::move(ej)));
-  }
-  if (!edges.empty()) obj.emplace_back("edges", Json(std::move(edges)));
-  return Json(std::move(obj));
+  w.end_object();
+}
+
+void write_graph(JsonWriter& w, const HierarchicalGraph& g) {
+  w.begin_object();
+  w.key("name").string(g.name());
+  write_cluster(w.key("root"), g, g.root());
+  w.end_object();
 }
 
 Status check_unique_names(const HierarchicalGraph& g) {
-  std::unordered_set<std::string> node_names, cluster_names;
-  for (const Node& n : g.nodes())
-    if (!node_names.insert(n.name).second)
-      return Error{"duplicate node name '" + n.name + "' in graph '" +
-                   g.name() + "'"};
-  for (const Cluster& c : g.clusters())
-    if (!c.is_root() && !cluster_names.insert(c.name).second)
-      return Error{"duplicate cluster name '" + c.name + "' in graph '" +
-                   g.name() + "'"};
+  const DuplicateNames dups = find_duplicate_names(g);
+  if (!dups.nodes.empty())
+    return Error{"duplicate node name '" + g.node(dups.nodes.front()).name +
+                 "' in graph '" + g.name() + "'"};
+  if (!dups.clusters.empty())
+    return Error{"duplicate cluster name '" +
+                 g.cluster(dups.clusters.front()).name + "' in graph '" +
+                 g.name() + "'"};
   return Status::Ok();
-}
-
-Result<Json> graph_to_json(const HierarchicalGraph& g) {
-  if (Status s = check_unique_names(g); !s.ok()) return s.error();
-  Result<Json> root = cluster_to_json(g, g.root());
-  if (!root.ok()) return root;
-  JsonObject obj;
-  obj.emplace_back("name", Json(g.name()));
-  obj.emplace_back("root", std::move(root).value());
-  return Json(std::move(obj));
 }
 
 }  // namespace
 
-Result<Json> spec_to_json(const SpecificationGraph& spec) {
-  Result<Json> problem = graph_to_json(spec.problem());
-  if (!problem.ok()) return problem.error().wrap("problem graph");
-  Result<Json> architecture = graph_to_json(spec.architecture());
-  if (!architecture.ok()) return architecture.error().wrap("architecture graph");
+DuplicateNames find_duplicate_names(const HierarchicalGraph& g) {
+  DuplicateNames dups;
+  std::unordered_set<std::string_view> node_names, cluster_names;
+  for (const Node& n : g.nodes())
+    if (!node_names.insert(n.name).second) dups.nodes.push_back(n.id);
+  for (const Cluster& c : g.clusters())
+    if (!c.is_root() && !cluster_names.insert(c.name).second)
+      dups.clusters.push_back(c.id);
+  return dups;
+}
 
-  JsonArray mappings;
+Status write_spec(const SpecificationGraph& spec, JsonWriter& out) {
+  if (Status s = check_unique_names(spec.problem()); !s.ok())
+    return s.error().wrap("problem graph");
+  if (Status s = check_unique_names(spec.architecture()); !s.ok())
+    return s.error().wrap("architecture graph");
+
+  out.begin_object();
+  out.key("name").string(spec.name());
+  write_graph(out.key("problem"), spec.problem());
+  write_graph(out.key("architecture"), spec.architecture());
+  out.key("mappings").begin_array();
   for (const MappingEdge& m : spec.mappings()) {
-    JsonObject mj;
-    mj.emplace_back("process", Json(spec.problem().node(m.process).name));
-    mj.emplace_back("resource",
-                    Json(spec.architecture().node(m.resource).name));
-    mj.emplace_back("latency", Json(m.latency));
-    mappings.push_back(Json(std::move(mj)));
+    out.begin_object();
+    out.key("process").string(spec.problem().node(m.process).name);
+    out.key("resource").string(spec.architecture().node(m.resource).name);
+    out.key("latency").number(m.latency);
+    out.end_object();
   }
-
-  JsonObject doc;
-  doc.emplace_back("name", Json(spec.name()));
-  doc.emplace_back("problem", std::move(problem).value());
-  doc.emplace_back("architecture", std::move(architecture).value());
-  doc.emplace_back("mappings", Json(std::move(mappings)));
-  return Json(std::move(doc));
+  out.end_array();
+  out.end_object();
+  return Status::Ok();
 }
 
 Result<std::string> spec_to_string(const SpecificationGraph& spec) {
-  Result<Json> doc = spec_to_json(spec);
-  if (!doc.ok()) return doc.error();
-  return doc.value().dump(2);
+  JsonWriter out(2);
+  if (Status s = write_spec(spec, out); !s.ok()) return s.error();
+  return out.take();
 }
 
 // spec_from_json / spec_from_string / spec_from_stream / spec_from_file

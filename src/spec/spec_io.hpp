@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "spec/specification.hpp"
 #include "util/byte_reader.hpp"
@@ -24,13 +25,25 @@
 
 namespace sdf {
 
-/// Serializes `spec` to a JSON document.  Fails when names are not unique
-/// within a graph (the format references entities by name).
-[[nodiscard]] Result<Json> spec_to_json(const SpecificationGraph& spec);
+/// Writes `spec` as the next value of `out`, straight from the graph with
+/// no intermediate DOM.  Fails, before writing anything, when names are not
+/// unique within a graph (the format references entities by name).
+[[nodiscard]] Status write_spec(const SpecificationGraph& spec,
+                                JsonWriter& out);
 
-/// Convenience: pretty-printed JSON text.
+/// The canonical text: `write_spec` pretty-printed with a 2-space indent.
 [[nodiscard]] Result<std::string> spec_to_string(
     const SpecificationGraph& spec);
+
+/// The entities of `g` whose names the format cannot tell apart: every node
+/// whose name an earlier node (id order) already has, and likewise every
+/// non-root cluster.  `write_spec` refuses a graph with any; lint rule
+/// SDF022 reports each one.
+struct DuplicateNames {
+  std::vector<NodeId> nodes;
+  std::vector<ClusterId> clusters;
+};
+[[nodiscard]] DuplicateNames find_duplicate_names(const HierarchicalGraph& g);
 
 /// Options controlling specification parsing.
 struct SpecParseOptions {

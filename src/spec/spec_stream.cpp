@@ -15,12 +15,19 @@
 //  * port mappings resolve when their graph closes (targets may live in
 //    clusters declared after the port),
 //  * mapping edges resolve when the document completes.
+// The last two look names up in hash tables built in one pass over the
+// finished graph and dropped once the references resolve, so a load costs
+// time linear in its input.  A table keeps the first entity of each name,
+// so it answers exactly what `HierarchicalGraph::find_node` /
+// `find_cluster` would (the first match in id order, interfaces and the
+// root cluster included).
 //
 // Duplicate keys follow the DOM reader's first-occurrence-wins rule, and
 // mistyped optional fields fall back exactly as `string_or`/`number_or`
 // did (e.g. a numeric "kind" means "vertex", not an error).
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -66,6 +73,26 @@ struct PendingPortMapping {
   std::string cluster_name;
   std::string node_name;
 };
+
+/// Name -> first id over `items` (nodes or clusters), in id order.  Keys
+/// view the graph's own names: the graph's nodes and clusters must not
+/// change while the table is in use.
+template <typename Id>
+using NameTable = std::unordered_map<std::string_view, Id>;
+
+template <typename Id, typename Items>
+NameTable<Id> first_by_name(const Items& items) {
+  NameTable<Id> table;
+  table.reserve(items.size());
+  for (const auto& item : items) table.try_emplace(item.name, item.id);
+  return table;
+}
+
+template <typename Id>
+Id lookup(const NameTable<Id>& table, std::string_view name) {
+  const auto it = table.find(name);
+  return it == table.end() ? Id{} : it->second;
+}
 
 /// A mapping edge awaiting resolution at document close.
 struct PendingMapping {
@@ -134,9 +161,11 @@ class SpecStreamBuilder final : public JsonEventHandler {
     if (!seen_doc_) return Error{"specification must be a JSON object"};
     if (!seen_problem_) return Error{"missing 'problem' graph"};
     if (!seen_architecture_) return Error{"missing 'architecture' graph"};
+    const auto processes = first_by_name<NodeId>(spec_.problem().nodes());
+    const auto resources = first_by_name<NodeId>(spec_.architecture().nodes());
     for (const PendingMapping& m : mappings_) {
-      const NodeId p = spec_.problem().find_node(m.process);
-      const NodeId r = spec_.architecture().find_node(m.resource);
+      const NodeId p = lookup(processes, m.process);
+      const NodeId r = lookup(resources, m.resource);
       if (!p.valid())
         return Error{"mapping references unknown process '" + m.process + "'"};
       if (!r.valid())
@@ -237,9 +266,12 @@ class SpecStreamBuilder final : public JsonEventHandler {
 
   /// Resolves a graph's deferred port mappings once every cluster exists.
   Status resolve_port_mappings() {
+    if (port_mappings_.empty()) return Status::Ok();
+    const auto clusters = first_by_name<ClusterId>(graph_->clusters());
+    const auto nodes = first_by_name<NodeId>(graph_->nodes());
     for (const PendingPortMapping& pm : port_mappings_) {
-      const ClusterId cid = graph_->find_cluster(pm.cluster_name);
-      const NodeId nid = graph_->find_node(pm.node_name);
+      const ClusterId cid = lookup(clusters, pm.cluster_name);
+      const NodeId nid = lookup(nodes, pm.node_name);
       if (!cid.valid())
         return err("port mapping references unknown cluster '" +
                    pm.cluster_name + "'");

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -47,9 +48,18 @@ void Json::set(std::string key, Json value) {
 
 namespace {
 
-void escape_into(std::string& out, const std::string& s) {
+/// Writer buffer size at which a sink receives the output.
+constexpr std::size_t kFlushBytes = 64 * 1024;
+
+void escape_into(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  std::size_t plain = 0;  // start of the run that needs no escaping
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+      continue;
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -58,83 +68,135 @@ void escape_into(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain);
   out += '"';
 }
 
 void number_into(std::string& out, double d) {
-  if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-      std::fabs(d) < 1e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  // Range first: the integer cast is undefined beyond +-2^63.
+  if (std::fabs(d) < 1e15 && d == std::trunc(d)) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                  static_cast<std::int64_t>(d))
+                        .ptr);
   } else {
     out += format_double(d, 12);
   }
 }
 
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
 }  // namespace
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
+JsonWriter::JsonWriter(int indent, Sink sink)
+    : indent_(indent), sink_(std::move(sink)) {}
+
+void JsonWriter::newline_indent(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::next_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (has_items_.empty()) return;  // the top-level value
+  if (has_items_.back()) out_ += ',';
+  has_items_.back() = true;
+  newline_indent(has_items_.size());
+  if (sink_ && out_.size() >= kFlushBytes) flush();
+}
+
+void JsonWriter::begin_object() {
+  next_item();
+  out_ += '{';
+  has_items_.push_back(false);
+}
+
+void JsonWriter::begin_array() {
+  next_item();
+  out_ += '[';
+  has_items_.push_back(false);
+}
+
+void JsonWriter::close(char bracket) {
+  const bool had_items = has_items_.back();
+  has_items_.pop_back();
+  if (had_items) newline_indent(has_items_.size());
+  out_ += bracket;
+}
+
+void JsonWriter::end_object() { close('}'); }
+void JsonWriter::end_array() { close(']'); }
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  next_item();
+  escape_into(out_, name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+void JsonWriter::null() {
+  next_item();
+  out_ += "null";
+}
+
+void JsonWriter::boolean(bool value) {
+  next_item();
+  out_ += value ? "true" : "false";
+}
+
+void JsonWriter::number(double value) {
+  next_item();
+  number_into(out_, value);
+}
+
+void JsonWriter::string(std::string_view value) {
+  next_item();
+  escape_into(out_, value);
+}
+
+void JsonWriter::flush() {
+  if (!sink_ || out_.empty()) return;
+  sink_(out_);
+  out_.clear();
+}
+
+void Json::write(JsonWriter& out) const {
   switch (type()) {
-    case Type::kNull: out += "null"; break;
-    case Type::kBool: out += as_bool() ? "true" : "false"; break;
-    case Type::kNumber: number_into(out, as_number()); break;
-    case Type::kString: escape_into(out, as_string()); break;
-    case Type::kArray: {
-      const auto& arr = as_array();
-      if (arr.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (i) out += ',';
-        newline_indent(out, indent, depth + 1);
-        arr[i].dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out += ']';
+    case Type::kNull: out.null(); break;
+    case Type::kBool: out.boolean(as_bool()); break;
+    case Type::kNumber: out.number(as_number()); break;
+    case Type::kString: out.string(as_string()); break;
+    case Type::kArray:
+      out.begin_array();
+      for (const Json& element : as_array()) element.write(out);
+      out.end_array();
       break;
-    }
-    case Type::kObject: {
-      const auto& obj = as_object();
-      if (obj.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      for (std::size_t i = 0; i < obj.size(); ++i) {
-        if (i) out += ',';
-        newline_indent(out, indent, depth + 1);
-        escape_into(out, obj[i].first);
-        out += indent < 0 ? ":" : ": ";
-        obj[i].second.dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out += '}';
+    case Type::kObject:
+      out.begin_object();
+      for (const auto& [k, v] : as_object()) v.write(out.key(k));
+      out.end_object();
       break;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
+  JsonWriter out(indent);
+  write(out);
+  return out.take();
 }
 
 Result<Json> Json::parse(std::string_view text) {

@@ -4,10 +4,13 @@
 // `spec/spec_io.hpp`).  This is a self-contained implementation covering the
 // JSON subset the library emits: null, bool, finite numbers, strings with
 // standard escapes, arrays and objects.  Object key order is preserved so
-// serialized models diff cleanly.
+// serialized models diff cleanly.  `JsonWriter` is the one text formatter:
+// `Json::dump` walks a DOM through it, and callers with large documents
+// write through it directly, without building a DOM at all.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +24,7 @@
 namespace sdf {
 
 class Json;
+class JsonWriter;
 struct JsonLimits;  // util/json_stream.hpp
 
 using JsonArray = std::vector<Json>;
@@ -84,8 +88,11 @@ class Json {
   bool operator==(const Json& other) const { return value_ == other.value_; }
 
   /// Serializes; `indent < 0` yields compact output, otherwise pretty-printed
-  /// with the given indent width.
+  /// with the given indent width.  Non-finite numbers are written as
+  /// `null`: JSON has no spelling for them.
   [[nodiscard]] std::string dump(int indent = -1) const;
+  /// Writes this value as the next value of `out`.
+  void write(JsonWriter& out) const;
 
   /// Parses a complete JSON document (trailing garbage is an error).
   /// Thin shim over `JsonStreamParser` (util/json_stream.hpp) with the
@@ -96,11 +103,52 @@ class Json {
                                           const JsonLimits& limits);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
-
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
                JsonObject>
       value_;
+};
+
+/// Incremental JSON text writer.  A sequence of calls that describes a
+/// document yields exactly the bytes `Json::dump(indent)` gives for that
+/// document.  Output accumulates in a buffer; a writer with a sink hands
+/// the buffer over in chunks of about 64 KiB and at `flush()`, so a
+/// document of any size costs only that much memory.  Precondition: the
+/// calls describe well-formed JSON (a `key` before each object member).
+class JsonWriter {
+ public:
+  using Sink = std::function<void(std::string_view)>;
+
+  explicit JsonWriter(int indent = -1, Sink sink = nullptr);
+
+  void begin_object();
+  void end_object();
+  void begin_array();
+  void end_array();
+  /// Object member key; the member's value is the next value written
+  /// (`w.key("n").number(1)`).
+  JsonWriter& key(std::string_view name);
+  void null();
+  void boolean(bool value);
+  void number(double value);
+  void string(std::string_view value);
+
+  /// Hands buffered output to the sink (no-op without one).
+  void flush();
+  /// Everything written (without a sink); leaves the writer empty.
+  [[nodiscard]] std::string take() { return std::move(out_); }
+
+ private:
+  /// Separator and line break before the next array element or member.
+  void next_item();
+  void close(char bracket);
+  void newline_indent(std::size_t depth);
+
+  int indent_;
+  Sink sink_;
+  std::string out_;
+  /// One entry per open container: whether it has an item yet.
+  std::vector<bool> has_items_;
+  bool after_key_ = false;
 };
 
 }  // namespace sdf

@@ -1,6 +1,8 @@
 #include "util/json_stream.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
 
@@ -27,6 +29,23 @@ bool is_number_char(char c) {
 }
 
 bool is_word_char(char c) { return c >= 'a' && c <= 'z'; }
+
+/// Bytes a string body copies verbatim: everything but its terminator and
+/// the escape introducer.
+bool is_plain_string_char(char c) { return c != '"' && c != '\\'; }
+
+/// Length of the run of `pred` bytes starting at `chunk[i]`, at most
+/// `budget` long.
+template <typename Pred>
+std::size_t run_length(std::string_view chunk, std::size_t i,
+                       std::uint64_t budget, Pred pred) {
+  const std::size_t limit =
+      i + static_cast<std::size_t>(
+              std::min<std::uint64_t>(chunk.size() - i, budget));
+  std::size_t end = i;
+  while (end < limit && pred(chunk[end])) ++end;
+  return end - i;
+}
 
 /// True when `prefix` could still grow into "null", "true" or "false".
 /// The word scanner emits the value as soon as a full word matches (the
@@ -253,31 +272,16 @@ Status JsonStreamParser::step(char c) {
       return fail_at(token_start_, "invalid value");
 
     case State::kNumber:
-      if (is_number_char(c)) {
-        buf_ += c;
-        note_buffered();
-        if (buf_.size() > kMaxNumberBytes)
-          return fail("number literal too long");
-        return Status::Ok();
-      }
+      // feed() takes number bytes in bulk: `c` ends the token.
       if (Status s = end_number(); !s.ok()) return s;
       return step(c);  // reprocess the terminator
 
     case State::kString:
+      // feed() copies plain bytes in bulk (UTF-8 passes through
+      // unvalidated, so multi-byte sequences split across chunks need no
+      // care): `c` is the closing quote or a backslash.
       if (c == '"') return end_string();
-      if (c == '\\') {
-        state_ = State::kStringEscape;
-        return Status::Ok();
-      }
-      // Raw byte (UTF-8 passes through unvalidated, exactly as before;
-      // multi-byte sequences split across chunks need no special care).
-      buf_ += c;
-      note_buffered();
-      if (limits_.max_string_bytes != 0 &&
-          buf_.size() > limits_.max_string_bytes)
-        return fail(strprintf(
-            "string exceeds max_string_bytes (%llu)",
-            static_cast<unsigned long long>(limits_.max_string_bytes)));
+      state_ = State::kStringEscape;
       return Status::Ok();
 
     case State::kStringEscape:
@@ -349,6 +353,21 @@ Status JsonStreamParser::step(char c) {
   return fail("internal parser state corruption");  // unreachable
 }
 
+bool JsonStreamParser::skips_whitespace() const {
+  switch (state_) {
+    case State::kValue:
+    case State::kArrayFirst:
+    case State::kObjectFirst:
+    case State::kObjectKey:
+    case State::kObjectColon:
+    case State::kAfterValue:
+    case State::kDone:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Status JsonStreamParser::feed(std::string_view chunk) {
   if (state_ == State::kFailed) return Error{error_};
   std::size_t i = 0;
@@ -357,37 +376,49 @@ Status JsonStreamParser::feed(std::string_view chunk) {
       return fail(strprintf(
           "input exceeds max_total_bytes (%llu)",
           static_cast<unsigned long long>(limits_.max_total_bytes)));
-    // Fast path: inside a string, copy a whole run of plain bytes at once.
-    if (state_ == State::kString) {
-      std::size_t end = i;
-      while (end < chunk.size() && chunk[end] != '"' && chunk[end] != '\\')
-        ++end;
-      std::size_t run = end - i;
-      if (limits_.max_total_bytes != 0)
-        run = static_cast<std::size_t>(std::min<std::uint64_t>(
-            run, limits_.max_total_bytes - offset_));
-      // Never buffer past the string cap: append only up to the first
-      // overflowing byte, so retained memory stays bounded even when a
-      // hostile string arrives in one giant chunk.  Failing at exactly
-      // that byte's offset keeps the error identical to the per-byte
-      // slow path, whatever the chunking.
-      if (limits_.max_string_bytes != 0 &&
-          buf_.size() + run > limits_.max_string_bytes) {
-        run = static_cast<std::size_t>(limits_.max_string_bytes) + 1 -
-              buf_.size();
+    // Fast paths: consume a whole run of bytes that `step` would take one
+    // at a time with no other effect -- whitespace between tokens, a
+    // string body, the rest of a number.  Each run stops at the total-bytes
+    // cap and the loop re-checks the caps before the byte that ended it,
+    // so every error and its offset are the same as byte by byte, whatever
+    // the chunking.
+    const std::uint64_t budget = limits_.max_total_bytes != 0
+                                     ? limits_.max_total_bytes - offset_
+                                     : UINT64_MAX;
+    if (state_ == State::kString || state_ == State::kNumber) {
+      const bool string = state_ == State::kString;
+      std::size_t run = string ? run_length(chunk, i, budget,
+                                            is_plain_string_char)
+                               : run_length(chunk, i, budget, is_number_char);
+      const std::uint64_t cap =
+          string ? limits_.max_string_bytes : kMaxNumberBytes;
+      // Never buffer past the token cap: append only up to the first
+      // overflowing byte and fail at exactly that byte's offset, so
+      // retained memory stays bounded even when a hostile token arrives in
+      // one giant chunk.
+      if (cap != 0 && buf_.size() + run > cap) {
+        run = static_cast<std::size_t>(cap) + 1 - buf_.size();
         buf_.append(chunk.data() + i, run);
         offset_ += run - 1;
         note_buffered();
-        return fail(strprintf(
-            "string exceeds max_string_bytes (%llu)",
-            static_cast<unsigned long long>(limits_.max_string_bytes)));
+        return fail(string ? strprintf("string exceeds max_string_bytes "
+                                       "(%llu)",
+                                       static_cast<unsigned long long>(cap))
+                           : std::string("number literal too long"));
       }
       if (run > 0) {
         buf_.append(chunk.data() + i, run);
         offset_ += run;
         note_buffered();
         i += run;
-        continue;  // re-check the caps before the byte that ended the run
+        continue;
+      }
+    } else if (skips_whitespace()) {
+      const std::size_t run = run_length(chunk, i, budget, is_ws);
+      if (run > 0) {
+        offset_ += run;
+        i += run;
+        continue;
       }
     }
     if (Status s = step(chunk[i]); !s.ok()) return s;

@@ -129,6 +129,8 @@ class JsonStreamParser {
   [[nodiscard]] Status value_done();
   [[nodiscard]] Status charge_node();
   void note_buffered();
+  /// True in the states where `step` ignores whitespace.
+  [[nodiscard]] bool skips_whitespace() const;
 
   JsonEventHandler& handler_;
   JsonLimits limits_;

@@ -40,9 +40,13 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 std::string format_double(double v, int max_decimals) {
+  // "%f" spells out every integer digit, up to 309 of them: format large
+  // magnitudes into an exactly sized string rather than truncating.
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", max_decimals, v);
-  std::string s = buf;
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", max_decimals, v);
+  std::string s = n < static_cast<int>(sizeof buf)
+                      ? std::string(buf, static_cast<std::size_t>(n))
+                      : strprintf("%.*f", max_decimals, v);
   if (s.find('.') != std::string::npos) {
     while (!s.empty() && s.back() == '0') s.pop_back();
     if (!s.empty() && s.back() == '.') s.pop_back();

@@ -220,6 +220,37 @@ TEST_F(CliTest, ExplorePreflightRejectsDefectiveSpec) {
   EXPECT_NE(err_.str().find("preflight"), std::string::npos);
 }
 
+TEST_F(CliTest, PreflightStopsDuplicateNamesBeforeABudgetedRun) {
+  // The decoder with cluster gU2 renamed to gU1.  Without the lint rule a
+  // budgeted run explored it, then lost its partial front when the
+  // checkpoint digest refused the duplicate name.
+  std::string text = spec_to_string(models::make_tv_decoder_spec()).value();
+  for (std::size_t at; (at = text.find("\"gU2\"")) != std::string::npos;)
+    text.replace(at, 5, "\"gU1\"");
+  const std::string path = tmp_path("duplicate_cluster.json");
+  std::ofstream(path) << text;
+
+  EXPECT_EQ(run({"lint", path}), 2);
+  EXPECT_NE(out_.str().find("[SDF022] duplicate cluster name 'gU1'"),
+            std::string::npos)
+      << out_.str();
+  for (const char* budget : {"--max-allocations=2", "--deadline-ms=60000"}) {
+    EXPECT_EQ(run({"explore", path, budget}), 2) << budget;
+    EXPECT_NE(err_.str().find("preflight"), std::string::npos) << err_.str();
+    EXPECT_NE(err_.str().find("problem:G_P.root/"), std::string::npos)
+        << err_.str();
+    EXPECT_NE(err_.str().find("duplicate cluster name 'gU1'"),
+              std::string::npos)
+        << err_.str();
+  }
+  // Past the preflight the digest still refuses the spec: the canonical
+  // text no longer identifies the graph.
+  EXPECT_EQ(run({"explore", path, "--max-allocations=2", "--no-preflight"}),
+            1);
+  EXPECT_NE(err_.str().find("checkpoint digest"), std::string::npos)
+      << err_.str();
+}
+
 TEST_F(CliTest, FlexibilityReportsMaximum) {
   EXPECT_EQ(run({"flexibility", settop_path()}), 0);
   EXPECT_NE(out_.str().find("maximal flexibility: 8"), std::string::npos);

@@ -2,6 +2,7 @@
 // bounded-memory contract (`peak_buffered_bytes`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -218,6 +219,47 @@ TEST(JsonStream, PathologicalNumberLiteralsAreCapped) {
   const std::string doc = "1" + std::string(100000, '0');
   const std::string got = parse_single(doc);
   EXPECT_NE(got.find("number literal too long"), std::string::npos) << got;
+}
+
+/// Chunk sizes around the front door's 4 KiB number cap and 64 KiB reads.
+const std::size_t kBulkChunks[] = {1, 7, 4095, 4096, 4097, SIZE_MAX};
+
+TEST(JsonStream, BulkNumberScanKeepsTheCapAndItsOffset) {
+  const std::string doc = "1" + std::string(4999, '0');  // 5,000 digits
+  for (std::size_t chunk : kBulkChunks) {
+    const std::string got = parse_chunked(doc, std::min(chunk, doc.size()));
+    EXPECT_EQ(got, "ERROR: JSON parse error at offset 4096: number literal "
+                   "too long")
+        << "chunk " << chunk;
+  }
+  // A number just under the cap, padded by whitespace runs, parses alike
+  // at every split.
+  const std::string ok = std::string(3000, ' ') + "[" +
+                         std::string(4000, '1') + "e-3990 ," +
+                         std::string(2000, '\n') + "2]" +
+                         std::string(5000, '\t');
+  const std::string reference = parse_single(ok);
+  EXPECT_EQ(reference.find("ERROR"), std::string::npos) << reference;
+  for (std::size_t chunk : kBulkChunks)
+    EXPECT_EQ(parse_chunked(ok, std::min(chunk, ok.size())), reference)
+        << "chunk " << chunk;
+}
+
+TEST(JsonStream, BulkWhitespaceScanStopsAtTheTotalBytesCap) {
+  JsonLimits limits;
+  limits.max_total_bytes = 5000;
+  for (const std::string& doc :
+       {"[" + std::string(9000, ' ') + "1]",
+        "[1" + std::string(9000, '\n') + "]",
+        "[1]" + std::string(9000, '\r')}) {
+    for (std::size_t chunk : kBulkChunks) {
+      const std::string got =
+          parse_chunked(doc, std::min(chunk, doc.size()), limits);
+      EXPECT_EQ(got, "ERROR: JSON parse error at offset 5000: input exceeds "
+                     "max_total_bytes (5000)")
+          << "chunk " << chunk;
+    }
+  }
 }
 
 TEST(JsonStream, IngestDefaultsAreGenerousButFinite) {

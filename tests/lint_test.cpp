@@ -14,6 +14,7 @@
 #include "spec/attributes.hpp"
 #include "spec/builder.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 #include "util/json.hpp"
 
 namespace sdf {
@@ -47,11 +48,11 @@ SpecBuilder clean_builder() {
 
 // ---- catalogue ---------------------------------------------------------------
 
-TEST(LintCatalog, TwentyOneRulesWithStableIds) {
+TEST(LintCatalog, TwentyTwoRulesWithStableIds) {
   const std::vector<RuleInfo>& catalog = lint_rule_catalog();
-  ASSERT_EQ(catalog.size(), 21u);
+  ASSERT_EQ(catalog.size(), 22u);
   EXPECT_EQ(catalog.front().id, "SDF001");
-  EXPECT_EQ(catalog.back().id, "SDF021");
+  EXPECT_EQ(catalog.back().id, "SDF022");
   // Ids are unique and ascending.
   for (std::size_t i = 1; i < catalog.size(); ++i)
     EXPECT_LT(catalog[i - 1].id, catalog[i].id);
@@ -389,6 +390,40 @@ TEST(LintRule, SDF021CommUnsatisfiableMapping) {
   ok.depends(ok.spec().problem().find_node("P"), q2);
   ok.bus("B", 5, {ok.spec().architecture().find_node("R"), s2});
   EXPECT_TRUE(run_rule(ok.spec(), "SDF021").clean());
+}
+
+TEST(LintRule, SDF022DuplicateName) {
+  // The decoder model with cluster gU2 renamed to gU1: it loads, but the
+  // file format can no longer tell the two clusters apart.
+  std::string text = spec_to_string(models::make_tv_decoder_spec()).value();
+  for (std::size_t at; (at = text.find("\"gU2\"")) != std::string::npos;)
+    text.replace(at, 5, "\"gU1\"");
+  Result<SpecificationGraph> dup =
+      spec_from_string(text, SpecParseOptions{.validate = false});
+  ASSERT_TRUE(dup.ok()) << dup.error().message;
+  const Diagnostic d = expect_fires_once(dup.value(), "SDF022");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_NE(d.message.find("duplicate cluster name 'gU1'"), std::string::npos)
+      << d.message;
+  EXPECT_EQ(d.location.rfind("problem:", 0), 0u) << d.location;
+  EXPECT_NE(d.location.find("/gU1"), std::string::npos) << d.location;
+
+  // Two architecture nodes of one name.
+  SpecBuilder nodes = clean_builder();
+  nodes.resource("R", 20);
+  const Diagnostic n = expect_fires_once(nodes.spec(), "SDF022");
+  EXPECT_NE(n.message.find("duplicate node name 'R'"), std::string::npos)
+      << n.message;
+  EXPECT_EQ(n.location.rfind("architecture:", 0), 0u) << n.location;
+
+  // The rule fires exactly where the writer refuses.
+  SpecBuilder clean = clean_builder();
+  for (const SpecificationGraph* spec :
+       {&dup.value(), &nodes.spec(), &clean.spec()}) {
+    EXPECT_EQ(run_rule(*spec, "SDF022").clean(), spec_to_string(*spec).ok());
+  }
+  EXPECT_TRUE(run_rule(models::make_settop_spec(), "SDF022").clean());
+  EXPECT_TRUE(run_rule(models::make_tv_decoder_spec(), "SDF022").clean());
 }
 
 // ---- engine behavior ---------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit tests for the util layer: ids, bitsets, rng, strings, json, tables.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <unordered_set>
@@ -307,6 +308,52 @@ TEST(Json, PrettyPrintIndents) {
   obj.set("a", 1);
   const std::string pretty = obj.dump(2);
   EXPECT_NE(pretty.find("\n  \"a\": 1"), std::string::npos);
+}
+
+TEST(Json, LargeNumbersRoundTripAndNonFiniteDumpsNull) {
+  // Out of the int64 range: formatted without the (undefined) cast, every
+  // digit kept.
+  const double big = std::ldexp(1.0, 121);
+  for (double d : {big, -big, 1e300, -1e300, 1e15 + 0.5}) {
+    const std::string text = Json(d).dump();
+    Result<Json> back = Json::parse(text);
+    ASSERT_TRUE(back.ok()) << text;
+    EXPECT_EQ(back.value().as_number(), d) << text;
+  }
+  // JSON has no inf or NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {inf, -inf, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_EQ(Json(d).dump(), "null");
+  Json obj{JsonObject{}};
+  obj.set("raw", inf);
+  EXPECT_EQ(obj.dump(), R"({"raw":null})");
+  EXPECT_TRUE(Json::parse(obj.dump(2)).ok());
+}
+
+TEST(Json, WriterEmitsDumpBytesInSinkChunks) {
+  Result<Json> doc = Json::parse(
+      R"({"a":[1,2.5,[],{},"x\ny"],"b":{"c":null,"d":[true,false]},"e":[]})");
+  ASSERT_TRUE(doc.ok());
+  for (int indent : {-1, 0, 2}) {
+    JsonWriter whole(indent);
+    doc.value().write(whole);
+    EXPECT_EQ(whole.take(), doc.value().dump(indent));
+  }
+  // With a sink the output arrives in pieces that concatenate to the same
+  // bytes; a document far larger than the writer's buffer proves it.
+  JsonArray rows;
+  for (int i = 0; i < 20000; ++i) rows.emplace_back(JsonArray{i, "row"});
+  const Json big{std::move(rows)};
+  std::string sunk;
+  std::size_t pieces = 0;
+  JsonWriter chunked(2, [&](std::string_view piece) {
+    sunk.append(piece);
+    ++pieces;
+  });
+  big.write(chunked);
+  chunked.flush();
+  EXPECT_EQ(sunk, big.dump(2));
+  EXPECT_GT(pieces, 1u);
 }
 
 TEST(Json, ParsePreservesKeyOrder) {
