@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,17 +139,13 @@ void print_cache_savings(JsonObject& doc) {
               table.to_ascii().c_str());
 }
 
-// ---- warm-cache probe cost: epoch-snapshot reads vs a lock per probe ------
+// ---- warm-cache probe cost ------------------------------------------------
 
-/// Per-query overhead of the read path on a warm cache, where every query is
-/// a hit.  The snapshot loop is the shipped path: one atomic acquire-load,
-/// then an in-place frontier scan.  The mutexed loop runs the *same* probes
-/// behind a global lock, the serialization every reader paid before the
-/// epoch-snapshot rewrite (and a lower bound on it — the old path also
-/// deep-copied the witness under the lock).
+/// Per-query cost of the read path on a warm cache, where every query is a
+/// hit: the shard lock, the frontier scan, the witness copy and its
+/// revalidation, exactly as `BindCache::solve` ships them.
 void print_read_overhead(JsonObject& doc) {
-  bench::section(
-      "binding cache: warm-cache probe cost, snapshot read vs lock per probe");
+  bench::section("binding cache: warm-cache probe cost per hit");
 
   const SpecificationGraph spec = models::make_settop_spec();
   const CompiledSpec cs(spec);
@@ -177,56 +172,31 @@ void print_read_overhead(JsonObject& doc) {
   using Clock = std::chrono::steady_clock;
   const std::size_t queries = allocs.size() * ecas.size();
   constexpr int kPasses = 200;
-  const auto probe_all = [&] {
-    std::size_t feasible = 0;
-    for (const AllocSet& a : allocs)
-      for (const Eca& e : ecas) feasible += cache.solve(cs, a, e).has_value();
-    return feasible;
-  };
-
-  double ns_snapshot = std::numeric_limits<double>::infinity();
-  double ns_mutexed = std::numeric_limits<double>::infinity();
-  std::mutex probe_mutex;
+  double ns_per_hit = std::numeric_limits<double>::infinity();
   for (int round = 0; round < 5; ++round) {
     std::size_t sink = 0;
-    auto t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) sink += probe_all();
-    const double snap_ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    t0 = Clock::now();
-    for (int p = 0; p < kPasses; ++p) {
+    const auto t0 = Clock::now();
+    for (int p = 0; p < kPasses; ++p)
       for (const AllocSet& a : allocs)
-        for (const Eca& e : ecas) {
-          std::lock_guard<std::mutex> lock(probe_mutex);
-          sink += cache.solve(cs, a, e).has_value();
-        }
-    }
-    const double mutex_ns =
+        for (const Eca& e : ecas) sink += cache.solve(cs, a, e).has_value();
+    const double ns =
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
     benchmark::DoNotOptimize(sink);
-    ns_snapshot = std::min(ns_snapshot, snap_ns / (kPasses * queries));
-    ns_mutexed = std::min(ns_mutexed, mutex_ns / (kPasses * queries));
+    ns_per_hit = std::min(ns_per_hit, ns / (kPasses * queries));
   }
 
   const BindCacheStats after = cache.stats();
   if (after.misses != warm.misses) die("read_overhead", "probe pass missed");
 
-  Table table({"queries", "entries", "ns/hit snapshot", "ns/hit mutexed",
-               "lock overhead", "snapshot reads"});
+  Table table({"queries", "entries", "ns/hit"});
   table.add_row({std::to_string(queries), std::to_string(after.entries),
-                 format_double(ns_snapshot, 2), format_double(ns_mutexed, 2),
-                 format_double(ns_mutexed - ns_snapshot, 2) + " ns",
-                 std::to_string(after.snapshot_reads)});
+                 format_double(ns_per_hit, 2)});
   std::printf("%s", table.to_ascii().c_str());
 
   JsonObject ro{
       {"queries", Json(queries)},
       {"entries", Json(static_cast<double>(after.entries))},
-      {"ns_per_hit_snapshot", Json(ns_snapshot)},
-      {"ns_per_hit_mutexed", Json(ns_mutexed)},
-      {"snapshot_reads", Json(static_cast<double>(after.snapshot_reads))},
-      {"publishes", Json(static_cast<double>(after.publishes))},
-      {"publish_retries", Json(static_cast<double>(after.publish_retries))},
+      {"ns_per_hit", Json(ns_per_hit)},
   };
   doc.emplace_back("read_overhead", Json(std::move(ro)));
 }

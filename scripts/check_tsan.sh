@@ -16,8 +16,15 @@ TESTS=(util_test dyn_bitset_test explore_test bind_test bind_cache_test
 cmake -B "$BUILD" -DSDF_SANITIZE="$SANITIZER"
 cmake --build "$BUILD" --target "${TESTS[@]}" -j "$(nproc)"
 
+# Run every test even after a failure, so one failing test cannot hide
+# another; the exit status names them all.
+failed=()
 for t in "${TESTS[@]}"; do
   echo "==================== $t (${SANITIZER}san) ===================="
-  "$BUILD/tests/$t"
+  "$BUILD/tests/$t" || failed+=("$t")
 done
+if [ "${#failed[@]}" -ne 0 ]; then
+  echo "SANITIZER CHECKS FAILED (${SANITIZER}): ${failed[*]}" >&2
+  exit 1
+fi
 echo "SANITIZER CHECKS PASSED (${SANITIZER})"

@@ -12,15 +12,143 @@
 namespace sdf {
 namespace {
 
+using Key = MonotoneFrontier::Key;
+
+std::size_t hash_key(const Key& key) {
+  // FNV-1a over the words.
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint32_t w : key) {
+    h ^= w;
+    h *= 1099511628211ull;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+struct KeyHash {
+  std::size_t operator()(const Key& key) const { return hash_key(key); }
+};
+
+struct FeasibleEntry {
+  DynBitset alloc;  ///< minimal known-feasible allocation
+  Binding witness;  ///< a feasible binding using only units in `alloc`
+};
+
+/// One key's facts: antichains of minimal feasible and maximal infeasible
+/// allocations, in insertion order.
+struct Facts {
+  std::vector<FeasibleEntry> minimal_feasible;
+  std::vector<DynBitset> maximal_infeasible;
+  /// The key's sub-problem (fixed by the key); stored once, shared by
+  /// every probe.
+  std::shared_ptr<const CompiledFlat> flat;
+};
+
+}  // namespace
+
+struct MonotoneFrontier::Shard {
+  std::mutex mutex;
+  std::unordered_map<Key, Facts, KeyHash> map;
+};
+
+MonotoneFrontier::MonotoneFrontier(std::size_t shard_count) {
+  if (shard_count == 0) shard_count = 1;
+  shards_.reserve(shard_count);
+  for (std::size_t i = 0; i < shard_count; ++i)
+    shards_.push_back(std::make_unique<Shard>());
+}
+
+MonotoneFrontier::~MonotoneFrontier() = default;
+
+MonotoneFrontier::Shard& MonotoneFrontier::shard_for(const Key& key) const {
+  return *shards_[hash_key(key) % shards_.size()];
+}
+
+MonotoneFrontier::Probe MonotoneFrontier::probe(const Key& key,
+                                                const AllocSet& alloc) const {
+  Probe out;
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return out;
+  const Facts& facts = it->second;
+  out.flat = facts.flat;
+  for (const FeasibleEntry& entry : facts.minimal_feasible) {
+    if (entry.alloc.is_subset_of(alloc)) {
+      out.witness = entry.witness;
+      return out;
+    }
+  }
+  for (const DynBitset& m : facts.maximal_infeasible) {
+    if (alloc.is_subset_of(m)) {
+      out.infeasible = true;
+      break;
+    }
+  }
+  return out;
+}
+
+void MonotoneFrontier::insert(const Key& key, const AllocSet& alloc,
+                              const Binding* witness,
+                              std::shared_ptr<const CompiledFlat> flat) {
+  SDF_FAULT_POINT("bind_cache.insert");
+  Shard& shard = shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.map.find(key);
+  // Already implied: a stored feasible subset, or infeasible superset.  A
+  // concurrent worker may have proven it since this one's probe.
+  if (it != shard.map.end()) {
+    const Facts& facts = it->second;
+    if (witness != nullptr) {
+      for (const FeasibleEntry& entry : facts.minimal_feasible)
+        if (entry.alloc.is_subset_of(alloc)) return;
+    } else {
+      for (const DynBitset& m : facts.maximal_infeasible)
+        if (alloc.is_subset_of(m)) return;
+    }
+  }
+  SDF_FAULT_POINT("bind_cache.merge");
+  if (it == shard.map.end()) it = shard.map.try_emplace(key).first;
+  Facts& facts = it->second;
+  if (facts.flat == nullptr) facts.flat = std::move(flat);
+  // Prune the entries the new fact dominates (strict supersets are no
+  // longer minimal, strict subsets no longer maximal), then append it.
+  std::size_t pruned = 0;
+  if (witness != nullptr) {
+    pruned = std::erase_if(facts.minimal_feasible,
+                           [&](const FeasibleEntry& entry) {
+                             return alloc.is_subset_of(entry.alloc);
+                           });
+    facts.minimal_feasible.push_back(FeasibleEntry{alloc, *witness});
+  } else {
+    pruned = std::erase_if(facts.maximal_infeasible, [&](const DynBitset& m) {
+      return m.is_subset_of(alloc);
+    });
+    facts.maximal_infeasible.push_back(alloc);
+  }
+  // Unsigned wrap-around subtracts when more than one entry was pruned.
+  entries_.fetch_add(1 - static_cast<std::uint64_t>(pruned),
+                     std::memory_order_relaxed);
+}
+
+void MonotoneFrontier::clear() {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mutex);
+    shard->map.clear();
+  }
+  entries_.store(0, std::memory_order_relaxed);
+}
+
+// ---- BindCache --------------------------------------------------------------
+
+namespace {
+
 /// Canonical per-ECA key: the sorted cluster-selection pairs plus the
 /// activated cluster ids.  Two ECAs with the same key flatten to the same
 /// subproblem, so their frontiers are interchangeable.
-using EcaKey = std::vector<std::uint32_t>;
-
-EcaKey make_key(const Eca& eca) {
+Key make_key(const Eca& eca) {
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> selection =
       eca.selection.key();
-  EcaKey key;
+  Key key;
   key.reserve(2 * selection.size() + eca.clusters.size() + 2);
   key.push_back(static_cast<std::uint32_t>(selection.size()));
   for (const auto& [interface_id, cluster_id] : selection) {
@@ -33,63 +161,7 @@ EcaKey make_key(const Eca& eca) {
   return key;
 }
 
-std::size_t hash_key(const EcaKey& key) {
-  // FNV-1a over the words.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint32_t w : key) {
-    h ^= w;
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h);
-}
-
-struct EcaKeyHash {
-  std::size_t operator()(const EcaKey& key) const { return hash_key(key); }
-};
-
-struct FeasibleEntry {
-  DynBitset alloc;  ///< minimal known-feasible allocation
-  Binding witness;  ///< a feasible binding using only units in `alloc`
-};
-
-/// Per-ECA frontier: antichains of minimal feasible and maximal infeasible
-/// allocations.  Immutable once referenced by a published snapshot.
-struct Frontier {
-  std::vector<FeasibleEntry> minimal_feasible;
-  std::vector<DynBitset> maximal_infeasible;
-
-  [[nodiscard]] std::size_t entry_count() const {
-    return minimal_feasible.size() + maximal_infeasible.size();
-  }
-};
-
-/// One shard's published state: an immutable key → frontier map.  Copying a
-/// snapshot copies shared_ptrs, not frontiers — a publish deep-copies only
-/// the one frontier it extends.
-using Snapshot =
-    std::unordered_map<EcaKey, std::shared_ptr<const Frontier>, EcaKeyHash>;
-using SnapshotPtr = std::shared_ptr<const Snapshot>;
-
 }  // namespace
-
-struct BindCache::Shard {
-  /// Never null; readers acquire-load and scan without any lock.
-  std::atomic<SnapshotPtr> snapshot{std::make_shared<const Snapshot>()};
-};
-
-BindCache::BindCache(std::size_t shard_count) {
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
-BindCache::~BindCache() = default;
-
-BindCache::Shard& BindCache::shard_for(
-    const std::vector<std::uint32_t>& key) const {
-  return *shards_[hash_key(key) % shards_.size()];
-}
 
 std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
                                         const AllocSet& alloc, const Eca& eca,
@@ -98,167 +170,59 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
   SolverStats local;
   SolverStats& s = stats != nullptr ? *stats : local;
 
-  EcaKey key = make_key(eca);
-  Shard& shard = shard_for(key);
-
-  // Epoch-snapshot probe: one acquire load pins an immutable snapshot; the
-  // frontier scan and the witness revalidation both run directly against
-  // it — no lock, no copy.  The snapshot outlives the probe because we hold
-  // its shared_ptr; concurrent publishes simply supersede it.
-  const SnapshotPtr snap = shard.snapshot.load(std::memory_order_acquire);
-  snapshot_reads_.fetch_add(1, std::memory_order_relaxed);
-  const Binding* witness = nullptr;
-  if (const auto it = snap->find(key); it != snap->end()) {
-    const Frontier& frontier = *it->second;
-    for (const FeasibleEntry& entry : frontier.minimal_feasible) {
-      if (entry.alloc.is_subset_of(alloc)) {
-        witness = &entry.witness;
-        break;
-      }
-    }
-    if (witness == nullptr) {
-      for (const DynBitset& m : frontier.maximal_infeasible) {
-        if (alloc.is_subset_of(m)) {
-          s.aborted = false;
-          s.outcome = SolveOutcome::kInfeasible;
-          ++s.cache_hits_infeasible;
-          hits_infeasible_.fetch_add(1, std::memory_order_relaxed);
-          s.cache_entries = entries();
-          return std::nullopt;
-        }
-      }
-    }
+  const Key key = make_key(eca);
+  MonotoneFrontier::Probe probe = frontier_.probe(key, alloc);
+  if (probe.infeasible) {
+    s.aborted = false;
+    s.outcome = SolveOutcome::kInfeasible;
+    ++s.cache_hits_infeasible;
+    hits_infeasible_.fetch_add(1, std::memory_order_relaxed);
+    s.cache_entries = entries();
+    return std::nullopt;
   }
-
-  if (witness != nullptr) {
+  if (probe.witness.has_value()) {
     ++s.cache_revalidations;
     revalidations_.fetch_add(1, std::memory_order_relaxed);
-    if (binding_feasible(cs, alloc, eca, *witness, options)) {
+    if (binding_feasible(cs, alloc, eca, *probe.witness, options)) {
       s.aborted = false;
       s.outcome = SolveOutcome::kFeasible;
       ++s.cache_hits_feasible;
       hits_feasible_.fetch_add(1, std::memory_order_relaxed);
       s.cache_entries = entries();
-      return *witness;  // the only copy: into the caller's return value
+      return std::move(probe.witness);
     }
     // Monotonicity guarantees revalidation cannot fail; stay sound anyway
     // by falling through to a real solve.
-    witness = nullptr;
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
   std::optional<Binding> solved = solve_binding(cs, alloc, eca, options, &s);
-  if (s.outcome == SolveOutcome::kFeasible && solved.has_value()) {
-    insert_feasible(shard, std::move(key), alloc, *solved);
-  } else if (s.outcome == SolveOutcome::kInfeasible) {
-    insert_infeasible(shard, std::move(key), alloc);
-  }
+  if (s.outcome == SolveOutcome::kFeasible && solved.has_value())
+    frontier_.insert(key, alloc, &*solved);
+  else if (s.outcome == SolveOutcome::kInfeasible)
+    frontier_.insert(key, alloc, nullptr);
   // kNodeLimit / kBudgetExceeded / kCancelled: the solver gave up — that
   // verdict proves nothing and must never enter the frontier.
   s.cache_entries = entries();
   return solved;
 }
 
-namespace {
-
-/// Returns the extended feasible frontier, or nullptr when the new fact is
-/// already implied (a stored subset of `alloc` exists).  Pure build-aside:
-/// touches nothing shared.
-std::shared_ptr<const Frontier> extend_feasible(const Frontier* old,
-                                                const AllocSet& alloc,
-                                                const Binding& witness) {
-  if (old != nullptr)
-    for (const FeasibleEntry& entry : old->minimal_feasible)
-      if (entry.alloc.is_subset_of(alloc)) return nullptr;
-  auto next = std::make_shared<Frontier>();
-  if (old != nullptr) {
-    next->maximal_infeasible = old->maximal_infeasible;
-    next->minimal_feasible.reserve(old->minimal_feasible.size() + 1);
-    // Keep only entries not dominated by the new one (strict supersets are
-    // no longer minimal).
-    for (const FeasibleEntry& entry : old->minimal_feasible)
-      if (!alloc.is_subset_of(entry.alloc))
-        next->minimal_feasible.push_back(entry);
-  }
-  next->minimal_feasible.push_back(FeasibleEntry{alloc, witness});
-  return next;
+BindCacheStats BindCache::stats() const {
+  BindCacheStats out;
+  out.hits_feasible = hits_feasible_.load(std::memory_order_relaxed);
+  out.hits_infeasible = hits_infeasible_.load(std::memory_order_relaxed);
+  out.revalidations = revalidations_.load(std::memory_order_relaxed);
+  out.misses = misses_.load(std::memory_order_relaxed);
+  out.entries = entries();
+  return out;
 }
 
-/// Infeasible-side counterpart of `extend_feasible`.
-std::shared_ptr<const Frontier> extend_infeasible(const Frontier* old,
-                                                  const AllocSet& alloc) {
-  if (old != nullptr)
-    for (const DynBitset& m : old->maximal_infeasible)
-      if (alloc.is_subset_of(m)) return nullptr;
-  auto next = std::make_shared<Frontier>();
-  if (old != nullptr) {
-    next->minimal_feasible = old->minimal_feasible;
-    next->maximal_infeasible.reserve(old->maximal_infeasible.size() + 1);
-    for (const DynBitset& m : old->maximal_infeasible)
-      if (!m.is_subset_of(alloc)) next->maximal_infeasible.push_back(m);
-  }
-  next->maximal_infeasible.push_back(alloc);
-  return next;
-}
-
-}  // namespace
-
-void BindCache::insert_feasible(Shard& shard, std::vector<std::uint32_t> key,
-                                const AllocSet& alloc,
-                                const Binding& witness) {
-  SDF_FAULT_POINT("bind_cache.insert");
-  SnapshotPtr cur = shard.snapshot.load(std::memory_order_acquire);
-  for (;;) {
-    const auto it = cur->find(key);
-    const Frontier* old = it != cur->end() ? it->second.get() : nullptr;
-    // Redundancy check against the *latest* snapshot: a concurrent worker
-    // may have proven a subset already.
-    std::shared_ptr<const Frontier> next_frontier =
-        extend_feasible(old, alloc, witness);
-    if (next_frontier == nullptr) return;
-    const std::size_t old_count = old != nullptr ? old->entry_count() : 0;
-    const std::size_t new_count = next_frontier->entry_count();
-    auto next = std::make_shared<Snapshot>(*cur);
-    (*next)[key] = std::move(next_frontier);
-    SDF_FAULT_POINT("bind_cache.merge");
-    // Publish-with-CAS: on failure `cur` is reloaded with the winner's
-    // snapshot and the extension is rebuilt against it, so no concurrent
-    // fact is ever overwritten.
-    if (shard.snapshot.compare_exchange_strong(cur, std::move(next),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      entries_.fetch_add(new_count - old_count, std::memory_order_relaxed);
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    publish_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void BindCache::insert_infeasible(Shard& shard, std::vector<std::uint32_t> key,
-                                  const AllocSet& alloc) {
-  SDF_FAULT_POINT("bind_cache.insert");
-  SnapshotPtr cur = shard.snapshot.load(std::memory_order_acquire);
-  for (;;) {
-    const auto it = cur->find(key);
-    const Frontier* old = it != cur->end() ? it->second.get() : nullptr;
-    std::shared_ptr<const Frontier> next_frontier =
-        extend_infeasible(old, alloc);
-    if (next_frontier == nullptr) return;
-    const std::size_t old_count = old != nullptr ? old->entry_count() : 0;
-    const std::size_t new_count = next_frontier->entry_count();
-    auto next = std::make_shared<Snapshot>(*cur);
-    (*next)[key] = std::move(next_frontier);
-    SDF_FAULT_POINT("bind_cache.merge");
-    if (shard.snapshot.compare_exchange_strong(cur, std::move(next),
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-      entries_.fetch_add(new_count - old_count, std::memory_order_relaxed);
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    publish_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
+void BindCache::clear() {
+  frontier_.clear();
+  hits_feasible_.store(0, std::memory_order_relaxed);
+  hits_infeasible_.store(0, std::memory_order_relaxed);
+  revalidations_.store(0, std::memory_order_relaxed);
+  misses_.store(0, std::memory_order_relaxed);
 }
 
 // ---- HierCache --------------------------------------------------------------
@@ -269,11 +233,9 @@ namespace {
 /// the group's static port-signature digest, and the cluster selection
 /// restricted to the group's subtree interfaces (which fully determines the
 /// group's flat sub-problem).
-using GroupKey = std::vector<std::uint32_t>;
-
-GroupKey make_group_key(ClusterId cluster, std::uint32_t group_index,
-                        const ClusterGroup& group, const Eca& eca) {
-  GroupKey key;
+Key make_group_key(ClusterId cluster, std::uint32_t group_index,
+                   const ClusterGroup& group, const Eca& eca) {
+  Key key;
   key.reserve(6 + 2 * group.subtree_interfaces.count());
   key.push_back(static_cast<std::uint32_t>(cluster.index()));
   key.push_back(group_index);
@@ -369,43 +331,7 @@ AllocSet project_alloc(const CompiledSpec& cs, const AllocSet& alloc,
   return proj;
 }
 
-struct HierFeasibleEntry {
-  DynBitset alloc;  ///< minimal known-feasible *projected* allocation
-  Binding witness;  ///< feasible sub-binding over the group's processes
-};
-
-struct GroupEntry {
-  /// The group's flat sub-problem (fixed by the key's restricted
-  /// selection); sliced once, shared by every probe.
-  std::shared_ptr<const CompiledFlat> sub_flat;
-  std::vector<HierFeasibleEntry> minimal_feasible;
-  std::vector<DynBitset> maximal_infeasible;
-
-  [[nodiscard]] std::size_t entry_count() const {
-    return minimal_feasible.size() + maximal_infeasible.size();
-  }
-};
-
 }  // namespace
-
-struct HierCache::Shard {
-  std::mutex mutex;
-  std::unordered_map<GroupKey, GroupEntry, EcaKeyHash> map;
-};
-
-HierCache::HierCache(std::size_t shard_count) {
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
-HierCache::~HierCache() = default;
-
-HierCache::Shard& HierCache::shard_for(
-    const std::vector<std::uint32_t>& key) const {
-  return *shards_[hash_key(key) % shards_.size()];
-}
 
 std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
                                         const AllocSet& alloc, const Eca& eca,
@@ -432,38 +358,11 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
   Binding combined;
   for (const TerminalGroup& t : terminals) {
     const ClusterGroup& g = *t.group;
-    GroupKey key = make_group_key(t.cluster, t.index, g, eca);
-    Shard& shard = shard_for(key);
+    const Key key = make_group_key(t.cluster, t.index, g, eca);
     const AllocSet proj = project_alloc(cs, alloc, g, options);
+    MonotoneFrontier::Probe probe = frontier_.probe(key, proj);
 
-    // Probe under the shard lock; the witness (if any) is copied out so the
-    // lock is never held across a revalidation or a solve.
-    std::shared_ptr<const CompiledFlat> sub_flat;
-    std::optional<Binding> cached_witness;
-    bool proven_infeasible = false;
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      if (const auto it = shard.map.find(key); it != shard.map.end()) {
-        const GroupEntry& entry = it->second;
-        sub_flat = entry.sub_flat;
-        for (const HierFeasibleEntry& fe : entry.minimal_feasible) {
-          if (fe.alloc.is_subset_of(proj)) {
-            cached_witness = fe.witness;
-            break;
-          }
-        }
-        if (!cached_witness.has_value()) {
-          for (const DynBitset& m : entry.maximal_infeasible) {
-            if (proj.is_subset_of(m)) {
-              proven_infeasible = true;
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    if (proven_infeasible) {
+    if (probe.infeasible) {
       // One infeasible group refutes the whole ECA; later groups are never
       // touched (the flat kernel would have searched across all of them).
       ++s.hier_hits;
@@ -473,14 +372,14 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
       return std::nullopt;
     }
 
-    if (cached_witness.has_value()) {
+    if (probe.witness.has_value()) {
       ++s.cache_revalidations;
       revalidations_.fetch_add(1, std::memory_order_relaxed);
-      if (binding_feasible_flat(cs, proj, *sub_flat, *cached_witness,
+      if (binding_feasible_flat(cs, proj, *probe.flat, *probe.witness,
                                 options)) {
         ++s.hier_hits;
         hits_feasible_.fetch_add(1, std::memory_order_relaxed);
-        for (const BindingAssignment& a : cached_witness->assignments())
+        for (const BindingAssignment& a : probe.witness->assignments())
           combined.assign(a);
         continue;
       }
@@ -488,6 +387,7 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
       // by falling through to a real sub-solve.
     }
 
+    std::shared_ptr<const CompiledFlat> sub_flat = std::move(probe.flat);
     if (sub_flat == nullptr) sub_flat = slice_flat(*full, g.subtree_nodes);
 
     ++s.hier_subsolves;
@@ -499,15 +399,13 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     s.backtracks += gs.backtracks;
 
     if (gs.outcome == SolveOutcome::kFeasible && solved.has_value()) {
-      insert_group(shard, std::move(key), sub_flat, proj, *solved,
-                   /*feasible=*/true);
+      frontier_.insert(key, proj, &*solved, std::move(sub_flat));
       for (const BindingAssignment& a : solved->assignments())
         combined.assign(a);
       continue;
     }
     if (gs.outcome == SolveOutcome::kInfeasible) {
-      insert_group(shard, std::move(key), sub_flat, proj, Binding{},
-                   /*feasible=*/false);
+      frontier_.insert(key, proj, nullptr, std::move(sub_flat));
       s.cache_entries = entries();
       s.outcome = SolveOutcome::kInfeasible;
       return std::nullopt;
@@ -524,89 +422,22 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
   return combined;
 }
 
-void HierCache::insert_group(Shard& shard, std::vector<std::uint32_t> key,
-                             const std::shared_ptr<const CompiledFlat>& flat,
-                             const AllocSet& proj, const Binding& witness,
-                             bool feasible) {
-  SDF_FAULT_POINT("hier_cache.insert");
-  // Build the extended frontier aside, then swap it in: a fault while
-  // building leaves the published entry untouched.
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  GroupEntry& entry = shard.map[key];
-  if (entry.sub_flat == nullptr) entry.sub_flat = flat;
-  const std::size_t old_count = entry.entry_count();
-  if (feasible) {
-    for (const HierFeasibleEntry& fe : entry.minimal_feasible)
-      if (fe.alloc.is_subset_of(proj)) return;  // already implied
-    std::vector<HierFeasibleEntry> next;
-    next.reserve(entry.minimal_feasible.size() + 1);
-    for (const HierFeasibleEntry& fe : entry.minimal_feasible)
-      if (!proj.is_subset_of(fe.alloc)) next.push_back(fe);
-    next.push_back(HierFeasibleEntry{proj, witness});
-    SDF_FAULT_POINT("hier_cache.merge");
-    entry.minimal_feasible.swap(next);
-  } else {
-    for (const DynBitset& m : entry.maximal_infeasible)
-      if (proj.is_subset_of(m)) return;
-    std::vector<DynBitset> next;
-    next.reserve(entry.maximal_infeasible.size() + 1);
-    for (const DynBitset& m : entry.maximal_infeasible)
-      if (!m.is_subset_of(proj)) next.push_back(m);
-    next.push_back(proj);
-    SDF_FAULT_POINT("hier_cache.merge");
-    entry.maximal_infeasible.swap(next);
-  }
-  entries_.fetch_add(entry.entry_count() - old_count,
-                     std::memory_order_relaxed);
-}
-
 HierCacheStats HierCache::stats() const {
   HierCacheStats out;
   out.subsolves = subsolves_.load(std::memory_order_relaxed);
   out.hits_feasible = hits_feasible_.load(std::memory_order_relaxed);
   out.hits_infeasible = hits_infeasible_.load(std::memory_order_relaxed);
   out.revalidations = revalidations_.load(std::memory_order_relaxed);
-  out.entries = entries_.load(std::memory_order_relaxed);
+  out.entries = entries();
   return out;
 }
 
 void HierCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->map.clear();
-  }
+  frontier_.clear();
   subsolves_.store(0, std::memory_order_relaxed);
   hits_feasible_.store(0, std::memory_order_relaxed);
   hits_infeasible_.store(0, std::memory_order_relaxed);
   revalidations_.store(0, std::memory_order_relaxed);
-  entries_.store(0, std::memory_order_relaxed);
-}
-
-BindCacheStats BindCache::stats() const {
-  BindCacheStats out;
-  out.hits_feasible = hits_feasible_.load(std::memory_order_relaxed);
-  out.hits_infeasible = hits_infeasible_.load(std::memory_order_relaxed);
-  out.revalidations = revalidations_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.entries = entries_.load(std::memory_order_relaxed);
-  out.snapshot_reads = snapshot_reads_.load(std::memory_order_relaxed);
-  out.publishes = publishes_.load(std::memory_order_relaxed);
-  out.publish_retries = publish_retries_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void BindCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_)
-    shard->snapshot.store(std::make_shared<const Snapshot>(),
-                          std::memory_order_release);
-  hits_feasible_.store(0, std::memory_order_relaxed);
-  hits_infeasible_.store(0, std::memory_order_relaxed);
-  revalidations_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  entries_.store(0, std::memory_order_relaxed);
-  snapshot_reads_.store(0, std::memory_order_relaxed);
-  publishes_.store(0, std::memory_order_relaxed);
-  publish_retries_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sdf

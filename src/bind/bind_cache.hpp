@@ -1,12 +1,12 @@
-// Cross-allocation monotone feasibility cache for the binding solver.
+// Cross-allocation monotone feasibility caches for the binding solver.
 //
 // Binding feasibility is monotone in the allocation lattice: a binding that
 // is feasible under allocation A stays feasible under every superset A' ⊇ A
 // (the witness only uses units in A, and adding units or buses only adds
 // communication reachability), and infeasibility under A transfers to every
-// subset.  The cache exploits this by storing, per ECA, a frontier of
-// *minimal feasible* allocations (each with its witness binding) and
-// *maximal infeasible* allocations:
+// subset.  Both caches below exploit this through one `MonotoneFrontier`,
+// which stores per key a frontier of *minimal feasible* allocations (each
+// with its witness binding) and *maximal infeasible* allocations:
 //
 //   * superset hit on the feasible frontier → return the cached witness
 //     after a cheap O(n + edges) revalidation pass (no search);
@@ -15,31 +15,26 @@
 //   * a genuine gap falls through to the solver, whose verdict extends the
 //     frontier.
 //
-// Budget/cancel aborts (`kBudgetExceeded` / `kCancelled` / `kNodeLimit`)
-// prove nothing and are never cached.
+// `BindCache` keys the frontier per ECA; `HierCache` per decomposition
+// group.  Budget/cancel aborts (`kBudgetExceeded` / `kCancelled` /
+// `kNodeLimit`) prove nothing and are never cached.
 //
 // Invariants, in order of importance:
 //   1. Soundness: every stored fact was proven by the solver.  This is the
-//      only invariant correctness depends on — a lost publish race may leave
-//      a redundant (dominated) entry behind, which costs a few extra subset
-//      tests but can never change a verdict.
-//   2. Antichain minimality: inserts prune entries dominated by the new
-//      one, keeping frontiers small.  Purely an optimization.
+//      only invariant correctness depends on.
+//   2. Antichain minimality: an insert drops a fact the frontier already
+//      implies and prunes the entries the new one dominates, keeping
+//      frontiers small.  Purely an optimization.
 //
-// Thread safety — epoch-snapshot reads, copy-on-write publishes.  The key
-// space is sharded; each shard holds one atomically published pointer to an
-// *immutable* snapshot (key → frontier map).  Readers load the pointer with
-// an acquire and scan the frontiers in place: no mutex, no witness copy,
-// no allocation on the probe path.  Writers build the updated snapshot off
-// to the side (sharing the untouched frontiers structurally) and publish it
-// with a CAS; a lost race rebuilds against the winner's snapshot and
-// retries.  A snapshot stays alive as long as any reader still holds it, so
-// a reader can never observe a frontier mid-edit.  Exception safety is
-// build-aside-or-nothing: a fault before the CAS leaves the published
-// snapshot untouched.
+// Thread safety — mutex shards.  The key space is sharded; a probe scans
+// one key's frontier and copies the witness out under its shard's lock, so
+// no lock is held across a revalidation or a solve.  An insert updates the
+// frontier in place under the lock; both of its fault sites
+// (`bind_cache.insert`, `bind_cache.merge`) fire before the first mutation,
+// so a fault stores nothing.
 //
-// The cache is derived data: it is deliberately NOT checkpointed, and a
-// resumed run starts cold and rebuilds it (see docs/ROBUSTNESS.md).
+// The caches are derived data: they are deliberately NOT checkpointed, and
+// a resumed run starts cold and rebuilds them (see docs/ROBUSTNESS.md).
 #pragma once
 
 #include <atomic>
@@ -52,18 +47,60 @@
 
 namespace sdf {
 
+/// Per-key antichains of minimal feasible allocations (with witnesses) and
+/// maximal infeasible allocations, in mutex-guarded shards.  A key is an
+/// opaque word vector; each cache builds its own.
+class MonotoneFrontier {
+ public:
+  using Key = std::vector<std::uint32_t>;
+
+  /// What the stored facts say about one query allocation.
+  struct Probe {
+    std::optional<Binding> witness;  ///< copied from a stored feasible subset
+    bool infeasible = false;  ///< a stored infeasible superset exists
+    /// The key's sub-problem, when the cache stores one (`HierCache`).
+    std::shared_ptr<const CompiledFlat> flat;
+  };
+
+  /// `shard_count` is clamped to at least one shard.
+  explicit MonotoneFrontier(std::size_t shard_count);
+  ~MonotoneFrontier();  // out of line: `Shard` is incomplete here
+
+  /// Scans the key's minimal feasible entries, then its maximal infeasible
+  /// ones, in stored order; the first feasible subset of `alloc` wins.
+  [[nodiscard]] Probe probe(const Key& key, const AllocSet& alloc) const;
+
+  /// Records a solver-proven verdict on `alloc`: feasible with `*witness`,
+  /// or infeasible when `witness` is null.  A fact the frontier already
+  /// implies is dropped; otherwise the entries it dominates are pruned and
+  /// it is appended.  `flat` becomes the key's sub-problem unless one is
+  /// already stored.
+  void insert(const Key& key, const AllocSet& alloc, const Binding* witness,
+              std::shared_ptr<const CompiledFlat> flat = nullptr);
+
+  /// Total frontier entries (minimal feasible + maximal infeasible).
+  [[nodiscard]] std::uint64_t entries() const {
+    return entries_.load(std::memory_order_relaxed);
+  }
+
+  /// Drops every key's facts.
+  void clear();
+
+ private:
+  struct Shard;
+
+  Shard& shard_for(const Key& key) const;
+
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<std::uint64_t> entries_{0};
+};
+
 struct BindCacheStats {
   std::uint64_t hits_feasible = 0;
   std::uint64_t hits_infeasible = 0;
   std::uint64_t revalidations = 0;
   std::uint64_t misses = 0;
   std::uint64_t entries = 0;  ///< total frontier entries across all ECAs
-  // Snapshot-protocol counters: every probe loads exactly one snapshot;
-  // every frontier extension publishes exactly one (retries count the CAS
-  // races lost and rebuilt).
-  std::uint64_t snapshot_reads = 0;
-  std::uint64_t publishes = 0;
-  std::uint64_t publish_retries = 0;
 };
 
 struct HierCacheStats {
@@ -86,30 +123,24 @@ struct HierCacheStats {
 /// recurses into that alternative; every other group is solved as one flat
 /// sub-problem (sliced out of the memoized flattening).
 ///
-/// Each group's sub-result is memoized as the same minimal-feasible /
-/// maximal-infeasible antichain frontier the per-ECA `BindCache` keeps —
-/// but keyed by (cluster, group, port-signature digest, selection restricted
-/// to the group's subtree interfaces) and probed with the allocation
-/// *projected* onto the group's unit share, so the sub-result is reused
-/// across every ECA that selects the same sub-tree and every allocation
-/// that agrees on the group's units (the "residual-capacity class").  On
-/// specs with repeated or deeply nested clusters this turns the
-/// multiplicative ECA space into an additive sub-solve space.
+/// Each group's sub-result is memoized in the same `MonotoneFrontier` the
+/// per-ECA `BindCache` uses, keyed by (cluster, group, port-signature
+/// digest, selection restricted to the group's subtree interfaces) and
+/// probed with the allocation *projected* onto the group's unit share, so
+/// the sub-result is reused across every ECA that selects the same sub-tree
+/// and every allocation that agrees on the group's units (the
+/// "residual-capacity class").  On specs with repeated or deeply nested
+/// clusters this turns the multiplicative ECA space into an additive
+/// sub-solve space.
 ///
 /// Verdict-identical to the flat kernel by the decomposition contract
 /// (DESIGN.md "Hierarchy-native solving"); node counts differ — that is the
-/// point.  Budget/cancel/node-limit aborts are never cached.  Sharded
-/// mutexes; witness copies happen under the shard lock, frontier updates
-/// are build-aside-and-swap.  Like `BindCache` this is derived data and is
-/// deliberately not checkpointed.
+/// point.  Budget/cancel/node-limit aborts are never cached.  Like
+/// `BindCache` this is derived data and is deliberately not checkpointed.
 class HierCache {
  public:
   /// `shard_count` is clamped to at least one shard.
-  explicit HierCache(std::size_t shard_count = 16);
-  ~HierCache();
-
-  HierCache(const HierCache&) = delete;
-  HierCache& operator=(const HierCache&) = delete;
+  explicit HierCache(std::size_t shard_count = 16) : frontier_(shard_count) {}
 
   /// Drop-in replacement for `solve_binding` on specs where
   /// `cs.hier_useful()` holds; the caller is expected to fall back to the
@@ -126,38 +157,23 @@ class HierCache {
   [[nodiscard]] HierCacheStats stats() const;
 
   /// Total frontier entries (minimal feasible + maximal infeasible).
-  [[nodiscard]] std::uint64_t entries() const {
-    return entries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t entries() const { return frontier_.entries(); }
 
   /// Drops every group frontier and zeroes the counters.
   void clear();
 
  private:
-  struct Shard;
-
-  Shard& shard_for(const std::vector<std::uint32_t>& key) const;
-  void insert_group(Shard& shard, std::vector<std::uint32_t> key,
-                    const std::shared_ptr<const CompiledFlat>& flat,
-                    const AllocSet& proj, const Binding& witness,
-                    bool feasible);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  MonotoneFrontier frontier_;
   std::atomic<std::uint64_t> subsolves_{0};
   std::atomic<std::uint64_t> hits_feasible_{0};
   std::atomic<std::uint64_t> hits_infeasible_{0};
   std::atomic<std::uint64_t> revalidations_{0};
-  std::atomic<std::uint64_t> entries_{0};
 };
 
 class BindCache {
  public:
   /// `shard_count` is clamped to at least one shard.
-  explicit BindCache(std::size_t shard_count = 16);
-  ~BindCache();
-
-  BindCache(const BindCache&) = delete;
-  BindCache& operator=(const BindCache&) = delete;
+  explicit BindCache(std::size_t shard_count = 16) : frontier_(shard_count) {}
 
   /// Drop-in replacement for `solve_binding`: answers from the frontier
   /// when the verdict is already proven, otherwise runs the solver and
@@ -178,31 +194,17 @@ class BindCache {
   [[nodiscard]] BindCacheStats stats() const;
 
   /// Total frontier entries (minimal feasible + maximal infeasible).
-  [[nodiscard]] std::uint64_t entries() const {
-    return entries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t entries() const { return frontier_.entries(); }
 
-  /// Publishes an empty snapshot in every shard and zeroes the counters.
+  /// Drops every ECA frontier and zeroes the counters.
   void clear();
 
  private:
-  struct Shard;
-
-  Shard& shard_for(const std::vector<std::uint32_t>& key) const;
-  void insert_feasible(Shard& shard, std::vector<std::uint32_t> key,
-                       const AllocSet& alloc, const Binding& witness);
-  void insert_infeasible(Shard& shard, std::vector<std::uint32_t> key,
-                         const AllocSet& alloc);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  MonotoneFrontier frontier_;
   std::atomic<std::uint64_t> hits_feasible_{0};
   std::atomic<std::uint64_t> hits_infeasible_{0};
   std::atomic<std::uint64_t> revalidations_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> entries_{0};
-  std::atomic<std::uint64_t> snapshot_reads_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> publish_retries_{0};
 };
 
 }  // namespace sdf

@@ -66,7 +66,9 @@ struct ImplementationOptions {
   BindCache* bind_cache = nullptr;
   /// Engine-level default: the explore engines attach a run-local cache
   /// when this is true and `bind_cache` is null.  `--no-bind-cache` clears
-  /// it.
+  /// it.  This turns off the per-ECA cache of the flat path only: a spec
+  /// that decomposes still takes the hierarchical path and its cache
+  /// unless `use_hier` is cleared too.
   bool use_bind_cache = true;
   /// Static analyzer (not owned; may be null).  When set and `use_analysis`
   /// is true, each ECA query runs the sound infeasibility relaxation first

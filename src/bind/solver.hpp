@@ -70,13 +70,14 @@ struct SolverStats {
   std::uint64_t cache_revalidations = 0;    ///< cached-witness rechecks
   std::uint64_t hier_subsolves = 0;  ///< per-cluster group sub-solves run
   std::uint64_t hier_hits = 0;       ///< group verdicts answered by HierCache
-  // Per-call fields: reset at the entry of every solve (`solve_binding` and
-  // `BindCache::solve`), so a reused stats object cannot leak a previous
-  // call's verdict.
+  // Per-call fields: reset at the entry of every solve (`solve_binding`,
+  // `BindCache::solve` and `HierCache::solve`), so a reused stats object
+  // cannot leak a previous call's verdict.
   bool aborted = false;          ///< node limit or budget hit
   SolveOutcome outcome = SolveOutcome::kInfeasible;
   /// Total frontier entries in the cache after the most recent call that
-  /// went through a `BindCache` (untouched by raw `solve_binding`).
+  /// went through a `BindCache` or a `HierCache` (untouched by raw
+  /// `solve_binding`).
   std::uint64_t cache_entries = 0;
 };
 

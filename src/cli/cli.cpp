@@ -288,8 +288,10 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
                "also answer: cheapest platform reaching this flexibility");
   flags.define_bool("stats", true, "print exploration statistics");
   flags.define_bool("bind-cache", true,
-                    "cross-allocation binding feasibility cache "
-                    "(--no-bind-cache re-solves every ECA from scratch)");
+                    "per-ECA binding feasibility cache of the flat solve "
+                    "path (--no-bind-cache turns it off; specs that "
+                    "decompose still use the hierarchical path's cache "
+                    "unless --no-hier is also given)");
   flags.define_bool("analysis", true,
                     "static-analyzer ECA prefilter: skip solver searches the "
                     "relaxation proves infeasible (--no-analysis solves "

@@ -1,5 +1,6 @@
-// Tests for the cross-allocation binding cache (BindCache) and the solver
-// stats per-call reset contract it depends on.
+// Tests for the cross-allocation binding caches (BindCache, and HierCache
+// where they share the frontier's concurrency and fault paths) and the
+// solver stats per-call reset contract they depend on.
 //
 // The load-bearing property is allocation-lattice monotonicity:
 //   feasible(A)   ⇒ feasible(A ∪ {u})    (witness still valid, more comm)
@@ -21,6 +22,7 @@
 #include "gen/spec_generator.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +36,18 @@ const SpecificationGraph& settop() {
 
 const SpecificationGraph& decoder() {
   static const SpecificationGraph spec = models::make_tv_decoder_spec();
+  return spec;
+}
+
+/// examples/specs/nested.json: the example spec that decomposes, so its
+/// queries take the `HierCache` path.
+const SpecificationGraph& nested() {
+  static const SpecificationGraph spec = [] {
+    Result<SpecificationGraph> loaded =
+        spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
+    SDF_CHECK(loaded.ok(), "cannot load examples/specs/nested.json");
+    return std::move(loaded).value();
+  }();
   return spec;
 }
 
@@ -319,43 +333,30 @@ TEST(BindCacheTest, ShardCountZeroIsClampedToOneShard) {
   EXPECT_GE(cache.stats().hits_feasible, 1u);
   cache.clear();
   EXPECT_EQ(cache.entries(), 0u);
-}
 
-TEST(BindCacheTest, SnapshotCountersTrackProbesAndPublishes) {
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
-  const AllocSet full = full_alloc(cs);
-
-  BindCache cache;
-  SolverStats st;
-  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());  // miss
-  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());  // hit
-
-  const BindCacheStats s = cache.stats();
-  // Every probe loads exactly one snapshot; only the miss published.
-  EXPECT_EQ(s.snapshot_reads, 2u);
-  EXPECT_EQ(s.publishes, 1u);
-  EXPECT_EQ(s.publish_retries, 0u);  // single-threaded: no CAS races
+  // HierCache shares the clamp.
+  const CompiledSpec& ncs = nested().compiled();
+  const std::vector<Eca> necas = full_ecas(ncs, /*limit=*/1);
+  ASSERT_FALSE(necas.empty());
+  HierCache hier(0);
+  ASSERT_TRUE(hier.solve(ncs, full_alloc(ncs), necas[0], {}, &st).has_value());
+  ASSERT_TRUE(hier.solve(ncs, full_alloc(ncs), necas[0], {}, &st).has_value());
+  EXPECT_GE(hier.stats().hits_feasible, 1u);
+  hier.clear();
+  EXPECT_EQ(hier.entries(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent readers and writers on the snapshot protocol.  Run under TSan
-// by scripts/check_all.sh / scripts/check_tsan.sh: readers scan published
-// snapshots in place while writers keep publishing extended ones.
+// Concurrent readers and writers on the shared frontier.  Run under TSan by
+// scripts/check_all.sh / scripts/check_tsan.sh: readers probe frontiers
+// while writers keep extending them, through both caches.
 // ---------------------------------------------------------------------------
 
-TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
+/// The full and empty allocations plus every one-unit and drop-one-unit
+/// allocation: neighbours in the lattice, so inserts dominate each other.
+std::vector<AllocSet> neighbour_allocs(const CompiledSpec& cs) {
   const AllocSet full = full_alloc(cs);
-
-  // Pre-compute the raw verdict for every (allocation, ECA) pair so worker
-  // threads can check agreement without calling the solver under race.
-  std::vector<AllocSet> allocs;
-  allocs.push_back(full);
-  allocs.push_back(cs.make_alloc_set());
+  std::vector<AllocSet> allocs{full, cs.make_alloc_set()};
   for (std::size_t u = 0; u < full.size(); ++u) {
     AllocSet one = cs.make_alloc_set();
     one.set(u);
@@ -364,6 +365,19 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
     without.reset(u);
     allocs.push_back(without);
   }
+  return allocs;
+}
+
+/// Sends every (allocation, ECA) query through `cache` from four threads
+/// for `rounds` rounds and checks each verdict against the raw solver and
+/// each witness against the full checker.  Returns the number of probes.
+template <typename Cache>
+std::uint64_t probe_concurrently(Cache& cache, const CompiledSpec& cs,
+                                 const std::vector<Eca>& ecas,
+                                 const std::vector<AllocSet>& allocs,
+                                 int rounds) {
+  // Pre-compute the raw verdict for every (allocation, ECA) pair so worker
+  // threads can check agreement without calling the solver under race.
   std::vector<std::vector<bool>> expected(ecas.size());
   for (std::size_t e = 0; e < ecas.size(); ++e) {
     expected[e].resize(allocs.size());
@@ -374,23 +388,20 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
     }
   }
 
-  // Few shards concentrate the CAS contention the test wants to provoke.
-  BindCache cache(2);
   std::atomic<std::uint64_t> disagreements{0};
   std::atomic<std::uint64_t> bad_witnesses{0};
   const std::size_t kThreads = 4;
-  const int kRounds = 8;
+  const std::size_t queries = ecas.size() * allocs.size();
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       // Each thread walks the same query set from a different offset, so
-      // at any moment some threads miss-and-publish (writers) while others
-      // hit the snapshots those publishes produced (readers).
-      for (int round = 0; round < kRounds; ++round) {
-        for (std::size_t i = 0; i < ecas.size() * allocs.size(); ++i) {
-          const std::size_t q =
-              (i + t * 7) % (ecas.size() * allocs.size());
+      // at any moment some threads miss and insert (writers) while others
+      // hit the facts those inserts stored (readers).
+      for (int round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < queries; ++i) {
+          const std::size_t q = (i + t * 7) % queries;
           const std::size_t e = q / allocs.size();
           const std::size_t a = q % allocs.size();
           SolverStats st;
@@ -409,13 +420,38 @@ TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
 
   EXPECT_EQ(disagreements.load(), 0u) << "cached verdict diverged under race";
   EXPECT_EQ(bad_witnesses.load(), 0u) << "stale witness served under race";
-  const BindCacheStats s = cache.stats();
-  // Probe accounting holds exactly even under contention…
-  EXPECT_EQ(s.snapshot_reads,
-            kThreads * kRounds * ecas.size() * allocs.size());
-  EXPECT_EQ(s.misses + s.hits_feasible + s.hits_infeasible, s.snapshot_reads);
-  // …and the frontier converged: later rounds are all hits.
-  EXPECT_GT(s.hits_feasible + s.hits_infeasible, s.misses);
+  return kThreads * rounds * queries;
+}
+
+TEST(BindCacheConcurrency, ReadersScanWhileWritersPublish) {
+  // Few shards concentrate the lock contention the test wants to provoke.
+  {
+    SCOPED_TRACE("BindCache on settop");
+    const CompiledSpec& cs = settop().compiled();
+    const std::vector<Eca> ecas = full_ecas(cs);
+    ASSERT_FALSE(ecas.empty());
+    BindCache cache(2);
+    const std::uint64_t probes =
+        probe_concurrently(cache, cs, ecas, neighbour_allocs(cs), 8);
+    const BindCacheStats s = cache.stats();
+    // Probe accounting holds exactly even under contention…
+    EXPECT_EQ(s.misses + s.hits_feasible + s.hits_infeasible, probes);
+    // …and the frontier converged: later rounds are all hits.
+    EXPECT_GT(s.hits_feasible + s.hits_infeasible, s.misses);
+  }
+  {
+    SCOPED_TRACE("HierCache on nested.json");
+    const CompiledSpec& cs = nested().compiled();
+    ASSERT_TRUE(cs.hier_useful());
+    const std::vector<Eca> ecas = full_ecas(cs, /*limit=*/16);
+    ASSERT_FALSE(ecas.empty());
+    HierCache cache(2);
+    (void)probe_concurrently(cache, cs, ecas, neighbour_allocs(cs), 4);
+    const HierCacheStats s = cache.stats();
+    // Group verdicts come mostly from the frontier, not the kernel.
+    EXPECT_GT(s.hits_feasible + s.hits_infeasible, s.subsolves);
+    EXPECT_GT(s.entries, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -623,8 +659,8 @@ TEST(BindCacheExplore, GeneratedSpecFrontMatchesCacheOff) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: a throw mid-insert must leave the cache sound (at worst
-// with a redundant frontier entry) and a parallel run resumable.
+// Fault injection: a throw at either insert site must store nothing, leave
+// both caches sound, and leave a parallel run resumable.
 // ---------------------------------------------------------------------------
 
 #ifdef SDF_FAULT_INJECTION
@@ -634,60 +670,85 @@ struct DisarmGuard {
   ~DisarmGuard() { FaultInjector::disarm_all(); }
 };
 
-TEST(BindCacheFaults, InsertFaultPropagatesAndLeavesTheCacheUsable) {
-  DisarmGuard guard;
-  const CompiledSpec& cs = settop().compiled();
-  const std::vector<Eca> ecas = full_ecas(cs);
-  ASSERT_FALSE(ecas.empty());
-  const AllocSet full = full_alloc(cs);
-
-  BindCache cache;
+/// Arms `site` to throw at the first frontier insert of a miss on (`alloc`,
+/// `eca`): the exception escapes, nothing is stored, and the next query
+/// re-solves and agrees with the raw solver.
+template <typename Cache>
+void expect_fault_stores_nothing(const char* site, Cache& cache,
+                                 const CompiledSpec& cs,
+                                 const AllocSet& alloc, const Eca& eca) {
   SolverStats st;
-  FaultInjector::arm("bind_cache.insert", FaultKind::kThrow, 1);
-  EXPECT_THROW((void)cache.solve(cs, full, ecas[0], {}, &st),
+  FaultInjector::arm(site, FaultKind::kThrow, 1);
+  EXPECT_THROW((void)cache.solve(cs, alloc, eca, {}, &st),
                FaultInjectedError);
   FaultInjector::disarm_all();
-
-  // The fault fired before any mutation: nothing was stored.
+  // Both sites fire before the first mutation: nothing was stored.
   EXPECT_EQ(cache.entries(), 0u);
-  // The cache is still fully usable and agrees with the raw solver.
-  const std::optional<Binding> got = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *got));
-  EXPECT_EQ(cache.entries(), 1u);
+
+  SolverStats raw_stats;
+  const bool raw = solve_binding(cs, alloc, eca, {}, &raw_stats).has_value();
+  const std::optional<Binding> got = cache.solve(cs, alloc, eca, {}, &st);
+  ASSERT_EQ(got.has_value(), raw);
+  if (got.has_value()) EXPECT_TRUE(binding_feasible(cs, alloc, eca, *got));
+  EXPECT_GE(cache.entries(), 1u);
 }
 
-TEST(BindCacheFaults, MergeFaultIsBuildAsideOrNothing) {
-  DisarmGuard guard;
+void expect_bind_cache_fault_stores_nothing(const char* site) {
   const CompiledSpec& cs = settop().compiled();
   const std::vector<Eca> ecas = full_ecas(cs);
   ASSERT_FALSE(ecas.empty());
   const AllocSet full = full_alloc(cs);
 
   BindCache cache;
-  SolverStats st;
-  // The merge fault fires after the extended snapshot is built aside but
-  // before the CAS publish: the exception escapes and the published
-  // snapshot is untouched — no fact stored, no torn frontier.
-  FaultInjector::arm("bind_cache.merge", FaultKind::kThrow, 1);
-  EXPECT_THROW((void)cache.solve(cs, full, ecas[0], {}, &st),
-               FaultInjectedError);
-  FaultInjector::disarm_all();
-  EXPECT_EQ(cache.entries(), 0u);  // build-aside discarded with the throw
-  EXPECT_EQ(cache.stats().publishes, 0u);
-
-  // The next query re-solves (miss, not a fabricated hit) and publishes.
-  const std::optional<Binding> got = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(binding_feasible(cs, full, ecas[0], *got));
+  expect_fault_stores_nothing(site, cache, cs, full, ecas[0]);
+  // The retry was a miss, not a hit fabricated from the fault...
   EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits_feasible + cache.stats().hits_infeasible, 0u);
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.stats().publishes, 1u);
-
-  // ...and the published fact serves hits again.
-  const std::optional<Binding> hit = cache.solve(cs, full, ecas[0], {}, &st);
-  ASSERT_TRUE(hit.has_value());
+  // ...and the stored fact serves hits again.
+  SolverStats st;
+  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());
   EXPECT_EQ(cache.stats().hits_feasible, 1u);
+}
+
+void expect_hier_cache_fault_stores_nothing(const char* site) {
+  const CompiledSpec& cs = nested().compiled();
+  ASSERT_TRUE(cs.hier_useful());
+  const std::vector<Eca> ecas = full_ecas(cs, /*limit=*/1);
+  ASSERT_FALSE(ecas.empty());
+  const AllocSet full = full_alloc(cs);
+
+  HierCache cache;
+  expect_fault_stores_nothing(site, cache, cs, full, ecas[0]);
+  // Every group of the retry was sub-solved, none answered from the
+  // frontier...
+  EXPECT_EQ(cache.stats().hits_feasible + cache.stats().hits_infeasible, 0u);
+  // ...and the stored facts serve hits again.
+  const std::uint64_t subsolves = cache.stats().subsolves;
+  SolverStats st;
+  ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());
+  EXPECT_EQ(cache.stats().subsolves, subsolves);
+  EXPECT_GE(cache.stats().hits_feasible, 1u);
+}
+
+TEST(BindCacheFaults, InsertFaultPropagatesAndLeavesTheCacheUsable) {
+  DisarmGuard guard;
+  expect_bind_cache_fault_stores_nothing("bind_cache.insert");
+}
+
+TEST(BindCacheFaults, MergeFaultStoresNothing) {
+  DisarmGuard guard;
+  expect_bind_cache_fault_stores_nothing("bind_cache.merge");
+}
+
+TEST(BindCacheFaults, HierInsertFaultPropagatesAndLeavesTheCacheUsable) {
+  DisarmGuard guard;
+  expect_hier_cache_fault_stores_nothing("bind_cache.insert");
+}
+
+TEST(BindCacheFaults, HierMergeFaultStoresNothing) {
+  DisarmGuard guard;
+  expect_hier_cache_fault_stores_nothing("bind_cache.merge");
 }
 
 TEST(BindCacheFaults, CacheFaultInAParallelRunIsResumable) {
