@@ -333,13 +333,11 @@ std::vector<Row> run_timings() {
 void print_and_write(const std::vector<Row>& rows) {
   bench::section("bitset kernels: ns/op, kernel vs pre-refactor scalar vs "
                  "per-bit naive");
-  std::printf("kernel path: %s\n\n", bitkernel::kPath);
   Table table({"primitive", "bits", "kernel ns", "scalar ns", "naive ns",
                "speedup vs scalar", "speedup vs naive"});
   JsonObject doc;
   doc.emplace_back("bench", Json("kernels"));
   doc.emplace_back("host", bench::host_metadata());
-  doc.emplace_back("kernel_path", Json(std::string(bitkernel::kPath)));
   JsonArray runs;
   for (const Row& r : rows) {
     const double vs_scalar = r.ns_scalar / r.ns_kernel;
@@ -412,8 +410,7 @@ int run_smoke() {
     }
   }
   std::printf("bench_kernels --smoke: kernels match the per-bit reference "
-              "and beat it in the count-based work model (path: %s)\n",
-              bitkernel::kPath);
+              "and beat it in the count-based work model\n");
   return 0;
 }
 

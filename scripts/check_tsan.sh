@@ -11,7 +11,8 @@ cd "$(dirname "$0")/.."
 SANITIZER="${SDF_SANITIZE:-thread}"
 BUILD="build-${SANITIZER}san"
 TESTS=(util_test dyn_bitset_test explore_test bind_test bind_cache_test
-       explore_threads_test anytime_test fault_injection_test)
+       explore_threads_test anytime_test fault_injection_test
+       incremental_test)
 
 cmake -B "$BUILD" -DSDF_SANITIZE="$SANITIZER"
 cmake --build "$BUILD" --target "${TESTS[@]}" -j "$(nproc)"

@@ -76,7 +76,45 @@ Result<std::uint64_t> u64_field(const Json& json, const char* key) {
   return static_cast<std::uint64_t>(v);
 }
 
+/// The deterministic work counters a checkpoint carries, in the order its
+/// JSON writes them: key, `ExploreStats` member, `Counters` member.
+struct CounterField {
+  const char* key;
+  std::uint64_t ExploreStats::*stats;
+  std::uint64_t ExploreCheckpoint::Counters::*counters;
+};
+using Counters = ExploreCheckpoint::Counters;
+constexpr CounterField kCounterFields[] = {
+    {"candidates_generated", &ExploreStats::candidates_generated,
+     &Counters::candidates_generated},
+    {"dominated_skipped", &ExploreStats::dominated_skipped,
+     &Counters::dominated_skipped},
+    {"possible_allocations", &ExploreStats::possible_allocations,
+     &Counters::possible_allocations},
+    {"flexibility_estimations", &ExploreStats::flexibility_estimations,
+     &Counters::flexibility_estimations},
+    {"bound_skipped", &ExploreStats::bound_skipped, &Counters::bound_skipped},
+    {"implementation_attempts", &ExploreStats::implementation_attempts,
+     &Counters::implementation_attempts},
+    {"solver_calls", &ExploreStats::solver_calls, &Counters::solver_calls},
+    {"solver_nodes", &ExploreStats::solver_nodes, &Counters::solver_nodes},
+    {"budget_abandoned", &ExploreStats::budget_abandoned,
+     &Counters::budget_abandoned},
+};
+
 }  // namespace
+
+ExploreCheckpoint::Counters checkpoint_counters(const ExploreStats& stats) {
+  ExploreCheckpoint::Counters c;
+  for (const CounterField& f : kCounterFields) c.*f.counters = stats.*f.stats;
+  return c;
+}
+
+void apply_checkpoint_counters(const ExploreCheckpoint::Counters& counters,
+                               ExploreStats& stats) {
+  for (const CounterField& f : kCounterFields)
+    stats.*f.stats = counters.*f.counters;
+}
 
 Json ExploreCheckpoint::to_json() const {
   JsonObject root;
@@ -118,17 +156,8 @@ Json ExploreCheckpoint::to_json() const {
   root.emplace_back("cursor", Json{std::move(cursor)});
 
   JsonObject cnt;
-  cnt.emplace_back("candidates_generated", Json{counters.candidates_generated});
-  cnt.emplace_back("dominated_skipped", Json{counters.dominated_skipped});
-  cnt.emplace_back("possible_allocations", Json{counters.possible_allocations});
-  cnt.emplace_back("flexibility_estimations",
-                   Json{counters.flexibility_estimations});
-  cnt.emplace_back("bound_skipped", Json{counters.bound_skipped});
-  cnt.emplace_back("implementation_attempts",
-                   Json{counters.implementation_attempts});
-  cnt.emplace_back("solver_calls", Json{counters.solver_calls});
-  cnt.emplace_back("solver_nodes", Json{counters.solver_nodes});
-  cnt.emplace_back("budget_abandoned", Json{counters.budget_abandoned});
+  for (const CounterField& f : kCounterFields)
+    cnt.emplace_back(f.key, Json{counters.*f.counters});
   root.emplace_back("counters", Json{std::move(cnt)});
 
   return Json{std::move(root)};
@@ -216,25 +245,10 @@ Result<ExploreCheckpoint> ExploreCheckpoint::from_json(const Json& json) {
   const Json* counters = json.find("counters");
   if (counters == nullptr || !counters->is_object())
     return Error{"checkpoint: missing 'counters' object"};
-  struct Field {
-    const char* key;
-    std::uint64_t* dst;
-  };
-  const Field fields[] = {
-      {"candidates_generated", &ck.counters.candidates_generated},
-      {"dominated_skipped", &ck.counters.dominated_skipped},
-      {"possible_allocations", &ck.counters.possible_allocations},
-      {"flexibility_estimations", &ck.counters.flexibility_estimations},
-      {"bound_skipped", &ck.counters.bound_skipped},
-      {"implementation_attempts", &ck.counters.implementation_attempts},
-      {"solver_calls", &ck.counters.solver_calls},
-      {"solver_nodes", &ck.counters.solver_nodes},
-      {"budget_abandoned", &ck.counters.budget_abandoned},
-  };
-  for (const Field& f : fields) {
+  for (const CounterField& f : kCounterFields) {
     Result<std::uint64_t> v = u64_field(*counters, f.key);
     if (!v.ok()) return v.error();
-    *f.dst = v.value();
+    ck.counters.*f.counters = v.value();
   }
 
   return ck;

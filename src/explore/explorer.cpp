@@ -10,6 +10,7 @@
 #include "analysis/analysis.hpp"
 #include "bind/bind_cache.hpp"
 #include "explore/allocation_enum.hpp"
+#include "explore/incremental.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
 #include "spec/compiled.hpp"
@@ -77,6 +78,10 @@ struct Evaluation {
   const ExploreOptions& options;
   const ImplementationOptions& implementation;
   const DominanceContext& dominance;
+  /// Null, or the units outside a non-empty base: the only units the §5
+  /// filter judges, since a deployed platform is a sunk cost and may hold
+  /// units no upgrade uses.
+  const AllocSet* dominance_scope;
   /// Non-null iff the analyzer's relaxation also filters candidates.
   const SpecAnalysis* analysis_bound;
   BudgetTracker& tracker;
@@ -93,7 +98,8 @@ Verdict filter(const Evaluation& ev, double committed_f,
                const BandSlot& slot) {
   const ExploreOptions& options = ev.options;
   if (options.prune_dominated_allocations &&
-      obviously_dominated(ev.cs, ev.dominance, slot.alloc))
+      obviously_dominated(ev.cs, ev.dominance, slot.alloc,
+                          ev.dominance_scope))
     return Verdict::kDominated;
   // Sound proof that no activation of this allocation can be bound; skip
   // before even the activatability pass.
@@ -179,6 +185,20 @@ void account(const BandSlot& slot, ExploreStats& stats) {
   }
 }
 
+/// Points `impl` at run-local binding and hierarchical sub-solve caches,
+/// unless the caller supplied its own or turned them off.  They are shared
+/// by every worker.  Each only skips work whose verdict is already proven,
+/// so the front does not depend on the thread schedule.  Derived data:
+/// rebuilt from scratch on resume (deliberately not checkpointed — see
+/// docs/ROBUSTNESS.md).
+void adopt_run_caches(ImplementationOptions& impl, BindCache& bind_cache,
+                      HierCache& hier_cache) {
+  if (impl.use_bind_cache && impl.bind_cache == nullptr)
+    impl.bind_cache = &bind_cache;
+  if (impl.use_hier && impl.hier_cache == nullptr)
+    impl.hier_cache = &hier_cache;
+}
+
 }  // namespace
 
 void ExploreStats::add(const ImplementationStats& work) {
@@ -192,33 +212,6 @@ void ExploreStats::add(const ImplementationStats& work) {
   hier_hits += work.hier_hits;
 }
 
-ExploreCheckpoint::Counters checkpoint_counters(const ExploreStats& stats) {
-  ExploreCheckpoint::Counters c;
-  c.candidates_generated = stats.candidates_generated;
-  c.dominated_skipped = stats.dominated_skipped;
-  c.possible_allocations = stats.possible_allocations;
-  c.flexibility_estimations = stats.flexibility_estimations;
-  c.bound_skipped = stats.bound_skipped;
-  c.implementation_attempts = stats.implementation_attempts;
-  c.solver_calls = stats.solver_calls;
-  c.solver_nodes = stats.solver_nodes;
-  c.budget_abandoned = stats.budget_abandoned;
-  return c;
-}
-
-void apply_checkpoint_counters(const ExploreCheckpoint::Counters& counters,
-                               ExploreStats& stats) {
-  stats.candidates_generated = counters.candidates_generated;
-  stats.dominated_skipped = counters.dominated_skipped;
-  stats.possible_allocations = counters.possible_allocations;
-  stats.flexibility_estimations = counters.flexibility_estimations;
-  stats.bound_skipped = counters.bound_skipped;
-  stats.implementation_attempts = counters.implementation_attempts;
-  stats.solver_calls = counters.solver_calls;
-  stats.solver_nodes = counters.solver_nodes;
-  stats.budget_abandoned = counters.budget_abandoned;
-}
-
 std::vector<ParetoPoint> ExploreResult::tradeoff_curve() const {
   std::vector<ParetoPoint> out;
   out.reserve(front.size());
@@ -228,8 +221,17 @@ std::vector<ParetoPoint> ExploreResult::tradeoff_curve() const {
   return out;
 }
 
-ExploreResult explore(const SpecificationGraph& spec,
-                      const ExploreOptions& options) {
+namespace {
+
+/// EXPLORE over the supersets of `base`, cost-ordered by the units they
+/// add to it.  `explore()` runs it on the empty base; `explore_upgrades`
+/// on a deployed platform, whose implemented flexibility `base_f` is the
+/// first incumbent.  Front points keep their full allocation cost; the
+/// universe and the certificate count only what lies outside the base.
+/// Only an empty base may resume: the checkpoint digests do not cover it.
+ExploreResult explore_supersets(const SpecificationGraph& spec,
+                                const ExploreOptions& options,
+                                const AllocSet& base, double base_f) {
   const auto t0 = Clock::now();
 
   const std::size_t threads = options.num_threads != 0
@@ -242,7 +244,7 @@ ExploreResult explore(const SpecificationGraph& spec,
   const CompiledSpec& cs = spec.compiled();
   result.stats.index_build_seconds = seconds_since(t0);
   result.max_flexibility = max_flexibility(cs.problem());
-  result.stats.universe = cs.unit_count();
+  result.stats.universe = cs.unit_count() - base.count();
   result.stats.raw_design_points =
       std::pow(2.0, static_cast<double>(result.stats.universe));
   result.stats.threads = threads;
@@ -251,17 +253,9 @@ ExploreResult explore(const SpecificationGraph& spec,
   // Candidate evaluation charges every solver node to the run budget.
   ImplementationOptions eval_impl = options.implementation;
   eval_impl.solver.budget = &tracker;
-  // Run-local binding and hierarchical sub-solve caches, shared by every
-  // worker.  Each only skips work whose verdict is already proven, so the
-  // front does not depend on the thread schedule.  Derived data: rebuilt
-  // from scratch on resume (deliberately not checkpointed — see
-  // docs/ROBUSTNESS.md).
   BindCache bind_cache;
-  if (eval_impl.use_bind_cache && eval_impl.bind_cache == nullptr)
-    eval_impl.bind_cache = &bind_cache;
   HierCache hier_cache;
-  if (eval_impl.use_hier && eval_impl.hier_cache == nullptr)
-    eval_impl.hier_cache = &hier_cache;
+  adopt_run_caches(eval_impl, bind_cache, hier_cache);
   // Run-local static analyzer: sound infeasibility proofs skip solver
   // searches without changing verdicts (see bind/implementation.hpp).  All
   // its queries are const, so workers share it.
@@ -273,12 +267,15 @@ ExploreResult explore(const SpecificationGraph& spec,
   const SpecAnalysis* analysis =
       eval_impl.use_analysis ? eval_impl.analysis : nullptr;
 
-  double f_cur = 0.0;  // incumbent: merged candidates only
+  double f_cur = base_f;  // incumbent: merged candidates only
   // When collecting equivalents, the search ends after walking through the
   // cost tie of the maximal-flexibility point; -1 = not yet reached.
   double max_tie_cost = -1.0;
   const DominanceContext dominance(cs);
-  CostOrderedAllocations stream(cs);
+  AllocSet outside_base = cs.make_alloc_set();
+  for (std::size_t i = 0; i < cs.unit_count(); ++i)
+    if (!base.test(i)) outside_base.set(i);
+  CostOrderedAllocations stream(cs, base);
   // Candidates a prior interrupted run drained but never evaluated; always
   // consumed before the stream (they precede it in stream order).
   std::deque<AllocSet> pending;
@@ -347,9 +344,14 @@ ExploreResult explore(const SpecificationGraph& spec,
       pooled ? std::max<std::size_t>(capacity, 4096) : 1;
   const std::uint64_t band_target = std::max<std::size_t>(threads * 2, 8);
 
-  const Evaluation ev{cs,        options, eval_impl,
-                      dominance, analysis_bound ? analysis : nullptr,
-                      tracker,   pooled};
+  const Evaluation ev{cs,
+                      options,
+                      eval_impl,
+                      dominance,
+                      base.none() ? nullptr : &outside_base,
+                      analysis_bound ? analysis : nullptr,
+                      tracker,
+                      pooled};
   std::vector<BandSlot> band;  // grows to the peak band size, then reused
   std::vector<AtomicMax> level_best(max_capacity);
 
@@ -378,7 +380,7 @@ ExploreResult explore(const SpecificationGraph& spec,
         last_band = true;
         break;
       }
-      if (a->none()) continue;  // the empty base costs no candidate budget
+      if (*a == base) continue;  // the base costs no candidate budget
       if (!tracker.allocation_budget_left()) {
         // Probe the cap without tripping the (sticky) tracker: the band
         // assembled so far was already charged and must still evaluate.
@@ -555,8 +557,10 @@ ExploreResult explore(const SpecificationGraph& spec,
     if (alloc_cap_hit) tracker.note_allocations_exhausted();
     result.stats.stop_reason = tracker.reason();
     // Completeness certificate: the first unprocessed candidate is the
-    // cheapest one the run never finished, so the front is exact below it.
-    result.stats.exact_up_to_cost = cs.allocation_cost(unprocessed.front());
+    // cheapest one the run never finished, so the front is exact below what
+    // it adds to the base.
+    result.stats.exact_up_to_cost =
+        cs.allocation_cost(unprocessed.front()) - cs.allocation_cost(base);
     Result<ExploreCheckpoint> ck =
         build_explore_checkpoint(spec, options, result.front, unprocessed,
                                  stream, checkpoint_counters(result.stats));
@@ -583,6 +587,50 @@ ExploreResult explore(const SpecificationGraph& spec,
   result.stats.flat_cache_evictions = cs.flat_cache_evictions();
 
   result.stats.wall_seconds = seconds_since(t0);
+  return result;
+}
+
+}  // namespace
+
+ExploreResult explore(const SpecificationGraph& spec,
+                      const ExploreOptions& options) {
+  return explore_supersets(spec, options, spec.make_alloc_set(), 0.0);
+}
+
+UpgradeResult explore_upgrades(const SpecificationGraph& spec,
+                               const AllocSet& existing,
+                               const ExploreOptions& options) {
+  UpgradeResult result;
+  if (options.resume != nullptr) {
+    result.status = Error{
+        "upgrade runs cannot be resumed: the checkpoint digests do not cover "
+        "the deployed allocation"};
+    return result;
+  }
+  const CompiledSpec& cs = spec.compiled();
+  // The engine runs on these caches too, so the baseline evaluation warms
+  // them for the upgrade candidates, every one a superset of it.
+  ExploreOptions run_options = options;
+  BindCache bind_cache;
+  HierCache hier_cache;
+  adopt_run_caches(run_options.implementation, bind_cache, hier_cache);
+  ImplementationOptions base_impl = run_options.implementation;
+  base_impl.solver.budget = nullptr;  // the baseline costs no run budget
+  if (const auto deployed = build_implementation(cs, existing, base_impl))
+    result.baseline_flexibility = deployed->flexibility;
+
+  ExploreResult run = explore_supersets(spec, run_options, existing,
+                                        result.baseline_flexibility);
+  // Includes any device interface newly brought in by an added
+  // configuration (charged once, like allocation_cost itself).
+  const double existing_cost = cs.allocation_cost(existing);
+  for (Implementation& impl : run.front) {
+    const double upgrade_cost = impl.cost - existing_cost;
+    result.front.push_back(Upgrade{std::move(impl), upgrade_cost});
+  }
+  result.max_flexibility = run.max_flexibility;
+  result.stats = run.stats;
+  result.status = std::move(run.status);
   return result;
 }
 

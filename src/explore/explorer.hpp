@@ -211,7 +211,8 @@ struct ExploreResult {
   [[nodiscard]] std::vector<ParetoPoint> tradeoff_curve() const;
 };
 
-/// Runs EXPLORE on `spec`.
+/// Runs EXPLORE on `spec`.  `explore_upgrades` (explore/incremental.hpp)
+/// runs the same engine on the supersets of a deployed platform.
 [[nodiscard]] ExploreResult explore(const SpecificationGraph& spec,
                                     const ExploreOptions& options = {});
 

@@ -32,12 +32,25 @@ struct UpgradeResult {
   double baseline_flexibility = 0.0;
   /// Maximal flexibility of the specification.
   double max_flexibility = 0.0;
+  /// The run's work counters.  `universe` counts the units outside
+  /// `existing`, and an interrupted run's `exact_up_to_cost` is in
+  /// upgrade-cost terms: the front is exact for every cheaper upgrade.
   ExploreStats stats;
+  /// Non-ok when the run failed: a `resume` request leaves the result
+  /// empty; a failed candidate evaluation stops the run with
+  /// `stop_reason == kWorkerError` and keeps the front merged so far.
+  Status status;
 };
 
-/// Explores upgrades of `existing` on `spec`.  The baseline itself is not
-/// part of the front (its upgrade cost is 0 and it improves nothing);
-/// every front entry strictly increases flexibility over the baseline.
+/// Explores upgrades of `existing` on `spec`: EXPLORE over the supersets
+/// of `existing`, cost-ordered by the added units, on the same engine as
+/// `explore()` with the baseline's flexibility as the first incumbent.  All
+/// of `options` applies — threads, equivalents, budgets and the analyzer
+/// prefilter — except `resume`: upgrade runs cannot be resumed, because the
+/// checkpoint digests do not cover `existing`, so a set `resume` is
+/// rejected through `status`.  The baseline itself is not part of the
+/// front (its upgrade cost is 0 and it improves nothing); every front
+/// entry strictly increases flexibility over the baseline.
 [[nodiscard]] UpgradeResult explore_upgrades(
     const SpecificationGraph& spec, const AllocSet& existing,
     const ExploreOptions& options = {});

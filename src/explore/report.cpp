@@ -101,6 +101,7 @@ Json explore_result_to_json(const SpecificationGraph& spec,
       "frontier_remaining",
       Json(static_cast<double>(result.stats.frontier_remaining)));
   stats.emplace_back("resumed", Json(result.stats.resumed));
+  stats.emplace_back("exhausted", Json(result.stats.exhausted));
   if (result.stats.stop_reason != StopReason::kCompleted)
     stats.emplace_back("exact_up_to_cost",
                        Json(result.stats.exact_up_to_cost));

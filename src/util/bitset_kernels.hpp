@@ -14,31 +14,15 @@
 //   * transforms (`or`/`and`/`andnot`, `andnot_into`) are straight-line
 //     stores the auto-vectorizer handles on its own.
 //
-// When the translation unit is compiled with AVX2 (`-mavx2`, see the
-// SDF_AVX2 CMake option) the predicates switch to 256-bit loads with
-// `vptest`-style reductions under `#ifdef`; the portable u64 path is the
-// reference semantics and stays the default build.  Both paths are checked
-// word-for-word against a naive per-bit model in tests/dyn_bitset_test.cpp
-// and raced against each other in bench/bench_kernels.cpp.
+// Every kernel is checked word-for-word against a naive per-bit model in
+// tests/dyn_bitset_test.cpp and raced against it in bench/bench_kernels.cpp.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(__AVX2__) && !defined(SDF_NO_SIMD)
-#include <immintrin.h>
-#define SDF_BITSET_AVX2 1
-#endif
-
 namespace sdf::bitkernel {
-
-/// Compile-time marker for benches and logs: which path this build uses.
-#if defined(SDF_BITSET_AVX2)
-inline constexpr const char* kPath = "avx2";
-#else
-inline constexpr const char* kPath = "portable-u64";
-#endif
 
 // ---- reductions ------------------------------------------------------------
 
@@ -91,21 +75,11 @@ inline constexpr const char* kPath = "portable-u64";
                                            const std::uint64_t* b,
                                            std::size_t n) {
   std::size_t i = 0;
-#if defined(SDF_BITSET_AVX2)
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    if (!_mm256_testz_si256(va, vb)) return true;
-  }
-#else
   for (; i + 4 <= n; i += 4) {
     const std::uint64_t acc = (a[i] & b[i]) | (a[i + 1] & b[i + 1]) |
                               (a[i + 2] & b[i + 2]) | (a[i + 3] & b[i + 3]);
     if (acc != 0) return true;
   }
-#endif
   std::uint64_t acc = 0;
   for (; i < n; ++i) acc |= a[i] & b[i];
   return acc != 0;
@@ -118,24 +92,12 @@ inline constexpr const char* kPath = "portable-u64";
                                             const std::uint64_t* c,
                                             std::size_t n) {
   std::size_t i = 0;
-#if defined(SDF_BITSET_AVX2)
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + i));
-    if (!_mm256_testz_si256(_mm256_and_si256(va, vb), vc)) return true;
-  }
-#else
   for (; i + 4 <= n; i += 4) {
     const std::uint64_t acc =
         (a[i] & b[i] & c[i]) | (a[i + 1] & b[i + 1] & c[i + 1]) |
         (a[i + 2] & b[i + 2] & c[i + 2]) | (a[i + 3] & b[i + 3] & c[i + 3]);
     if (acc != 0) return true;
   }
-#endif
   std::uint64_t acc = 0;
   for (; i < n; ++i) acc |= a[i] & b[i] & c[i];
   return acc != 0;
@@ -145,22 +107,11 @@ inline constexpr const char* kPath = "portable-u64";
 [[nodiscard]] inline bool subset_words(const std::uint64_t* a,
                                        const std::uint64_t* b, std::size_t n) {
   std::size_t i = 0;
-#if defined(SDF_BITSET_AVX2)
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // CF is set iff (~b & a) == 0, i.e. a ⊆ b.
-    if (!_mm256_testc_si256(vb, va)) return false;
-  }
-#else
   for (; i + 4 <= n; i += 4) {
     const std::uint64_t acc = (a[i] & ~b[i]) | (a[i + 1] & ~b[i + 1]) |
                               (a[i + 2] & ~b[i + 2]) | (a[i + 3] & ~b[i + 3]);
     if (acc != 0) return false;
   }
-#endif
   std::uint64_t acc = 0;
   for (; i < n; ++i) acc |= a[i] & ~b[i];
   return acc == 0;

@@ -341,12 +341,14 @@ TEST_F(CliTest, ExploreJsonReportsEveryPruningCounter) {
   ASSERT_TRUE(doc.ok()) << doc.error().message;
   const Json* stats = doc.value().find("stats");
   ASSERT_NE(stats, nullptr);
-  for (const char* key :
-       {"branches_pruned", "flexibility_estimations", "analysis_pruned"})
+  for (const char* key : {"branches_pruned", "flexibility_estimations",
+                          "analysis_pruned", "exhausted"})
     EXPECT_NE(stats->find(key), nullptr) << key;
   EXPECT_EQ(stats->number_or("flexibility_estimations", -1),
             stats->number_or("possible_allocations", -2));
   EXPECT_GT(stats->number_or("branches_pruned", -1), 0.0);
+  // Settop reaches its maximal flexibility, so the stream never runs dry.
+  EXPECT_FALSE(stats->bool_or("exhausted", true));
 
   // The text stats line carries the branch-bound count too.
   EXPECT_EQ(run({"explore", settop_path()}), 0);

@@ -83,11 +83,6 @@ void expect_trailing_zero(const DynBitset& s) {
       << "trailing garbage at size " << s.size();
 }
 
-TEST(DynBitsetKernels, PathMarkerIsKnown) {
-  EXPECT_TRUE(std::string(bitkernel::kPath) == "portable-u64" ||
-              std::string(bitkernel::kPath) == "avx2");
-}
-
 TEST(DynBitsetKernels, ReductionsMatchNaiveReference) {
   std::mt19937 rng(20260809);
   for (const std::size_t size : kSizes) {

@@ -33,7 +33,7 @@ const SpecificationGraph& settop() {
 SpecificationGraph example(const std::string& name) {
   Result<SpecificationGraph> spec =
       spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/" + name + ".json");
-  SDF_CHECK(spec.ok(), "cannot load example spec " + name);
+  SDF_CHECK(spec.ok(), ("cannot load example spec " + name).c_str());
   return std::move(spec).value();
 }
 

@@ -9,15 +9,23 @@
 // resumed run reproduces the uninterrupted front bit-identically.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "explore/explorer.hpp"
+#include "explore/incremental.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
@@ -185,6 +193,40 @@ TEST(FaultInjection, InjectedBadAllocAbortsTheRunResumably) {
   ASSERT_FALSE(broken.status.ok());
   EXPECT_EQ(broken.stats.stop_reason, StopReason::kWorkerError);
   ASSERT_TRUE(broken.checkpoint.has_value());
+}
+
+TEST(FaultInjection, InjectedEvaluationFaultStopsAnUpgradeRun) {
+  // Upgrade runs share explore()'s engine, so a failed evaluation is
+  // reported through the result instead of escaping the call.
+  DisarmGuard guard;
+  const SpecificationGraph spec = models::make_settop_spec();
+  AllocSet base = spec.make_alloc_set();
+  base.set(spec.find_unit("uP2").index());
+  FaultInjector::arm("explore.evaluate", FaultKind::kThrow, 3);
+  const UpgradeResult broken = explore_upgrades(spec, base);
+  FaultInjector::disarm_all();
+  ASSERT_FALSE(broken.status.ok());
+  EXPECT_NE(broken.status.error().message.find("injected fault"),
+            std::string::npos);
+  EXPECT_EQ(broken.stats.stop_reason, StopReason::kWorkerError);
+}
+
+TEST(FaultInjection, UpgradeCommandReportsAFailedRunAndExitsOne) {
+  DisarmGuard guard;
+  const std::string path = "/tmp/sdf_fault_injection_test_" +
+                           std::to_string(::getpid()) + "_settop.json";
+  {
+    std::ofstream f(path);
+    f << spec_to_string(models::make_settop_spec()).value();
+  }
+  FaultInjector::arm("explore.evaluate", FaultKind::kThrow, 3);
+  std::ostringstream out, err;
+  const int rc = run_cli({"upgrade", path, "--existing=uP2"}, out, err);
+  FaultInjector::disarm_all();
+  std::remove(path.c_str());
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.str().find("injected fault"), std::string::npos);
+  EXPECT_TRUE(out.str().empty());
 }
 
 #endif  // SDF_FAULT_INJECTION
