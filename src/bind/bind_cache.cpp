@@ -176,26 +176,20 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
     s.aborted = false;
     s.outcome = SolveOutcome::kInfeasible;
     ++s.cache_hits_infeasible;
-    hits_infeasible_.fetch_add(1, std::memory_order_relaxed);
-    s.cache_entries = entries();
     return std::nullopt;
   }
   if (probe.witness.has_value()) {
     ++s.cache_revalidations;
-    revalidations_.fetch_add(1, std::memory_order_relaxed);
     if (binding_feasible(cs, alloc, eca, *probe.witness, options)) {
       s.aborted = false;
       s.outcome = SolveOutcome::kFeasible;
       ++s.cache_hits_feasible;
-      hits_feasible_.fetch_add(1, std::memory_order_relaxed);
-      s.cache_entries = entries();
       return std::move(probe.witness);
     }
     // Monotonicity guarantees revalidation cannot fail; stay sound anyway
     // by falling through to a real solve.
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
   std::optional<Binding> solved = solve_binding(cs, alloc, eca, options, &s);
   if (s.outcome == SolveOutcome::kFeasible && solved.has_value())
     frontier_.insert(key, alloc, &*solved);
@@ -203,26 +197,7 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
     frontier_.insert(key, alloc, nullptr);
   // kNodeLimit / kBudgetExceeded / kCancelled: the solver gave up — that
   // verdict proves nothing and must never enter the frontier.
-  s.cache_entries = entries();
   return solved;
-}
-
-BindCacheStats BindCache::stats() const {
-  BindCacheStats out;
-  out.hits_feasible = hits_feasible_.load(std::memory_order_relaxed);
-  out.hits_infeasible = hits_infeasible_.load(std::memory_order_relaxed);
-  out.revalidations = revalidations_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.entries = entries();
-  return out;
-}
-
-void BindCache::clear() {
-  frontier_.clear();
-  hits_feasible_.store(0, std::memory_order_relaxed);
-  hits_infeasible_.store(0, std::memory_order_relaxed);
-  revalidations_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 // ---- HierCache --------------------------------------------------------------
@@ -340,6 +315,7 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
   SolverStats local;
   SolverStats& s = stats != nullptr ? *stats : local;
   s.aborted = false;
+  // Infeasible until every terminal group is proven feasible.
   s.outcome = SolveOutcome::kInfeasible;
 
   // The memoized flattening is still consulted once — it decides
@@ -347,10 +323,7 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
   // groups are sliced from on a miss.  What the hierarchical path never does
   // is *search* the flat problem as a whole.
   const std::shared_ptr<const CompiledFlat> full = cs.flat(eca.selection);
-  if (full == nullptr) {
-    s.cache_entries = entries();
-    return std::nullopt;
-  }
+  if (full == nullptr) return std::nullopt;
 
   std::vector<TerminalGroup> terminals;
   collect_terminal_groups(cs, eca, cs.problem().root(), terminals);
@@ -366,19 +339,14 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
       // One infeasible group refutes the whole ECA; later groups are never
       // touched (the flat kernel would have searched across all of them).
       ++s.hier_hits;
-      hits_infeasible_.fetch_add(1, std::memory_order_relaxed);
-      s.cache_entries = entries();
-      s.outcome = SolveOutcome::kInfeasible;
       return std::nullopt;
     }
 
     if (probe.witness.has_value()) {
       ++s.cache_revalidations;
-      revalidations_.fetch_add(1, std::memory_order_relaxed);
       if (binding_feasible_flat(cs, proj, *probe.flat, *probe.witness,
                                 options)) {
         ++s.hier_hits;
-        hits_feasible_.fetch_add(1, std::memory_order_relaxed);
         for (const BindingAssignment& a : probe.witness->assignments())
           combined.assign(a);
         continue;
@@ -391,7 +359,6 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     if (sub_flat == nullptr) sub_flat = slice_flat(*full, g.subtree_nodes);
 
     ++s.hier_subsolves;
-    subsolves_.fetch_add(1, std::memory_order_relaxed);
     SolverStats gs;
     const std::optional<Binding> solved =
         solve_binding_flat(cs, proj, *sub_flat, options, &gs);
@@ -406,38 +373,16 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     }
     if (gs.outcome == SolveOutcome::kInfeasible) {
       frontier_.insert(key, proj, nullptr, std::move(sub_flat));
-      s.cache_entries = entries();
-      s.outcome = SolveOutcome::kInfeasible;
       return std::nullopt;
     }
     // Budget / cancel / node-limit: proves nothing, cache nothing.
     s.aborted = true;
     s.outcome = gs.outcome;
-    s.cache_entries = entries();
     return std::nullopt;
   }
 
-  s.cache_entries = entries();
   s.outcome = SolveOutcome::kFeasible;
   return combined;
-}
-
-HierCacheStats HierCache::stats() const {
-  HierCacheStats out;
-  out.subsolves = subsolves_.load(std::memory_order_relaxed);
-  out.hits_feasible = hits_feasible_.load(std::memory_order_relaxed);
-  out.hits_infeasible = hits_infeasible_.load(std::memory_order_relaxed);
-  out.revalidations = revalidations_.load(std::memory_order_relaxed);
-  out.entries = entries();
-  return out;
-}
-
-void HierCache::clear() {
-  frontier_.clear();
-  subsolves_.store(0, std::memory_order_relaxed);
-  hits_feasible_.store(0, std::memory_order_relaxed);
-  hits_infeasible_.store(0, std::memory_order_relaxed);
-  revalidations_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace sdf

@@ -17,7 +17,9 @@
 //
 // `BindCache` keys the frontier per ECA; `HierCache` per decomposition
 // group.  Budget/cancel aborts (`kBudgetExceeded` / `kCancelled` /
-// `kNodeLimit`) prove nothing and are never cached.
+// `kNodeLimit`) prove nothing and are never cached.  Neither cache counts
+// anything itself: a `solve` adds its hits, revalidations and sub-solves to
+// the caller's `SolverStats`, and `entries()` is the one size.
 //
 // Invariants, in order of importance:
 //   1. Soundness: every stored fact was proven by the solver.  This is the
@@ -95,22 +97,6 @@ class MonotoneFrontier {
   std::atomic<std::uint64_t> entries_{0};
 };
 
-struct BindCacheStats {
-  std::uint64_t hits_feasible = 0;
-  std::uint64_t hits_infeasible = 0;
-  std::uint64_t revalidations = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t entries = 0;  ///< total frontier entries across all ECAs
-};
-
-struct HierCacheStats {
-  std::uint64_t subsolves = 0;        ///< group sub-problems sent to the kernel
-  std::uint64_t hits_feasible = 0;    ///< group verdicts from a cached witness
-  std::uint64_t hits_infeasible = 0;  ///< group verdicts from a cached proof
-  std::uint64_t revalidations = 0;    ///< cached-witness rechecks
-  std::uint64_t entries = 0;  ///< frontier entries across all group keys
-};
-
 /// Hierarchical solve path: per-cluster-group sub-solve memoization.
 ///
 /// `CompiledSpec::build_decomposition` partitions every cluster's interior
@@ -153,21 +139,14 @@ class HierCache {
                                              const SolverOptions& options = {},
                                              SolverStats* stats = nullptr);
 
-  /// Aggregate counters (approximate under concurrent use).
-  [[nodiscard]] HierCacheStats stats() const;
-
   /// Total frontier entries (minimal feasible + maximal infeasible).
   [[nodiscard]] std::uint64_t entries() const { return frontier_.entries(); }
 
-  /// Drops every group frontier and zeroes the counters.
-  void clear();
+  /// Drops every group frontier.
+  void clear() { frontier_.clear(); }
 
  private:
   MonotoneFrontier frontier_;
-  std::atomic<std::uint64_t> subsolves_{0};
-  std::atomic<std::uint64_t> hits_feasible_{0};
-  std::atomic<std::uint64_t> hits_infeasible_{0};
-  std::atomic<std::uint64_t> revalidations_{0};
 };
 
 class BindCache {
@@ -183,28 +162,22 @@ class BindCache {
   /// under a subset allocation and revalidated for this one).
   ///
   /// Per-call `stats` fields (`outcome`, `aborted`) are reset exactly like
-  /// `solve_binding`; cache counters accumulate.
+  /// `solve_binding`; cumulative counters (including `cache_hits_*` and
+  /// `cache_revalidations`) accumulate.
   [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
                                              const AllocSet& alloc,
                                              const Eca& eca,
                                              const SolverOptions& options = {},
                                              SolverStats* stats = nullptr);
 
-  /// Aggregate counters (approximate under concurrent use).
-  [[nodiscard]] BindCacheStats stats() const;
-
   /// Total frontier entries (minimal feasible + maximal infeasible).
   [[nodiscard]] std::uint64_t entries() const { return frontier_.entries(); }
 
-  /// Drops every ECA frontier and zeroes the counters.
-  void clear();
+  /// Drops every ECA frontier.
+  void clear() { frontier_.clear(); }
 
  private:
   MonotoneFrontier frontier_;
-  std::atomic<std::uint64_t> hits_feasible_{0};
-  std::atomic<std::uint64_t> hits_infeasible_{0};
-  std::atomic<std::uint64_t> revalidations_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace sdf

@@ -75,10 +75,6 @@ struct SolverStats {
   // cannot leak a previous call's verdict.
   bool aborted = false;          ///< node limit or budget hit
   SolveOutcome outcome = SolveOutcome::kInfeasible;
-  /// Total frontier entries in the cache after the most recent call that
-  /// went through a `BindCache` or a `HierCache` (untouched by raw
-  /// `solve_binding`).
-  std::uint64_t cache_entries = 0;
 };
 
 /// Searches for a feasible binding of the processes activated by `eca` onto

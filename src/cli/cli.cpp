@@ -227,7 +227,7 @@ int cmd_analyze(const std::vector<std::string>& raw, std::ostream& out,
   Flags flags;
   flags.define_bool("json", false, "emit the analysis as JSON");
   flags.define("comm", "onehop", "communication model: direct|onehop|anypath");
-  flags.define("util-bound", "0.69", "utilization bound (0 disables)");
+  flags.define_double("util-bound", "0.69", "utilization bound (0 disables)");
   if (Status s = flags.parse(raw); !s.ok()) {
     err << s.error().message << "\nflags:\n" << flags.usage();
     return 2;
@@ -275,7 +275,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
                 std::ostream& err) {
   Flags flags;
   flags.define("comm", "onehop", "communication model: direct|onehop|anypath");
-  flags.define("util-bound", "0.69", "utilization bound (0 disables)");
+  flags.define_double("util-bound", "0.69", "utilization bound (0 disables)");
   flags.define_bool("dominance-filter", true, "§5 allocation filter");
   flags.define_bool("flex-bound", true, "flexibility-estimate pruning");
   flags.define_bool("branch-bound", true, "optimistic subtree pruning");
@@ -283,9 +283,11 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   flags.define_bool("json", false, "emit the full result as JSON");
   flags.define_bool("equivalents", false,
                     "also collect equal-(cost,f) alternative allocations");
-  flags.define("budget", "", "also answer: best flexibility within budget");
-  flags.define("target-f", "",
-               "also answer: cheapest platform reaching this flexibility");
+  flags.define_double("budget", "",
+                      "also answer: best flexibility within budget");
+  flags.define_double("target-f", "",
+                      "also answer: cheapest platform reaching this "
+                      "flexibility");
   flags.define_bool("stats", true, "print exploration statistics");
   flags.define_bool("bind-cache", true,
                     "per-ECA binding feasibility cache of the flat solve "
@@ -309,17 +311,17 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   flags.define_bool("preflight", true,
                     "error-severity lint gate before exploring");
   flags.define_bool("evolutionary", false, "use the heuristic EA explorer");
-  flags.define("seed", "1", "EA seed");
-  flags.define("threads", "1",
-               "evaluation threads; 0 auto-detects one per hardware thread "
-               "(std::thread::hardware_concurrency, floor 1); the front is "
-               "identical for every count");
-  flags.define("deadline-ms", "0",
-               "wall-clock budget in milliseconds (0 = unlimited)");
-  flags.define("max-solver-nodes", "0",
-               "solver search-node budget (0 = unlimited)");
-  flags.define("max-allocations", "0",
-               "candidate-allocation budget (0 = unlimited)");
+  flags.define_int("seed", "1", "EA seed");
+  flags.define_count("threads", "1",
+                     "evaluation threads; 0 auto-detects one per hardware "
+                     "thread (std::thread::hardware_concurrency, floor 1); "
+                     "the front is identical for every count");
+  flags.define_count("deadline-ms", "0",
+                     "wall-clock budget in milliseconds (0 = unlimited)");
+  flags.define_count("max-solver-nodes", "0",
+                     "solver search-node budget (0 = unlimited)");
+  flags.define_count("max-allocations", "0",
+                     "candidate-allocation budget (0 = unlimited)");
   flags.define("checkpoint", "",
                "file for the resume checkpoint of a budget-interrupted run");
   flags.define_bool("resume", false,
@@ -370,23 +372,13 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   options.use_flexibility_bound = flags.get_bool("flex-bound");
   options.use_branch_bound = flags.get_bool("branch-bound");
   options.collect_equivalents = flags.get_bool("equivalents");
-  const int threads = flags.get_int("threads");
-  if (threads < 0) {
-    err << "--threads must be >= 0\n";
-    return 2;
-  }
-  options.num_threads = static_cast<std::size_t>(threads);
-
-  const long deadline_ms = flags.get_int("deadline-ms");
-  const long max_nodes = flags.get_int("max-solver-nodes");
-  const long max_allocs = flags.get_int("max-allocations");
-  if (deadline_ms < 0 || max_nodes < 0 || max_allocs < 0) {
-    err << "budget flags must be >= 0\n";
-    return 2;
-  }
-  options.budget.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
-  options.budget.max_solver_nodes = static_cast<std::uint64_t>(max_nodes);
-  options.budget.max_allocations = static_cast<std::uint64_t>(max_allocs);
+  options.num_threads = static_cast<std::size_t>(flags.get_int("threads"));
+  options.budget.deadline_seconds =
+      static_cast<double>(flags.get_int("deadline-ms")) / 1000.0;
+  options.budget.max_solver_nodes =
+      static_cast<std::uint64_t>(flags.get_int("max-solver-nodes"));
+  options.budget.max_allocations =
+      static_cast<std::uint64_t>(flags.get_int("max-allocations"));
   const std::string checkpoint_path = flags.get("checkpoint");
   std::optional<ExploreCheckpoint> resume_state;  // outlives the run
   if (flags.get_bool("resume")) {
@@ -510,30 +502,12 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
   }
   out << (flags.get_bool("csv") ? table.to_csv() : table.to_ascii());
   if (!flags.get_bool("evolutionary") && flags.get_bool("stats")) {
-    out << "f_max=" << format_double(f_max)
-        << " universe=" << stats.universe
-        << " candidates=" << stats.candidates_generated
-        << " possible_allocations=" << stats.possible_allocations
-        << " branches_pruned=" << stats.branches_pruned
-        << " attempts=" << stats.implementation_attempts
-        << " solver_calls=" << stats.solver_calls
-        << " solver_nodes=" << stats.solver_nodes
-        << " cache_hits_feasible=" << stats.cache_hits_feasible
-        << " cache_hits_infeasible=" << stats.cache_hits_infeasible
-        << " cache_revalidations=" << stats.cache_revalidations
-        << " cache_entries=" << stats.cache_entries
-        << " analysis_pruned=" << stats.analysis_pruned
-        << " hier_subsolves=" << stats.hier_subsolves
-        << " hier_hits=" << stats.hier_hits
-        << " flat_cache_entries=" << stats.flat_cache_entries
-        << " flat_cache_evictions=" << stats.flat_cache_evictions;
-    if (stats.threads > 1)
-      out << " threads=" << stats.threads << " bands=" << stats.bands;
-    if (stats.stop_reason != StopReason::kCompleted) {
-      out << " stop_reason=" << stop_reason_name(stats.stop_reason)
-          << " budget_abandoned=" << stats.budget_abandoned
-          << " exact_up_to_cost=" << format_double(stats.exact_up_to_cost);
-    }
+    // The `--json` stats object as key=value pairs, strings unquoted.
+    out << "f_max=" << format_double(f_max);
+    const Json fields = explore_stats_to_json(stats);
+    for (const auto& [key, value] : fields.as_object())
+      out << ' ' << key << '='
+          << (value.is_string() ? value.as_string() : value.dump());
     out << '\n';
   }
   return exit_code;
@@ -725,24 +699,25 @@ int cmd_dot(const std::vector<std::string>& raw, std::ostream& out,
 int cmd_generate(const std::vector<std::string>& raw, std::ostream& out,
                  std::ostream& err) {
   Flags flags;
-  flags.define("seed", "1", "generator seed");
+  flags.define_int("seed", "1", "generator seed");
   flags.define("preset", "",
                "platform preset: settop-box|automotive-ecu|baseband-dsp|"
                "nested-s|nested-m|nested-xl (overrides the structural flags)");
-  flags.define("applications", "3", "top-level alternatives");
-  flags.define("processors", "2", "general-purpose processors");
-  flags.define("accelerators", "2", "specialized accelerators");
-  flags.define("fpga-configs", "2", "reconfigurable-device configurations");
-  flags.define("tiles", "0",
-               "nested-tile mode: independent root interfaces (0 = off; see "
-               "also --preset nested-*)");
-  flags.define("tile-depth", "3", "nested-tile mode: hierarchy depth");
-  flags.define("tile-processors", "2",
-               "nested-tile mode: local cpus per tile per depth level");
-  flags.define("tile-alternatives", "2",
-               "nested-tile mode: repeated templates per interface");
-  flags.define("tile-processes", "2",
-               "nested-tile mode: chain length per template");
+  flags.define_count("applications", "3", "top-level alternatives");
+  flags.define_count("processors", "2", "general-purpose processors");
+  flags.define_count("accelerators", "2", "specialized accelerators");
+  flags.define_count("fpga-configs", "2",
+                     "reconfigurable-device configurations");
+  flags.define_count("tiles", "0",
+                     "nested-tile mode: independent root interfaces (0 = off; "
+                     "see also --preset nested-*)");
+  flags.define_count("tile-depth", "3", "nested-tile mode: hierarchy depth");
+  flags.define_count("tile-processors", "2",
+                     "nested-tile mode: local cpus per tile per depth level");
+  flags.define_count("tile-alternatives", "2",
+                     "nested-tile mode: repeated templates per interface");
+  flags.define_count("tile-processes", "2",
+                     "nested-tile mode: chain length per template");
   flags.define_bool("tile-bus", false,
                     "nested-tile mode: add one global bus across all cpus");
   if (Status s = flags.parse(raw); !s.ok()) {

@@ -93,15 +93,11 @@ UncertainExploreResult explore_uncertain(
   while (std::optional<AllocSet> a = stream.next()) {
     if (a->none()) continue;  // the empty base costs no candidate budget
     ++result.stats.candidates_generated;
-    if (options.base.max_candidates != 0 &&
-        result.stats.candidates_generated > options.base.max_candidates)
-      break;
 
     const double crisp = cs.allocation_cost(*a);
     if (crisp * min_ratio > stop_hi) break;  // all later points dominated
 
-    if (options.base.prune_dominated_allocations &&
-        obviously_dominated(cs, dominance, *a)) {
+    if (obviously_dominated(cs, dominance, *a)) {
       ++result.stats.dominated_skipped;
       continue;
     }
@@ -114,7 +110,7 @@ UncertainExploreResult explore_uncertain(
 
     const Interval cost = allocation_cost_interval(spec, *a, options);
     // Even the most optimistic point (y = 1/est) certainly dominated?
-    if (options.base.use_flexibility_bound && est.has_value() && *est > 0.0) {
+    if (est.has_value() && *est > 0.0) {
       const IntervalPoint optimistic{cost, 1.0 / *est, 0};
       bool dominated = false;
       for (const IntervalPoint& q : archive.points())
@@ -128,9 +124,8 @@ UncertainExploreResult explore_uncertain(
     ++result.stats.implementation_attempts;
     ImplementationStats istats;
     std::optional<Implementation> impl =
-        build_implementation(cs, *a, options.base.implementation, &istats);
-    result.stats.solver_calls += istats.solver_calls;
-    result.stats.solver_nodes += istats.solver_nodes;
+        build_implementation(cs, *a, {}, &istats);
+    result.stats.add(istats);
     if (!impl.has_value()) continue;
 
     const IntervalPoint point{cost, 1.0 / impl->flexibility, points.size()};

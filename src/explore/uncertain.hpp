@@ -22,7 +22,6 @@ inline constexpr const char* kCostHi = "cost_hi";
 namespace sdf {
 
 struct UncertainExploreOptions {
-  ExploreOptions base;
   /// When > 0, overrides per-unit annotations with a uniform relative
   /// uncertainty: cost in [c*(1-u), c*(1+u)].
   double relative_uncertainty = 0.0;
@@ -47,7 +46,9 @@ struct UncertainExploreResult {
     const SpecificationGraph& spec, const AllocSet& alloc,
     const UncertainExploreOptions& options = {});
 
-/// Runs the uncertain-cost exploration.
+/// Runs the uncertain-cost exploration.  It always applies the §5
+/// dominance filter and the flexibility bound, and solves with the default
+/// `ImplementationOptions`: no binding cache, analyzer or budget.
 [[nodiscard]] UncertainExploreResult explore_uncertain(
     const SpecificationGraph& spec, const UncertainExploreOptions& options = {});
 

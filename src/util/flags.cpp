@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/strings.hpp"
@@ -8,13 +9,45 @@ namespace sdf {
 
 void Flags::define(std::string name, std::string default_value,
                    std::string help) {
-  defs_[name] = Definition{std::move(default_value), std::move(help), false};
+  defs_[name] = Definition{std::move(default_value), std::move(help)};
 }
 
 void Flags::define_bool(std::string name, bool default_value,
                         std::string help) {
+  defs_[name] = Definition{default_value ? "true" : "false", std::move(help),
+                           Kind::kBool};
+}
+
+void Flags::define_int(std::string name, std::string default_value,
+                       std::string help) {
   defs_[name] =
-      Definition{default_value ? "true" : "false", std::move(help), true};
+      Definition{std::move(default_value), std::move(help), Kind::kInt};
+}
+
+void Flags::define_count(std::string name, std::string default_value,
+                         std::string help) {
+  defs_[name] =
+      Definition{std::move(default_value), std::move(help), Kind::kCount};
+}
+
+void Flags::define_double(std::string name, std::string default_value,
+                          std::string help) {
+  defs_[name] =
+      Definition{std::move(default_value), std::move(help), Kind::kDouble};
+}
+
+bool Flags::valid(Kind kind, const std::string& value) {
+  if (kind == Kind::kString || kind == Kind::kBool) return true;
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if (kind == Kind::kDouble) {
+    (void)std::strtod(begin, &end);
+  } else {
+    const long n = std::strtol(begin, &end, 10);
+    if (kind == Kind::kCount && n < 0) return false;
+  }
+  return end != begin && *end == '\0' && errno == 0;
 }
 
 Status Flags::parse(const std::vector<std::string>& args) {
@@ -39,7 +72,7 @@ Status Flags::parse(const std::vector<std::string>& args) {
     if (!have_value && starts_with(name, "no-")) {
       const std::string positive = name.substr(3);
       const auto it = defs_.find(positive);
-      if (it != defs_.end() && it->second.is_bool) {
+      if (it != defs_.end() && it->second.kind == Kind::kBool) {
         values_[positive] = "false";
         continue;
       }
@@ -47,7 +80,7 @@ Status Flags::parse(const std::vector<std::string>& args) {
 
     const auto it = defs_.find(name);
     if (it == defs_.end()) return Error{"unknown flag --" + name};
-    if (it->second.is_bool) {
+    if (it->second.kind == Kind::kBool) {
       values_[name] = have_value ? value : "true";
       continue;
     }
@@ -55,6 +88,13 @@ Status Flags::parse(const std::vector<std::string>& args) {
       if (i + 1 >= args.size())
         return Error{"flag --" + name + " expects a value"};
       value = args[++i];
+    }
+    if (const Kind kind = it->second.kind; !valid(kind, value)) {
+      const char* expects = kind == Kind::kInt     ? "an integer"
+                            : kind == Kind::kCount ? "a non-negative integer"
+                                                   : "a number";
+      return Error{"flag --" + name + " expects " + expects + ", got '" +
+                   value + "'"};
     }
     values_[name] = value;
   }

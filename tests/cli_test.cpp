@@ -1,12 +1,16 @@
 // Tests for the flag parser and the `sdf` command-line tool.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "cli/cli.hpp"
 #include "spec/paper_models.hpp"
@@ -75,6 +79,26 @@ TEST(Flags, NumericAccessors) {
   EXPECT_EQ(f.get_int("i"), 42);
 }
 
+TEST(Flags, NumericFlagsRejectValuesThatAreNotEntirelyNumbers) {
+  Flags f;
+  f.define_int("i", "0");
+  f.define_count("c", "0");
+  f.define_double("d", "0");
+  ASSERT_TRUE(f.parse({"--i=-3", "--c", "7", "--d=2.5e-1"}).ok());
+  EXPECT_EQ(f.get_int("i"), -3);
+  EXPECT_EQ(f.get_int("c"), 7);
+  EXPECT_EQ(f.get_double("d"), 0.25);
+  for (const char* bad : {"--i=abc", "--i=12x", "--i=", "--i=1.5",
+                          "--c=-1", "--c=abc", "--d=abc", "--d=0.5%",
+                          "--i=99999999999999999999"}) {
+    const Status s = f.parse({bad});
+    ASSERT_FALSE(s.ok()) << bad;
+    const std::string name = std::string(bad).substr(0, 3);
+    EXPECT_NE(s.error().message.find("flag " + name), std::string::npos)
+        << s.error().message;
+  }
+}
+
 // ---- CLI ---------------------------------------------------------------------
 
 /// Per-process temp path: ctest runs each gtest case as its own process, in
@@ -103,6 +127,53 @@ class CliTest : public ::testing::Test {
       return p;
     }();
     return path;
+  }
+
+  /// Runs `args` in a child process and returns its exit code, or -1 when
+  /// it died on a signal or had not exited after `timeout` (it is then
+  /// killed).  For inputs that once hung or aborted the process.
+  static int run_in_child(const std::vector<std::string>& args,
+                          std::chrono::seconds timeout) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      std::ostringstream out, err;
+      ::_exit(run_cli(args, out, err));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+        return -1;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// The keys of the trailing `f_max=... key=value ...` stats line, without
+  /// `f_max`.
+  std::vector<std::string> stats_line_keys() const {
+    const std::string text = out_.str();
+    const std::size_t at = text.rfind("f_max=");
+    std::vector<std::string> keys;
+    if (at == std::string::npos) return keys;
+    std::istringstream line(text.substr(at, text.find('\n', at) - at));
+    std::string field;
+    line >> field;  // f_max=...
+    while (line >> field) keys.push_back(field.substr(0, field.find('=')));
+    return keys;
+  }
+
+  /// The keys of the `stats` object of a `--json` run's output.
+  std::vector<std::string> json_stats_keys() const {
+    std::vector<std::string> keys;
+    Result<Json> doc = Json::parse(out_.str());
+    if (!doc.ok() || doc.value().find("stats") == nullptr) return keys;
+    for (const auto& [key, value] : doc.value().find("stats")->as_object())
+      keys.push_back(key);
+    return keys;
   }
 
   std::ostringstream out_, err_;
@@ -315,6 +386,59 @@ TEST_F(CliTest, ExploreRejectsBadFlags) {
   EXPECT_EQ(run({"explore", settop_path(), "--deadline-ms=-5"}), 2);
   EXPECT_EQ(run({"explore", settop_path(), "--resume"}), 2);  // no --checkpoint
   EXPECT_EQ(run({"explore", settop_path(), "--threads=-1"}), 2);
+  // Values that are not entirely a number used to be read as their numeric
+  // prefix: --threads=abc ran on every hardware thread, --deadline-ms=abc
+  // had no deadline and --util-bound=abc turned the timing check off.
+  for (const std::string bad :
+       {"--threads=abc", "--deadline-ms=abc", "--util-bound=abc",
+        "--max-solver-nodes=5x", "--max-allocations=1.5", "--budget=cheap",
+        "--target-f=", "--seed=x"}) {
+    EXPECT_EQ(run({"explore", settop_path(), bad}), 2) << bad;
+    const std::string name = bad.substr(0, bad.find('='));
+    EXPECT_NE(err_.str().find("flag " + name + " expects"), std::string::npos)
+        << err_.str();
+  }
+}
+
+TEST_F(CliTest, ExploreStatsLineListsTheJsonStatsKeys) {
+  // The text line prints the --json stats object: same keys, same order.
+  EXPECT_EQ(run({"explore", settop_path()}), 0);
+  const std::vector<std::string> complete = stats_line_keys();
+  EXPECT_EQ(run({"explore", settop_path(), "--json"}), 0);
+  EXPECT_EQ(complete, json_stats_keys());
+
+  // An interrupted band run adds the certificate and the phase times.
+  EXPECT_EQ(run({"explore", settop_path(), "--max-allocations=4",
+                 "--threads=4"}),
+            3);
+  const std::vector<std::string> partial = stats_line_keys();
+  EXPECT_GT(partial.size(), complete.size());
+  EXPECT_EQ(run({"explore", settop_path(), "--max-allocations=4",
+                 "--threads=4", "--json"}),
+            3);
+  EXPECT_EQ(partial, json_stats_keys());
+
+  // Strings print unquoted, other values as compact JSON.
+  EXPECT_EQ(run({"explore", settop_path(), "--max-allocations=4"}), 3);
+  EXPECT_NE(out_.str().find(" stop_reason=allocations "), std::string::npos);
+  EXPECT_NE(out_.str().find(" resumed=false "), std::string::npos);
+}
+
+TEST_F(CliTest, ExploreJsonStatsKeysArePinned) {
+  // The --json stats schema of a complete one-thread run.
+  EXPECT_EQ(run({"explore", settop_path(), "--json"}), 0);
+  const std::vector<std::string> expected{
+      "universe", "raw_design_points", "candidates_generated",
+      "dominated_skipped", "possible_allocations", "flexibility_estimations",
+      "bound_skipped", "branches_pruned", "implementation_attempts",
+      "solver_calls", "solver_nodes", "cache_hits_feasible",
+      "cache_hits_infeasible", "cache_revalidations", "cache_entries",
+      "analysis_pruned", "hier_subsolves", "hier_hits", "flat_cache_entries",
+      "flat_cache_evictions", "wall_seconds", "index_build_seconds",
+      "stop_reason", "budget_abandoned", "frontier_remaining", "resumed",
+      "exhausted", "threads", "bands", "peak_band_size"};
+  EXPECT_EQ(expected.size(), 30u);
+  EXPECT_EQ(json_stats_keys(), expected);
 }
 
 TEST_F(CliTest, ExploreThreadsZeroAutoDetectsHardwareConcurrency) {
@@ -491,6 +615,21 @@ TEST_F(CliTest, GenerateEmitsLoadableSpec) {
   Result<SpecificationGraph> spec = spec_from_string(out_.str());
   ASSERT_TRUE(spec.ok()) << spec.error().message;
   EXPECT_GT(spec.value().problem().leaves().size(), 0u);
+}
+
+TEST_F(CliTest, GenerateRejectsNegativeCounts) {
+  // Cast to size_t, these counts made the generator loop for good or
+  // abort, so each runs in a child process under a timeout first.
+  for (const std::string bad :
+       {"--processors=-1", "--applications=-2", "--tiles=-1"}) {
+    ASSERT_EQ(run_in_child({"generate", bad}, std::chrono::seconds(10)), 2)
+        << bad;
+    EXPECT_EQ(run({"generate", bad}), 2) << bad;
+    const std::string name = bad.substr(0, bad.find('='));
+    EXPECT_NE(err_.str().find("flag " + name + " expects a non-negative"),
+              std::string::npos)
+        << err_.str();
+  }
 }
 
 TEST_F(CliTest, DemoModelsRoundTrip) {
