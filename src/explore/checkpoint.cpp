@@ -146,12 +146,13 @@ Json ExploreCheckpoint::to_json() const {
   JsonObject cursor;
   cursor.emplace_back("emitted", Json{emitted});
   cursor.emplace_back("pruned", Json{pruned});
-  // Canonical order: equal frontiers serialize identically, whatever order
-  // the stream's heap left them in.
+  // Chains written out, in canonical order: equal frontiers serialize
+  // identically, whatever order and form the stream's heap left them in.
+  const EnumFrontier plain = frontier.written_out();
   JsonArray frontier_arr;
-  frontier_arr.reserve(frontier.size());
-  for (const std::size_t i : frontier.canonical_order())
-    frontier_arr.push_back(units_to_json(frontier.members(i)));
+  frontier_arr.reserve(plain.states.size());
+  for (const std::size_t i : plain.canonical_order())
+    frontier_arr.push_back(units_to_json(plain.members(i)));
   cursor.emplace_back("frontier", Json{std::move(frontier_arr)});
   root.emplace_back("cursor", Json{std::move(cursor)});
 

@@ -56,11 +56,12 @@ struct ExploreCheckpoint {
   /// stream order.  Resume evaluates these before touching the stream.
   std::vector<std::vector<std::uint32_t>> pending;
 
-  /// Enumeration frontier in the stream's flat form, in whatever order the
-  /// stream held it; `to_json` writes each state's member list, sorted
-  /// lexicographically, so only a written checkpoint pays for the sort.
-  /// Costs and expansion bounds are derived on restore, so the serialized
-  /// form is integers only.
+  /// Enumeration frontier in the stream's flat form, chains included, in
+  /// whatever order the stream held it; `to_json` writes the chains out and
+  /// each state's member list, sorted lexicographically, so only a written
+  /// checkpoint pays for either.  A loaded frontier holds plain states
+  /// only.  Costs and expansion bounds are derived on restore, so the
+  /// serialized form is integers only.
   EnumFrontier frontier;
   std::uint64_t emitted = 0;  ///< stream subsets emitted so far
   std::uint64_t pruned = 0;   ///< branch-bound prunes so far

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "explore/checkpoint.hpp"
+#include "spec/compiled.hpp"
+#include "spec/paper_models.hpp"
 #include "util/byte_reader.hpp"
 
 namespace sdf {
@@ -164,6 +166,43 @@ TEST(CheckpointRobust, FrontierListsMustBeStrictlyAscending) {
     ASSERT_FALSE(r.ok()) << frontier;
     EXPECT_NE(r.error().message.find("strictly ascending"), std::string::npos)
         << r.error().message;
+  }
+}
+
+TEST(CheckpointRobust, FrontierIndexWithTheChainFlagIsOutsideTheUniverse) {
+  // The stream flags a chain head in the top bit of its unit index, but a
+  // loaded frontier holds plain states only: 2147483653 is 2^31 + 5, far
+  // outside any universe, not unit 5 standing for its later siblings.
+  const std::string prefix =
+      R"({"format":"sdf-explore-checkpoint","version":1,)"
+      R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
+      R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
+  const std::string suffix =
+      R"(},"counters":{"candidates_generated":0,"dominated_skipped":0,)"
+      R"("possible_allocations":0,"flexibility_estimations":0,)"
+      R"("bound_skipped":0,"implementation_attempts":0,"solver_calls":0,)"
+      R"("solver_nodes":0,"budget_abandoned":0}})";
+  const SpecificationGraph decoder = models::make_tv_decoder_spec();  // 7 units
+  const CompiledSpec& cs = decoder.compiled();
+  Result<ExploreCheckpoint> unit5 =
+      ExploreCheckpoint::from_string(prefix + "[[5]]" + suffix);
+  ASSERT_TRUE(unit5.ok()) << unit5.error().message;
+  EXPECT_TRUE(checkpoint_cursor(unit5.value(), cs).ok());
+  for (const char* frontier : {"[[2147483653]]", "[[1, 2147483653]]"}) {
+    Result<ExploreCheckpoint> ck =
+        ExploreCheckpoint::from_string(prefix + frontier + suffix);
+    ASSERT_TRUE(ck.ok()) << ck.error().message;
+    EXPECT_EQ(ck.value().frontier.size(), 1u) << frontier;
+    const std::string text = ck.value().to_string();
+    EXPECT_NE(text.find("2147483653"), std::string::npos) << text;
+    Result<ExploreCheckpoint> again = ExploreCheckpoint::from_string(text);
+    ASSERT_TRUE(again.ok()) << again.error().message;
+    EXPECT_EQ(again.value().to_string(), text);
+    Result<EnumCursor> cursor = checkpoint_cursor(ck.value(), cs);
+    ASSERT_FALSE(cursor.ok()) << frontier;
+    EXPECT_NE(cursor.error().message.find("outside the universe"),
+              std::string::npos)
+        << cursor.error().message;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "moo/indicators.hpp"
+#include "spec/builder.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_io.hpp"
@@ -77,11 +78,14 @@ TEST(CostOrderedAllocations, BranchBoundPrunesSubtrees) {
 
 /// The stream's original algorithm, kept as the reference for its emission
 /// order: one heap-allocated member list per state in a (cost, lex)
-/// min-heap.
+/// min-heap, every child pushed when its parent is expanded.  Units of
+/// `base` are in every emitted set and are never added.
 class ReferenceStream {
  public:
-  explicit ReferenceStream(const CompiledSpec& cs) : empty_(cs.make_alloc_set()) {
-    for (const AllocUnit& u : cs.units()) unit_cost_.push_back(u.cost);
+  ReferenceStream(const CompiledSpec& cs, AllocSet base)
+      : base_(std::move(base)) {
+    for (const AllocUnit& u : cs.units())
+      unit_cost_.push_back(base_.test(u.id.index()) ? -1.0 : u.cost);
     heap_.push_back(State{0.0, {}});
   }
   void set_branch_bound(CostOrderedAllocations::BranchBound keep) {
@@ -92,7 +96,7 @@ class ReferenceStream {
     std::pop_heap(heap_.begin(), heap_.end(), later);
     const State state = std::move(heap_.back());
     heap_.pop_back();
-    AllocSet set = empty_;
+    AllocSet set = base_;
     for (std::uint32_t i : state.members) set.set(i);
     const auto units = static_cast<std::uint32_t>(unit_cost_.size());
     const std::uint32_t begin =
@@ -105,6 +109,7 @@ class ReferenceStream {
       pruned_ += expand ? 0 : 1;
     }
     for (std::uint32_t j = begin; expand && j < units; ++j) {
+      if (unit_cost_[j] < 0.0) continue;
       State child{state.cost + unit_cost_[j], state.members};
       child.members.push_back(j);
       heap_.push_back(std::move(child));
@@ -114,6 +119,12 @@ class ReferenceStream {
   }
   [[nodiscard]] std::size_t frontier_size() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t pruned() const { return pruned_; }
+  /// The heap's states as plain frontier states.
+  [[nodiscard]] EnumFrontier frontier() const {
+    EnumFrontier f;
+    for (const State& s : heap_) f.push_back(s.members);
+    return f;
+  }
 
  private:
   struct State {
@@ -123,7 +134,7 @@ class ReferenceStream {
   static bool later(const State& a, const State& b) {
     return a.cost != b.cost ? a.cost > b.cost : a.members > b.members;
   }
-  AllocSet empty_;
+  AllocSet base_;
   std::vector<double> unit_cost_;
   std::vector<State> heap_;
   CostOrderedAllocations::BranchBound keep_;
@@ -139,20 +150,37 @@ bool keep_some(const AllocSet& potential) {
 
 /// Draws `limit` subsets (or all) from both streams and asserts the same
 /// sets in the same order, with the same frontier size and prune count.
-/// Twice on the way, the stream under test is replaced by one restored from
-/// its cursor, which must continue identically.
-void expect_same_stream(const CompiledSpec& cs, bool bounded,
-                        std::size_t limit) {
-  ReferenceStream ref(cs);
-  auto stream = std::make_unique<CostOrderedAllocations>(cs);
+/// Three times on the way, the stream under test is replaced by one
+/// restored from its cursor, which must continue identically: at emissions
+/// 500 and 10,000 from the cursor as it lies, chains included, at 15,000
+/// from its written-out states, as a checkpoint file gives them.  Each time
+/// the written-out cursor must hold the reference's heap states and, where
+/// `one_per_emission`, store at most one state per emission beyond the
+/// root.
+void expect_same_stream(const CompiledSpec& cs, const AllocSet& base,
+                        bool bounded, std::size_t limit,
+                        bool one_per_emission = true) {
+  ReferenceStream ref(cs, base);
+  auto stream = std::make_unique<CostOrderedAllocations>(cs, base);
   if (bounded) {
     ref.set_branch_bound(keep_some);
     stream->set_branch_bound(keep_some);
   }
   for (std::size_t n = 0; n < limit; ++n) {
-    if (n == 500 || n == 10000) {
-      auto restored = std::make_unique<CostOrderedAllocations>(cs);
-      restored->restore(stream->cursor());
+    if (n == 500 || n == 10000 || n == 15000) {
+      EnumCursor cursor = stream->cursor();
+      ASSERT_TRUE(cursor.frontier.valid(cs.unit_count())) << "emission " << n;
+      ASSERT_TRUE(cursor.frontier.written_out() == ref.frontier())
+          << "emission " << n;
+      EXPECT_EQ(cursor.frontier.size(), ref.frontier_size())
+          << "emission " << n;
+      if (one_per_emission) {
+        EXPECT_LE(cursor.frontier.states.size(), cursor.emitted + 1)
+            << "emission " << n;
+      }
+      if (n == 15000) cursor.frontier = cursor.frontier.written_out();
+      auto restored = std::make_unique<CostOrderedAllocations>(cs, base);
+      restored->restore(cursor);
       if (bounded) restored->set_branch_bound(keep_some);
       stream = std::move(restored);
     }
@@ -167,20 +195,79 @@ void expect_same_stream(const CompiledSpec& cs, bool bounded,
   }
 }
 
+/// A spec of resources at `costs`, one process mapped to the first.
+SpecificationGraph priced_units(const std::string& name,
+                                const std::vector<double>& costs) {
+  SpecBuilder b(name);
+  const NodeId p = b.process("p");
+  std::vector<NodeId> units;
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    units.push_back(b.resource("r" + std::to_string(i), costs[i]));
+  b.map(p, units.front(), 1.0);
+  return b.build();
+}
+
 TEST(CostOrderedAllocations, EmissionOrderMatchesReferenceStream) {
   Result<SpecificationGraph> nested =
       spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
   ASSERT_TRUE(nested.ok()) << nested.error().message;
   const SpecificationGraph nested_s = generate_preset(PlatformPreset::kNestedS, 1);
+  // Zero-cost and equal-cost units, out of index order: the chains' sibling
+  // order breaks cost ties by index.
+  const SpecificationGraph ties = priced_units(
+      "ties", {2, 0, 1, 2, 0, 3, 1, 2, 0, 3, 1, 1, 2, 0});
   constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
   const std::pair<const SpecificationGraph*, std::size_t> cases[] = {
-      {&settop(), kAll}, {&nested.value(), kAll}, {&nested_s, 20000}};
+      {&settop(), kAll}, {&nested.value(), kAll}, {&nested_s, 20000},
+      {&ties, kAll}};
   for (const auto& [spec, limit] : cases) {
     for (const bool bounded : {false, true}) {
       SCOPED_TRACE(spec->name() + (bounded ? " bounded" : ""));
-      expect_same_stream(spec->compiled(), bounded, limit);
+      expect_same_stream(spec->compiled(), spec->make_alloc_set(), bounded,
+                         limit);
     }
   }
+  // A frozen base: its units are in every set and never added.
+  const CompiledSpec& cs = nested.value().compiled();
+  AllocSet base = cs.make_alloc_set();
+  for (const std::size_t i : {0, 3, 4, 11}) base.set(i);
+  for (const bool bounded : {false, true}) {
+    SCOPED_TRACE(std::string("nested with a base") +
+                 (bounded ? " bounded" : ""));
+    expect_same_stream(cs, base, bounded, kAll);
+  }
+  // Rounding: next to a run of cost 1e17, units of cost 1, 2 and 3 all add
+  // up to 1e17, and among equal sums the stream goes by index, against the
+  // chains' (cost, index) order.  Those siblings are stored one by one, so
+  // a state may add more than one heap entry here.
+  const SpecificationGraph rounding =
+      priced_units("rounding", {1e17, 3, 2, 1, 0, 2, 1, 1e17, 3, 1, 2, 0});
+  for (const bool bounded : {false, true}) {
+    SCOPED_TRACE(std::string("rounding") + (bounded ? " bounded" : ""));
+    expect_same_stream(rounding.compiled(), rounding.make_alloc_set(),
+                       bounded, kAll, /*one_per_emission=*/false);
+  }
+}
+
+TEST(CostOrderedAllocations, RestoreWritesOutChainsOfAnotherOrder) {
+  // A chain head stands for the siblings after it in its frontier's own
+  // order, so a stream must not continue it on a different sibling order.
+  Result<SpecificationGraph> nested =
+      spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
+  ASSERT_TRUE(nested.ok()) << nested.error().message;
+  const CompiledSpec& cs = nested.value().compiled();
+  CostOrderedAllocations stream(cs);
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(stream.next().has_value());
+  EnumCursor cursor = stream.cursor();
+  std::reverse(cursor.frontier.order.begin(), cursor.frontier.order.end());
+  ASSERT_TRUE(cursor.frontier.valid(cs.unit_count()));
+  const EnumFrontier want = cursor.frontier.written_out();
+  ASSERT_FALSE(want == stream.cursor().frontier);
+
+  CostOrderedAllocations restored(cs);
+  restored.restore(cursor);
+  EXPECT_EQ(restored.frontier_size(), want.states.size());
+  EXPECT_TRUE(restored.cursor().frontier == want);
 }
 
 TEST(ObviouslyDominated, DanglingBusAndUselessUnit) {
