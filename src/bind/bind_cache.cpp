@@ -195,7 +195,7 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
     frontier_.insert(key, alloc, &*solved);
   else if (s.outcome == SolveOutcome::kInfeasible)
     frontier_.insert(key, alloc, nullptr);
-  // kNodeLimit / kBudgetExceeded / kCancelled: the solver gave up — that
+  // kBudgetExceeded / kCancelled: the solver gave up — that
   // verdict proves nothing and must never enter the frontier.
   return solved;
 }

@@ -16,10 +16,10 @@
 //     frontier.
 //
 // `BindCache` keys the frontier per ECA; `HierCache` per decomposition
-// group.  Budget/cancel aborts (`kBudgetExceeded` / `kCancelled` /
-// `kNodeLimit`) prove nothing and are never cached.  Neither cache counts
-// anything itself: a `solve` adds its hits, revalidations and sub-solves to
-// the caller's `SolverStats`, and `entries()` is the one size.
+// group.  Budget/cancel aborts (`kBudgetExceeded` / `kCancelled`) prove
+// nothing and are never cached.  Neither cache counts anything itself: a
+// `solve` adds its hits, revalidations and sub-solves to the caller's
+// `SolverStats`, and `entries()` is the one size.
 //
 // Invariants, in order of importance:
 //   1. Soundness: every stored fact was proven by the solver.  This is the

@@ -52,8 +52,6 @@ class BindingSearch {
                                      StopReason::kCancelled
                              ? SolveOutcome::kCancelled
                              : SolveOutcome::kBudgetExceeded;
-      } else if (stats_.aborted) {
-        stats_.outcome = SolveOutcome::kNodeLimit;
       }
       return std::nullopt;
     }
@@ -302,10 +300,6 @@ class BindingSearch {
 
   bool search(std::size_t depth) {
     if (interrupted_) return false;
-    if (options_.node_limit != 0 && stats_.nodes >= options_.node_limit) {
-      stats_.aborted = true;
-      return false;
-    }
     if (depth == n_) return true;
 
     // MRV over the maintained counts: first unassigned process with the

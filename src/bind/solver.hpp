@@ -39,8 +39,6 @@ struct SolverOptions {
   bool exclusive_configurations = true;
   /// Enforce kCapacity/kFootprint annotations.
   bool enforce_capacities = true;
-  /// Abort after this many search nodes (0 = unlimited).
-  std::uint64_t node_limit = 0;
   /// Optional shared run budget: every decision node is charged to it and
   /// the search aborts cooperatively once it is exhausted (outcome
   /// `kBudgetExceeded` / `kCancelled`).  Not owned; may be null.
@@ -54,7 +52,6 @@ struct SolverOptions {
 enum class SolveOutcome : std::uint8_t {
   kFeasible = 0,
   kInfeasible,       ///< search space exhausted: provably no binding
-  kNodeLimit,        ///< SolverOptions::node_limit hit
   kBudgetExceeded,   ///< RunBudget deadline/node budget exhausted
   kCancelled,        ///< CancelToken tripped
 };
@@ -73,13 +70,13 @@ struct SolverStats {
   // Per-call fields: reset at the entry of every solve (`solve_binding`,
   // `BindCache::solve` and `HierCache::solve`), so a reused stats object
   // cannot leak a previous call's verdict.
-  bool aborted = false;          ///< node limit or budget hit
+  bool aborted = false;          ///< budget or cancellation hit
   SolveOutcome outcome = SolveOutcome::kInfeasible;
 };
 
 /// Searches for a feasible binding of the processes activated by `eca` onto
 /// `alloc`.  Returns the first feasible binding found, or nullopt if none
-/// exists (or the node limit / run budget was hit — see `stats.outcome`).
+/// exists (or the run budget was hit — see `stats.outcome`).
 ///
 /// The compiled form reads candidate domains, adjacency and per-process
 /// attributes straight from the index (including its memoized flattening of

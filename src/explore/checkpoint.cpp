@@ -303,11 +303,11 @@ std::string explore_options_digest(const ExploreOptions& options) {
   // so a resumed chain must keep the same setting to stay bit-identical
   // to an uninterrupted run.
   const std::string canon = strprintf(
-      "comm=%d ub=%.17g excl=%d cap=%d nlim=%" PRIu64 " eca=%zu dom=%d "
+      "comm=%d ub=%.17g excl=%d cap=%d eca=%zu dom=%d "
       "fbound=%d bbound=%d stopmax=%d equiv=%d maxcand=%" PRIu64 " abound=%d",
       static_cast<int>(s.comm_model), s.utilization_bound,
       static_cast<int>(s.exclusive_configurations),
-      static_cast<int>(s.enforce_capacities), s.node_limit,
+      static_cast<int>(s.enforce_capacities),
       options.implementation.eca_limit,
       static_cast<int>(options.prune_dominated_allocations),
       static_cast<int>(options.use_flexibility_bound),

@@ -5,12 +5,15 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/analysis.hpp"
 #include "bind/bind_cache.hpp"
 #include "explore/allocation_enum.hpp"
 #include "explore/incremental.hpp"
+#include "explore/uncertain.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
 #include "spec/compiled.hpp"
@@ -72,6 +75,14 @@ struct BandSlot {
   double implement_seconds = 0.0;  ///< measured only when timed
 };
 
+/// Interval-cost acceptance (`explore_uncertain`): the merge fills `front`
+/// in place of the crisp staircase, and `points` holds its payload by tag.
+struct IntervalArchive {
+  const IntervalCostModel& model;
+  IntervalFront front;
+  std::vector<UncertainPoint> points;
+};
+
 /// Read-only inputs of candidate evaluation, shared by every worker.
 struct Evaluation {
   const CompiledSpec& cs;
@@ -84,6 +95,7 @@ struct Evaluation {
   const AllocSet* dominance_scope;
   /// Non-null iff the analyzer's relaxation also filters candidates.
   const SpecAnalysis* analysis_bound;
+  const IntervalArchive* interval;  ///< non-null iff costs are intervals
   BudgetTracker& tracker;
   /// Per-phase CPU timers; only worth their clock reads when a pool runs.
   bool timed;
@@ -92,7 +104,8 @@ struct Evaluation {
 /// The cheap filters, in §4/§5 order.  `committed_f` is the incumbent after
 /// the last merged band; `level_best` holds the flexibilities implemented
 /// so far in this band, per cost level (see the file comment in
-/// explorer.hpp for why both bounds are safe).
+/// explorer.hpp for why both bounds are safe).  Under interval costs the
+/// bound asks the archive instead.
 Verdict filter(const Evaluation& ev, double committed_f,
                const std::vector<AtomicMax>& level_best,
                const BandSlot& slot) {
@@ -111,6 +124,14 @@ Verdict filter(const Evaluation& ev, double committed_f,
   const std::optional<double> est = act.estimated_flexibility();
   SDF_CHECK(est.has_value(), "possible allocation without estimate");
   if (!options.use_flexibility_bound) return Verdict::kAttempted;
+  if (ev.interval != nullptr) {  // is even the optimistic point dominated?
+    if (*est <= 0.0) return Verdict::kAttempted;
+    const IntervalPoint optimistic{ev.interval->model.cost(slot.alloc),
+                                   1.0 / *est, 0};
+    return ev.interval->front.certainly_dominated(optimistic)
+               ? Verdict::kBoundSkipped
+               : Verdict::kAttempted;
+  }
 
   // Everything that precedes this candidate's cost level in stream order
   // bounds it the way the one-thread incumbent would.
@@ -229,9 +250,13 @@ namespace {
 /// first incumbent.  Front points keep their full allocation cost; the
 /// universe and the certificate count only what lies outside the base.
 /// Only an empty base may resume: the checkpoint digests do not cover it.
+/// `explore_uncertain` passes an `interval` archive: the merge fills it
+/// and leaves the crisp front empty, the flexibility bound asks it, and
+/// the subtree bound, which compares crisp flexibilities, stays off.
 ExploreResult explore_supersets(const SpecificationGraph& spec,
                                 const ExploreOptions& options,
-                                const AllocSet& base, double base_f) {
+                                const AllocSet& base, double base_f,
+                                IntervalArchive* interval = nullptr) {
   const auto t0 = Clock::now();
 
   const std::size_t threads = options.num_threads != 0
@@ -268,9 +293,13 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
       eval_impl.use_analysis ? eval_impl.analysis : nullptr;
 
   double f_cur = base_f;  // incumbent: merged candidates only
-  // When collecting equivalents, the search ends after walking through the
-  // cost tie of the maximal-flexibility point; -1 = not yet reached.
-  double max_tie_cost = -1.0;
+  // The walk ends at the first candidate whose cost times `stop_ratio`
+  // exceeds `stop_cost`: past the cost tie of the maximal-flexibility point
+  // with equivalents, or past the upper cost of the cheapest archived one
+  // under interval costs.  Infinite until the maximum is reached.
+  double stop_cost = std::numeric_limits<double>::infinity();
+  const double stop_ratio =
+      interval != nullptr ? interval->model.stop_ratio() : 1.0;
   const DominanceContext dominance(cs);
   AllocSet outside_base = cs.make_alloc_set();
   for (std::size_t i = 0; i < cs.unit_count(); ++i)
@@ -295,19 +324,19 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
       f_cur = result.front.back().flexibility;
       if (options.stop_at_max_flexibility && options.collect_equivalents &&
           f_cur >= result.max_flexibility - 1e-9)
-        max_tie_cost = result.front.back().cost;
+        stop_cost = result.front.back().cost;
     }
     apply_checkpoint_counters(state.counters, result.stats);
     result.stats.resumed = true;
   }
 
   const bool analysis_bound = options.use_analysis_bound && analysis != nullptr;
-  if (options.use_branch_bound || analysis_bound) {
+  const bool branch_bound = options.use_branch_bound && interval == nullptr;
+  if (branch_bound || analysis_bound) {
     // Runs during band assembly against the committed incumbent — a
     // (possibly stale) lower bound on the one-thread f_cur at the same
     // stream position, so it can only prune less, never wrongly.
-    stream.set_branch_bound([&, analysis_bound,
-                             branch_bound = options.use_branch_bound,
+    stream.set_branch_bound([&, analysis_bound, branch_bound,
                              collect = options.collect_equivalents](
                                 const AllocSet& potential) {
       // Relaxation bound (opt-in): infeasibility is monotone downward in
@@ -350,6 +379,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
                       dominance,
                       base.none() ? nullptr : &outside_base,
                       analysis_bound ? analysis : nullptr,
+                      interval,
                       tracker,
                       pooled};
   std::vector<BandSlot> band;  // grows to the peak band size, then reused
@@ -360,7 +390,8 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   // allocation charge was refused.  First entry bounds the certificate.
   std::vector<AllocSet> unprocessed;
   bool done = false;           // merge decided the search is over
-  bool last_band = false;      // stream dry / candidate budget exhausted
+  bool last_band = false;      // stream dry / candidate cap / walk limit
+  bool ran_dry = false;        // the stream returned nothing
   bool interrupted = false;    // run budget tripped or an evaluation failed
   bool alloc_cap_hit = false;  // cap detected pre-trip during assembly
   while (!done && !last_band && !interrupted) {
@@ -377,7 +408,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
         a = stream.next();
       }
       if (!a.has_value()) {  // stream ran dry: exploration complete
-        last_band = true;
+        last_band = ran_dry = true;
         break;
       }
       if (*a == base) continue;  // the base costs no candidate budget
@@ -401,12 +432,12 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
         last_band = true;
         break;
       }
-      // Costs group a band into levels and end an equivalents walk; a band
-      // of one needs them only for the latter.
-      const double cost = capacity > 1 || max_tie_cost >= 0.0
+      // Costs group a band into levels and end the walk; a band of one
+      // needs them only for the latter.
+      const double cost = capacity > 1 || std::isfinite(stop_cost)
                               ? cs.allocation_cost(*a)
                               : 0.0;
-      if (max_tie_cost >= 0.0 && cost > max_tie_cost) {
+      if (cost * stop_ratio > stop_cost) {
         last_band = true;
         break;
       }
@@ -473,12 +504,22 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
       account(slot, result.stats);
       if (slot.verdict == Verdict::kAttempted) ++attempted;
       if (done) continue;
-      if (max_tie_cost >= 0.0 && slot.cost > max_tie_cost) {
+      if (slot.cost * stop_ratio > stop_cost) {
         done = true;
         continue;
       }
       if (!slot.impl.has_value()) continue;
       Implementation& impl = *slot.impl;
+      if (interval != nullptr) {
+        const Interval cost = interval->model.cost(slot.alloc);
+        if (!interval->front.insert(IntervalPoint{
+                cost, 1.0 / impl.flexibility, interval->points.size()}))
+          continue;
+        if (impl.flexibility >= result.max_flexibility - 1e-9)
+          stop_cost = std::min(stop_cost, cost.hi);
+        interval->points.push_back(UncertainPoint{std::move(impl), cost});
+        continue;
+      }
       if (impl.flexibility <= f_cur) {
         // Equivalent Pareto point: same cost and flexibility as the current
         // front point, different allocation.
@@ -508,7 +549,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
         // maximal point; the stream is cost-ordered, so the first strictly
         // costlier candidate ends the search.
         if (options.collect_equivalents)
-          max_tie_cost = result.front.back().cost;
+          stop_cost = result.front.back().cost;
         else
           done = true;
       }
@@ -544,9 +585,9 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   // `done` wins over a late interruption: once the merge proves the search
   // over, leftover pending work is irrelevant.
   interrupted = interrupted && !done;
-  result.stats.exhausted =
-      !interrupted && (!options.stop_at_max_flexibility ||
-                       f_cur < result.max_flexibility - 1e-9);
+  // Only a dry stream exhausts the run: not the maximal-flexibility stop,
+  // the walk limit, the candidate cap or a budget.
+  result.stats.exhausted = ran_dry && !done && !interrupted;
   result.stats.branches_pruned = stream.pruned();
   result.stats.frontier_remaining = stream.frontier_size();
 
@@ -631,6 +672,20 @@ UpgradeResult explore_upgrades(const SpecificationGraph& spec,
   result.max_flexibility = run.max_flexibility;
   result.stats = run.stats;
   result.status = std::move(run.status);
+  return result;
+}
+
+UncertainExploreResult explore_uncertain(
+    const SpecificationGraph& spec, const UncertainExploreOptions& options) {
+  const IntervalCostModel model(spec, options);
+  IntervalArchive archive{model, {}, {}};
+  ExploreResult run = explore_supersets(spec, ExploreOptions{},
+                                        spec.make_alloc_set(), 0.0, &archive);
+  // Only a failed evaluation ends a run without a budget early: rethrow.
+  if (!run.status.ok()) throw std::runtime_error(run.status.error().message);
+  UncertainExploreResult result{{}, run.max_flexibility, run.stats};
+  for (const IntervalPoint& p : archive.front.points())
+    result.front.push_back(std::move(archive.points[p.tag]));
   return result;
 }
 

@@ -212,7 +212,8 @@ struct ExploreResult {
 };
 
 /// Runs EXPLORE on `spec`.  `explore_upgrades` (explore/incremental.hpp)
-/// runs the same engine on the supersets of a deployed platform.
+/// runs the same engine on the supersets of a deployed platform, and
+/// `explore_uncertain` (explore/uncertain.hpp) under interval costs.
 [[nodiscard]] ExploreResult explore(const SpecificationGraph& spec,
                                     const ExploreOptions& options = {});
 

@@ -1,23 +1,23 @@
 // Exploration under uncertain allocation costs (extension, after [12]).
 //
-// Unit costs become intervals: either annotated per architecture component
-// (`cost_lo` / `cost_hi` attributes, defaulting to the crisp `cost`) or
-// derived from a uniform relative uncertainty.  The explorer walks
-// candidates by ascending best-case (lo) cost and archives every
-// implementation that is not *certainly* dominated — the uncertain Pareto
-// set of [12].  With zero uncertainty this degenerates to the crisp
-// EXPLORE front.
+// Unit and device costs become intervals: either annotated per
+// architecture component (`cost_lo` / `cost_hi` attributes, defaulting to
+// the crisp `cost`) or derived from a uniform relative uncertainty.
+// `explore_uncertain` runs the `explore()` engine over the same stream,
+// ordered by crisp cost, and archives every implementation that is not
+// *certainly* dominated — the uncertain Pareto set of [12].  The smallest
+// lo/crisp ratio over all units and devices turns that crisp order into
+// the stop rule: once the crisp cost times the ratio exceeds the upper
+// cost of the cheapest archived point of maximal flexibility, every later
+// candidate is certainly dominated by it.  With zero uncertainty this
+// degenerates to the crisp EXPLORE front.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "explore/explorer.hpp"
 #include "moo/interval.hpp"
-
-namespace sdf::attr {
-/// Optional lower/upper cost bounds on architecture vertices or clusters;
-/// absent bounds default to the crisp kCost value.
-inline constexpr const char* kCostLo = "cost_lo";
-inline constexpr const char* kCostHi = "cost_hi";
-}  // namespace sdf::attr
 
 namespace sdf {
 
@@ -41,14 +41,38 @@ struct UncertainExploreResult {
   ExploreStats stats;
 };
 
+/// The cost intervals of one spec's units and devices under the options'
+/// uncertainty model, read from the spec once.
+class IntervalCostModel {
+ public:
+  IntervalCostModel(const SpecificationGraph& spec,
+                    const UncertainExploreOptions& options);
+
+  /// Summed in the order of `allocation_cost`: ascending units, each
+  /// device after the first of its configurations in `alloc`.
+  [[nodiscard]] Interval cost(const AllocSet& alloc) const;
+
+  /// Smallest lo/crisp ratio over the units and devices with a positive
+  /// crisp cost, at most 1: crisp cost times it bounds best-case cost.
+  [[nodiscard]] double stop_ratio() const { return stop_ratio_; }
+
+ private:
+  static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
+  std::vector<Interval> unit_;          // by unit
+  std::vector<std::size_t> device_of_;  // by unit: index into device_
+  std::vector<Interval> device_;
+  double stop_ratio_ = 1.0;
+};
+
 /// Cost interval of one allocation under the option's uncertainty model.
 [[nodiscard]] Interval allocation_cost_interval(
     const SpecificationGraph& spec, const AllocSet& alloc,
     const UncertainExploreOptions& options = {});
 
-/// Runs the uncertain-cost exploration.  It always applies the §5
-/// dominance filter and the flexibility bound, and solves with the default
-/// `ImplementationOptions`: no binding cache, analyzer or budget.
+/// Runs the uncertain-cost exploration on the `explore()` engine with
+/// default `ExploreOptions`: the §5 dominance filter, a flexibility bound
+/// against the interval archive, and the run-local binding/hierarchy
+/// caches and analyzer prefilter.
 [[nodiscard]] UncertainExploreResult explore_uncertain(
     const SpecificationGraph& spec, const UncertainExploreOptions& options = {});
 

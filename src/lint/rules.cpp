@@ -83,16 +83,17 @@ void check_duplicate_mapping(LintContext& ctx) {
 
 void check_negative_attribute(LintContext& ctx) {
   constexpr const char* kNonNegativeKeys[] = {
-      attr::kCost,     attr::kLatency,   attr::kPeriod,
-      attr::kCapacity, attr::kFootprint, attr::kTimingWeight};
+      attr::kCost,      attr::kCostLo,  attr::kCostHi,
+      attr::kLatency,   attr::kPeriod,  attr::kCapacity,
+      attr::kFootprint, attr::kTimingWeight};
   const auto scan = [&](const HierarchicalGraph& g, const char* tag) {
     const auto flag = [&](std::string location, const std::string& entity,
                           const std::string& key, double value) {
       ctx.report(std::move(location),
                  strprintf("%s has negative %s %s", entity.c_str(),
                            key.c_str(), format_double(value).c_str()),
-                 "costs, latencies, periods, capacities, footprints and "
-                 "timing weights must be non-negative");
+                 "costs, cost bounds, latencies, periods, capacities, "
+                 "footprints and timing weights must be non-negative");
     };
     for (const Node& n : g.nodes())
       for (const char* key : kNonNegativeKeys)

@@ -18,15 +18,21 @@ bool possibly_dominates(const IntervalPoint& a, const IntervalPoint& b) {
 }
 
 bool IntervalFront::insert(const IntervalPoint& p) {
-  for (const IntervalPoint& q : points_) {
-    if (certainly_dominates(q, p)) return false;
+  if (certainly_dominated(p)) return false;
+  for (const IntervalPoint& q : points_)
     if (q.x == p.x && q.y == p.y) return false;
-  }
   std::erase_if(points_, [&](const IntervalPoint& q) {
     return certainly_dominates(p, q);
   });
   points_.push_back(p);
   return true;
+}
+
+bool IntervalFront::certainly_dominated(const IntervalPoint& p) const {
+  return std::any_of(points_.begin(), points_.end(),
+                     [&](const IntervalPoint& q) {
+                       return certainly_dominates(q, p);
+                     });
 }
 
 std::vector<IntervalPoint> IntervalFront::points() const {

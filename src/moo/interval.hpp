@@ -68,6 +68,9 @@ class IntervalFront {
   /// incumbents `p` certainly dominates.  Returns true iff inserted.
   bool insert(const IntervalPoint& p);
 
+  /// True iff some archived point certainly dominates `p`.
+  [[nodiscard]] bool certainly_dominated(const IntervalPoint& p) const;
+
   /// Points sorted by ascending x.lo.
   [[nodiscard]] std::vector<IntervalPoint> points() const;
   [[nodiscard]] std::size_t size() const { return points_.size(); }

@@ -13,6 +13,12 @@ namespace sdf::attr {
 /// (interfaces contribute once when any of their clusters is allocated).
 inline constexpr const char* kCost = "cost";
 
+/// Optional lower/upper bounds of kCost on the same vertices, interfaces
+/// and clusters, read by uncertain-cost exploration (explore/uncertain.hpp);
+/// an absent bound defaults to the crisp kCost value.
+inline constexpr const char* kCostLo = "cost_lo";
+inline constexpr const char* kCostHi = "cost_hi";
+
 /// Worst-case core execution latency of a mapping edge (ns).
 inline constexpr const char* kLatency = "latency";
 

@@ -63,8 +63,8 @@ std::vector<Eca> full_ecas(const CompiledSpec& cs, std::size_t limit = 0) {
   return enumerate_ecas(cs.problem(), act.clusters(), limit);
 }
 
-/// An ECA whose uncached solve visits at least two nodes, so a
-/// `node_limit = 1` run genuinely aborts instead of finishing.
+/// An ECA whose uncached solve visits at least two nodes, so a solve under
+/// `OneNodeBudget` genuinely aborts instead of finishing.
 const Eca* find_hard_eca(const CompiledSpec& cs, const std::vector<Eca>& ecas,
                          const AllocSet& alloc) {
   for (const Eca& eca : ecas) {
@@ -74,6 +74,18 @@ const Eca* find_hard_eca(const CompiledSpec& cs, const std::vector<Eca>& ecas,
   }
   return nullptr;
 }
+
+/// Solver options whose run budget trips on the second search node.  The
+/// tracker is sticky: every solve charged to it after the trip aborts too.
+struct OneNodeBudget {
+  static RunBudget one_node() {
+    RunBudget budget;
+    budget.max_solver_nodes = 1;
+    return budget;
+  }
+  BudgetTracker tracker{one_node()};
+  SolverOptions options{.budget = &tracker};
+};
 
 /// Frontier answers counted in `stats`: `BindCache` hits plus `HierCache`
 /// group hits.  The caches count nothing themselves.
@@ -128,11 +140,11 @@ TEST(SolverStatsReuse, OutcomeAndAbortAreResetOnEveryCall) {
   EXPECT_FALSE(st.aborted);
   EXPECT_GE(st.nodes, nodes_after_first);  // cumulative, never reset
 
-  // 3. Aborted call (node limit).
-  SolverOptions limited;
-  limited.node_limit = 1;
-  EXPECT_FALSE(solve_binding(cs, full, *hard, limited, &st).has_value());
-  EXPECT_EQ(st.outcome, SolveOutcome::kNodeLimit);
+  // 3. Aborted call (solver-node budget).
+  OneNodeBudget limited;
+  EXPECT_FALSE(
+      solve_binding(cs, full, *hard, limited.options, &st).has_value());
+  EXPECT_EQ(st.outcome, SolveOutcome::kBudgetExceeded);
   EXPECT_TRUE(st.aborted);
 
   // 4. Feasible again: the stale abort flag and verdict must be cleared.
@@ -155,9 +167,19 @@ TEST(SolverStatsReuse, CacheSolveResetsPerCallFieldsToo) {
       cache.solve(cs, cs.make_alloc_set(), ecas[0], {}, &st).has_value());
   EXPECT_EQ(st.outcome, SolveOutcome::kInfeasible);
   EXPECT_FALSE(st.aborted);
-  // Second feasible query is a hit and must still report kFeasible.
+  // An aborted miss (in a cold cache, so it searches) ...
+  const Eca* hard = find_hard_eca(cs, ecas, full);
+  ASSERT_NE(hard, nullptr);
+  BindCache cold;
+  OneNodeBudget limited;
+  EXPECT_FALSE(cold.solve(cs, full, *hard, limited.options, &st).has_value());
+  EXPECT_EQ(st.outcome, SolveOutcome::kBudgetExceeded);
+  EXPECT_TRUE(st.aborted);
+  // ... then the second feasible query is a hit and must still report
+  // kFeasible, with the abort flag cleared.
   ASSERT_TRUE(cache.solve(cs, full, ecas[0], {}, &st).has_value());
   EXPECT_EQ(st.outcome, SolveOutcome::kFeasible);
+  EXPECT_FALSE(st.aborted);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,10 +317,9 @@ TEST(BindCacheTest, AbortedSolvesAreNeverCached) {
 
   BindCache cache;
   SolverStats st;
-  SolverOptions limited;
-  limited.node_limit = 1;
-  EXPECT_FALSE(cache.solve(cs, full, *hard, limited, &st).has_value());
-  EXPECT_EQ(st.outcome, SolveOutcome::kNodeLimit);
+  OneNodeBudget limited;
+  EXPECT_FALSE(cache.solve(cs, full, *hard, limited.options, &st).has_value());
+  EXPECT_EQ(st.outcome, SolveOutcome::kBudgetExceeded);
   EXPECT_TRUE(st.aborted);
   EXPECT_TRUE(missed(st));
   EXPECT_EQ(cache.entries(), 0u) << "a budget abort proves nothing";

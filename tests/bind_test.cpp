@@ -332,23 +332,9 @@ TEST(Solver, UnitUtilizationsMatchHandComputation) {
   EXPECT_NEAR(util[spec.find_unit("uP2").index()], 140.0 / 300.0, 1e-9);
 }
 
-TEST(Solver, NodeLimitAborts) {
-  const SpecificationGraph& spec = settop();
-  const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
-  SolverOptions options;
-  options.node_limit = 1;
-  SolverStats stats;
-  // Limit of one node cannot finish a 4-process binding.
-  const auto binding = solve_binding(spec, alloc_of(spec, {"uP2"}), eca,
-                                     options, &stats);
-  EXPECT_FALSE(binding.has_value());
-  EXPECT_TRUE(stats.aborted);
-  EXPECT_EQ(stats.outcome, SolveOutcome::kNodeLimit);
-}
-
 TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
   // The three ways to return without a binding must stay distinguishable:
-  // a *proof* of infeasibility, a node-limit abort, and a budget abort.
+  // a *proof* of infeasibility, a budget abort, and a cancellation.
   const SpecificationGraph& spec = settop();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
 

@@ -483,6 +483,9 @@ TEST(Explore, MaxCandidatesCapStopsEarly) {
   options.max_candidates = 10;
   const ExploreResult result = explore(spec, options);
   EXPECT_LE(result.stats.candidates_generated, 11u);
+  // The cap ended the run, not a dry stream.
+  EXPECT_FALSE(result.stats.exhausted);
+  EXPECT_GT(result.stats.frontier_remaining, 0u);
 }
 
 TEST(Explore, ExhaustedFlagSemantics) {

@@ -233,6 +233,17 @@ TEST(LintRule, SDF012NegativeAttribute) {
   EXPECT_NE(r2.diagnostics[0].message.find("latency"), std::string::npos);
 }
 
+TEST(LintRule, SDF012NegativeCostBound) {
+  // A negative lower cost bound makes the uncertain-cost stop ratio
+  // negative, so that run would never stop early.
+  SpecBuilder b = clean_builder();
+  HierarchicalGraph& a = b.spec().architecture();
+  a.set_attr(a.find_node("R"), attr::kCostLo, -1.0);
+  const Diagnostic d = expect_fires_once(b.spec(), "SDF012");
+  EXPECT_NE(d.message.find("cost_lo"), std::string::npos) << d.message;
+  EXPECT_EQ(d.severity, Severity::kError);
+}
+
 TEST(LintRule, SDF013MissingCost) {
   SpecBuilder b = clean_builder();
   HierarchicalGraph& a = b.spec().architecture();

@@ -1,9 +1,19 @@
 // Tests for interval dominance and uncertain-cost exploration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "explore/allocation_enum.hpp"
 #include "explore/explorer.hpp"
 #include "explore/uncertain.hpp"
+#include "flex/activatability.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 
 namespace sdf {
 namespace {
@@ -11,6 +21,68 @@ namespace {
 const SpecificationGraph& settop() {
   static const SpecificationGraph spec = models::make_settop_spec();
   return spec;
+}
+
+/// Settop with the custom ASIC A1 quoted anywhere in [200, 400].
+SpecificationGraph settop_with_risky_asic() {
+  SpecificationGraph spec = models::make_settop_spec();
+  HierarchicalGraph& arch = spec.architecture();
+  arch.set_attr(arch.find_node("A1"), attr::kCostLo, 200.0);
+  arch.set_attr(arch.find_node("A1"), attr::kCostHi, 400.0);
+  return spec;
+}
+
+/// `spec` with its FPGA device priced 100 in [0, 100]: each configuration's
+/// best case lies 100 below its crisp cost, though every unit is crisp.
+SpecificationGraph with_uncertain_fpga(SpecificationGraph spec) {
+  HierarchicalGraph& arch = spec.architecture();
+  const NodeId fpga = arch.find_node("FPGA");
+  arch.set_attr(fpga, attr::kCost, 100.0);
+  arch.set_attr(fpga, attr::kCostLo, 0.0);
+  arch.set_attr(fpga, attr::kCostHi, 100.0);
+  return spec;
+}
+
+UncertainExploreOptions uniform(double u) {
+  UncertainExploreOptions options;
+  options.relative_uncertainty = u;
+  return options;
+}
+
+/// A front point as (allocation names, cost interval, flexibility).
+using Row = std::tuple<std::string, double, double, double>;
+
+std::vector<Row> rows(const SpecificationGraph& spec,
+                      const std::vector<UncertainPoint>& front) {
+  std::vector<Row> out;
+  for (const UncertainPoint& p : front)
+    out.emplace_back(spec.allocation_names(p.implementation.units), p.cost.lo,
+                     p.cost.hi, p.implementation.flexibility);
+  return out;
+}
+
+/// The uncertain Pareto set with no stop rule and no bound: every
+/// candidate of the stream that passes the §5 filter and is possible gets
+/// implemented and offered to the archive.
+std::vector<UncertainPoint> unstopped_front(const SpecificationGraph& spec) {
+  const CompiledSpec& cs = spec.compiled();
+  const DominanceContext dominance(cs);
+  CostOrderedAllocations stream(cs);
+  IntervalFront archive;
+  std::vector<UncertainPoint> points;
+  while (std::optional<AllocSet> a = stream.next()) {
+    if (a->none() || obviously_dominated(cs, dominance, *a)) continue;
+    if (!Activatability(cs, *a).root_activatable()) continue;
+    std::optional<Implementation> impl = build_implementation(cs, *a);
+    if (!impl.has_value()) continue;
+    const Interval cost = allocation_cost_interval(spec, *a);
+    if (archive.insert({cost, 1.0 / impl->flexibility, points.size()}))
+      points.push_back(UncertainPoint{std::move(*impl), cost});
+  }
+  std::vector<UncertainPoint> front;
+  for (const IntervalPoint& p : archive.points())
+    front.push_back(std::move(points[p.tag]));
+  return front;
 }
 
 // ---- Interval ----------------------------------------------------------------
@@ -114,13 +186,50 @@ TEST(UncertainExplore, IntervalsScaleWithUncertainty) {
   }
 }
 
-TEST(UncertainExplore, PerUnitAnnotationsRespected) {
-  SpecificationGraph spec = models::make_settop_spec();
-  HierarchicalGraph& arch = spec.architecture();
-  // The ASIC A1 is a risky custom part: cost in [200, 400].
-  arch.set_attr(arch.find_node("A1"), attr::kCostLo, 200.0);
-  arch.set_attr(arch.find_node("A1"), attr::kCostHi, 400.0);
+TEST(UncertainExplore, DeviceIntervalsAreCharged) {
+  const SpecificationGraph spec =
+      with_uncertain_fpga(models::make_settop_spec());
+  AllocSet a = spec.make_alloc_set();
+  a.set(spec.find_unit("uP2").index());
+  a.set(spec.find_unit("C1").index());
+  a.set(spec.find_unit("U2").index());
+  a.set(spec.find_unit("D3").index());
+  const double crisp = spec.allocation_cost(a);
+  // Two configurations of one device: the device is charged once.
+  EXPECT_EQ(allocation_cost_interval(spec, a),
+            (Interval{crisp - 100.0, crisp}));
+  EXPECT_EQ(IntervalCostModel(spec, {}).stop_ratio(), 0.0);
+  EXPECT_EQ(IntervalCostModel(settop(), {}).stop_ratio(), 1.0);
+}
 
+/// `explore_uncertain` returns the unstopped front, in any order, and that
+/// front has `size` points.
+void expect_unstopped_front(const SpecificationGraph& spec, std::size_t size) {
+  const UncertainExploreResult r = explore_uncertain(spec);
+  // A device whose best case is free makes the stop ratio 0, so the walk
+  // drains the stream.
+  EXPECT_TRUE(r.stats.exhausted);
+  std::vector<Row> got = rows(spec, r.front);
+  std::vector<Row> want = rows(spec, unstopped_front(spec));
+  EXPECT_EQ(want.size(), size);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+}
+
+TEST(UncertainExplore, StopRuleCountsDeviceIntervals) {
+  // The stop rule must bound a candidate's best case through its device
+  // too: here the FPGA's configurations cost up to 100 less than their
+  // crisp price.  A ratio over the units alone is 1 and stops the walk
+  // before designs on the FPGA that no archived point certainly
+  // dominates.
+  expect_unstopped_front(with_uncertain_fpga(models::make_settop_spec()), 17);
+  expect_unstopped_front(with_uncertain_fpga(models::make_tv_decoder_spec()),
+                         15);
+}
+
+TEST(UncertainExplore, PerUnitAnnotationsRespected) {
+  const SpecificationGraph spec = settop_with_risky_asic();
   AllocSet a = spec.make_alloc_set();
   a.set(spec.find_unit("uP2").index());
   a.set(spec.find_unit("A1").index());
@@ -157,6 +266,141 @@ TEST(UncertainExplore, ShrinkingUncertaintyConvergesToCrisp) {
     previous = r.front.size();
   }
   EXPECT_EQ(previous, explore(spec).front.size());
+}
+
+// ---- pinned runs ------------------------------------------------------------
+//
+// Fronts and work counters of uncertain runs, pinned bit for bit.
+// `solver_nodes` and the cache counters depend on the engine's binding
+// caches and analyzer, so they are not pinned.
+
+/// Deterministic work counters of one run, in `ExploreStats` order, and
+/// how it ended.
+struct Counters {
+  std::uint64_t candidates_generated;
+  std::uint64_t dominated_skipped;
+  std::uint64_t possible_allocations;
+  std::uint64_t flexibility_estimations;
+  std::uint64_t bound_skipped;
+  std::uint64_t implementation_attempts;
+  std::uint64_t solver_calls;
+  bool exhausted;  ///< the stream ran dry before the stop rule fired
+};
+
+void expect_pinned(const SpecificationGraph& spec,
+                   const UncertainExploreOptions& options,
+                   const std::vector<Row>& front, const Counters& want) {
+  const UncertainExploreResult r = explore_uncertain(spec, options);
+  EXPECT_EQ(rows(spec, r.front), front);
+  const ExploreStats& s = r.stats;
+  EXPECT_EQ(s.candidates_generated, want.candidates_generated);
+  EXPECT_EQ(s.dominated_skipped, want.dominated_skipped);
+  EXPECT_EQ(s.possible_allocations, want.possible_allocations);
+  EXPECT_EQ(s.flexibility_estimations, want.flexibility_estimations);
+  EXPECT_EQ(s.bound_skipped, want.bound_skipped);
+  EXPECT_EQ(s.implementation_attempts, want.implementation_attempts);
+  EXPECT_EQ(s.solver_calls, want.solver_calls);
+  EXPECT_EQ(s.exhausted, want.exhausted);
+}
+
+TEST(UncertainPins, SettopCrisp) {
+  expect_pinned(settop(), {},
+                {{"uP2", 100, 100, 2},
+                 {"uP1", 120, 120, 3},
+                 {"uP2, C1, G1, U2", 230, 230, 4},
+                 {"uP2, C1, G1, U2, D3", 290, 290, 5},
+                 {"uP2, A1, C2", 360, 360, 7},
+                 {"uP2, A1, C1, C2, D3", 430, 430, 8}},
+                {1665, 1545, 90, 90, 62, 28, 180, false});
+}
+
+TEST(UncertainPins, SettopFifteenPercent) {
+  expect_pinned(settop(), uniform(0.15),
+                {{"uP2", 85, 114.99999999999999, 2},
+                 {"uP1", 102, 138, 3},
+                 {"uP2, C1, G1, U2", 195.5, 264.5, 4},
+                 {"uP1, C5, U2", 199.75, 270.25, 4},
+                 {"uP2, C1, G1, U2, D3", 246.5, 333.5, 5},
+                 {"uP1, uP2, C1, U2", 246.5, 333.5, 4},
+                 {"uP1, C5, U2, D3", 250.75, 339.25, 5},
+                 {"uP1, C5, G1, U2", 250.75, 339.25, 4},
+                 {"uP1, uP2, C1, U2, D3", 297.5, 402.5, 5},
+                 {"uP1, C5, G1, U2, D3", 301.75, 408.25, 5},
+                 {"uP2, A1, C2", 306, 414, 7},
+                 {"uP1, A1", 314.5, 425.5, 5},
+                 {"uP2, A2, C3", 318.75, 431.25, 7},
+                 {"uP1, A2", 323, 437, 5},
+                 {"uP2, A3, C4", 327.25, 442.75, 7},
+                 {"uP1, A3", 331.5, 448.5, 5},
+                 {"uP2, A1, C2, G1", 357, 483, 7},
+                 {"uP2, A1, C1, C2, D3", 365.5, 494.5, 8},
+                 {"uP2, A1, C1, C2, G1", 365.5, 494.5, 7},
+                 {"uP2, A2, C3, G1", 369.75, 500.25, 7},
+                 {"uP2, A2, C1, C3, D3", 378.25, 511.75, 8},
+                 {"uP2, A2, C1, C3, G1", 378.25, 511.75, 7},
+                 {"uP2, A3, C1, C4, D3", 386.75, 523.25, 8},
+                 {"uP2, A3, C1, C4, G1", 386.75, 523.25, 7},
+                 {"uP1, uP2, A1, C2", 408, 552, 7},
+                 {"uP2, A1, C1, G1, D3", 408, 552, 6},
+                 {"uP1, A1, C5, D3", 412.25, 557.75, 6},
+                 {"uP2, A1, C1, C2, G1, D3", 416.5, 563.5, 8},
+                 {"uP2, A2, C1, C3, G1, D3", 429.25, 580.75, 8},
+                 {"uP2, A3, C1, C4, G1, D3", 437.75, 592.25, 8},
+                 {"uP1, uP2, A1, C1, C2, D3", 467.5, 632.5, 8},
+                 {"uP1, uP2, A2, C1, C3, D3", 480.25, 649.75, 8},
+                 {"uP1, uP2, A3, C1, C4, D3", 488.75, 661.25, 8}},
+                {3410, 3136, 233, 233, 71, 162, 1343, false});
+}
+
+TEST(UncertainPins, SettopRiskyAsic) {
+  expect_pinned(settop_with_risky_asic(), {},
+                {{"uP2", 100, 100, 2},
+                 {"uP1", 120, 120, 3},
+                 {"uP2, C1, G1, U2", 230, 230, 4},
+                 {"uP2, C1, G1, U2, D3", 290, 290, 5},
+                 {"uP2, A1, C2", 310, 510, 7},
+                 {"uP2, A1, C2, G1", 370, 570, 7},
+                 {"uP2, A2, C3", 375, 375, 7},
+                 {"uP2, A1, C1, C2, D3", 380, 580, 8},
+                 {"uP2, A1, C1, C2, G1, D3", 440, 640, 8},
+                 {"uP2, A2, C1, C3, D3", 445, 445, 8}},
+                {3088, 2841, 212, 212, 159, 53, 412, false});
+}
+
+TEST(UncertainPins, DecoderFifteenPercent) {
+  expect_pinned(models::make_tv_decoder_spec(), uniform(0.15),
+                {{"uP", 42.5, 57.499999999999993, 1},
+                 {"uP, C1, U2", 68, 91.999999999999986, 2},
+                 {"uP, C1, D3", 72.25, 97.75, 2},
+                 {"uP, C1, U1, U2", 85, 115, 2},
+                 {"uP, C1, D3, U1", 89.25, 120.75, 2},
+                 {"uP, C1, D3, U2", 93.5, 126.5, 3},
+                 {"uP, A", 110.5, 149.5, 3},
+                 {"uP, A, C2", 114.75, 155.25, 3},
+                 {"uP, A, C1, D3", 140.25, 189.75, 4},
+                 {"uP, A, C1, C2, D3", 144.5, 195.5, 4},
+                 {"uP, A, C1, D3, U1", 157.25, 212.75, 4},
+                 {"uP, A, C1, C2, D3, U1", 161.5, 218.5, 4},
+                 {"uP, A, C1, C2, D3, U2", 165.75, 224.25, 4},
+                 {"uP, A, C1, D3, U1, U2", 178.5, 241.5, 4},
+                 {"uP, A, C1, C2, D3, U1, U2", 182.75, 247.25, 4}},
+                {127, 67, 45, 45, 14, 31, 137, true});
+}
+
+TEST(UncertainPins, NestedCrisp) {
+  Result<SpecificationGraph> spec =
+      spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  expect_pinned(
+      spec.value(), {},
+      {{"t0d0cpu1, t0d1cpu0, t0d2cpu0, t1d0cpu0, t1d1cpu1, t1d2cpu1", 950,
+        950, 11},
+       {"t0d0cpu1, t0d1cpu1, t0d2cpu0, t1d0cpu0, t1d1cpu1, t1d2cpu1", 952,
+        952, 13},
+       {"t0d0cpu1, t0d1cpu0, t0d1cpu1, t0d2cpu0, t1d0cpu0, t1d1cpu1, "
+        "t1d2cpu1, gbus",
+        1255, 1255, 15}},
+      {311952, 299663, 440, 440, 0, 440, 28160, false});
 }
 
 }  // namespace
