@@ -1,5 +1,6 @@
 // Word-parallel bitset kernels: inline kernel layer vs the pre-refactor
-// scalar path and a naive per-bit reference.
+// scalar path and a naive per-bit reference; and the binding solver's
+// kernel on the deep-solve anchors.
 //
 // Three implementations of every hot set primitive are raced on the
 // allocation-sized universes EXPLORE actually touches (a handful of words):
@@ -9,6 +10,13 @@
 //               as out-of-line noinline functions (one per-word loop behind
 //               a cross-TU call, exactly what call sites used to compile to);
 //   * naive   — a per-bit reference (the semantics oracle).
+//
+// The binding-kernel case replays EXPLORE's one-thread candidate loop on
+// baseband-dsp seeds 3, 47 and 213, collects every (allocation, ECA) query
+// it sends the solver, and times the raw kernel on them: per-node search
+// time and per-call setup time (domains, conflict tables, load lists,
+// seed counts, the first MRV scan), the latter from a second pass whose
+// solves stop at their first decision node against a tripped budget.
 //
 // `--smoke` skips all timing and runs the deterministic CI gate instead:
 // every kernel must agree with the naive reference on randomized universes,
@@ -26,6 +34,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "bind/eca.hpp"
+#include "bind/implementation.hpp"
+#include "bind/solver.hpp"
+#include "explore/allocation_enum.hpp"
+#include "flex/activatability.hpp"
+#include "flex/flexibility.hpp"
+#include "gen/presets.hpp"
+#include "spec/compiled.hpp"
 #include "util/bitset_kernels.hpp"
 #include "util/dyn_bitset.hpp"
 #include "util/status.hpp"
@@ -330,7 +346,135 @@ std::vector<Row> run_timings() {
   return rows;
 }
 
-void print_and_write(const std::vector<Row>& rows) {
+// ---- binding kernel: per-node search and per-call setup time -------------
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// One solver query: the allocation, and the flattening of one of its
+/// ECAs, resolved up front so the timing sees the kernel and nothing of
+/// the flatten cache.
+struct KernelQuery {
+  const AllocSet* alloc;
+  std::shared_ptr<const CompiledFlat> flat;
+};
+
+/// Every (allocation, ECA) query EXPLORE's one-thread candidate loop sends
+/// the solver on `cs`, with default filters and the raw kernel answering
+/// (no binding cache, no hierarchical path, no analyzer): the same
+/// `solver_calls` as `sdf explore --threads 1`.
+struct KernelWorkload {
+  std::vector<AllocSet> allocs;
+  std::vector<KernelQuery> queries;
+};
+
+KernelWorkload explore_queries(const CompiledSpec& cs) {
+  KernelWorkload w;
+  const ImplementationOptions raw;
+  const double f_max = max_flexibility(cs.problem());
+  double f_cur = 0.0;
+  const DominanceContext dominance(cs);
+  CostOrderedAllocations stream(cs);
+  stream.set_branch_bound([&](const AllocSet& potential) {
+    if (f_cur <= 0.0) return true;
+    const std::optional<double> est = estimate_flexibility(cs, potential);
+    return est.has_value() && *est > f_cur;
+  });
+  std::vector<std::pair<std::size_t, ClusterSelection>> asked;
+  while (std::optional<AllocSet> a = stream.next()) {
+    if (a->none() || obviously_dominated(cs, dominance, *a)) continue;
+    const Activatability act(cs, *a);
+    if (!act.root_activatable()) continue;
+    const std::optional<double> est = act.estimated_flexibility();
+    if (!est.has_value() || !(*est > f_cur)) continue;
+    for (Eca& eca :
+         enumerate_ecas(cs.problem(), act.clusters(), raw.eca_limit))
+      asked.emplace_back(w.allocs.size(), std::move(eca.selection));
+    w.allocs.push_back(*a);
+    const std::optional<Implementation> impl =
+        build_implementation(cs, *a, raw);
+    if (!impl.has_value() || impl->flexibility <= f_cur) continue;
+    f_cur = impl->flexibility;
+    if (f_cur >= f_max - 1e-9) break;
+  }
+  for (const auto& [alloc, selection] : asked)
+    w.queries.push_back(KernelQuery{&w.allocs[alloc], cs.flat(selection)});
+  return w;
+}
+
+/// Seconds to answer every query once; adds the nodes searched.
+double time_queries(const CompiledSpec& cs, const KernelWorkload& w,
+                    const SolverOptions& options, std::uint64_t& nodes) {
+  const auto t0 = Clock::now();
+  for (const KernelQuery& q : w.queries) {
+    if (q.flat == nullptr) continue;
+    SolverStats stats;
+    benchmark::DoNotOptimize(
+        solve_binding_flat(cs, *q.alloc, *q.flat, options, &stats));
+    nodes += stats.nodes;
+  }
+  return seconds_since(t0);
+}
+
+struct KernelRow {
+  std::uint64_t seed;
+  std::size_t calls;
+  std::uint64_t nodes;
+  double solve_s;            ///< median full pass
+  double setup_s;            ///< median pass stopped at the first node
+  double ns_per_node;        ///< (solve_s - setup_s) / nodes
+  double ns_setup_per_call;  ///< setup_s / calls
+};
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+std::vector<KernelRow> run_binding_kernel() {
+  constexpr int kReps = 3;
+  std::vector<KernelRow> rows;
+  for (const std::uint64_t seed : {3u, 47u, 213u}) {
+    const SpecificationGraph spec =
+        generate_preset(PlatformPreset::kBasebandDsp, seed);
+    const CompiledSpec& cs = spec.compiled();
+    const KernelWorkload w = explore_queries(cs);
+
+    // A budget that is already spent: every solve charges its first
+    // decision node, is refused, and returns.
+    RunBudget one_node;
+    one_node.max_solver_nodes = 1;
+    BudgetTracker spent(one_node);
+    while (spent.charge_solver_node()) {
+    }
+    SolverOptions setup_only;
+    setup_only.budget = &spent;
+
+    std::vector<double> solve, setup;
+    std::uint64_t nodes = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      nodes = 0;
+      solve.push_back(time_queries(cs, w, {}, nodes));
+      std::uint64_t first_nodes = 0;
+      setup.push_back(time_queries(cs, w, setup_only, first_nodes));
+    }
+    KernelRow row{seed, w.queries.size(), nodes, median_of(solve),
+                  median_of(setup), 0.0, 0.0};
+    row.ns_per_node = (row.solve_s - row.setup_s) * 1e9 /
+                      static_cast<double>(std::max<std::uint64_t>(nodes, 1));
+    row.ns_setup_per_call =
+        row.setup_s * 1e9 /
+        static_cast<double>(std::max<std::size_t>(row.calls, 1));
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+void print_and_write(const std::vector<Row>& rows,
+                     const std::vector<KernelRow>& kernel_rows) {
   bench::section("bitset kernels: ns/op, kernel vs pre-refactor scalar vs "
                  "per-bit naive");
   Table table({"primitive", "bits", "kernel ns", "scalar ns", "naive ns",
@@ -359,9 +503,36 @@ void print_and_write(const std::vector<Row>& rows) {
     runs.push_back(Json(std::move(run)));
   }
   doc.emplace_back("runs", Json(std::move(runs)));
+  std::printf("%s", table.to_ascii().c_str());
+
+  bench::section("binding kernel on baseband-dsp anchors: raw kernel over "
+                 "EXPLORE's one-thread queries, median of 3 passes");
+  Table kernel_table({"seed", "calls", "nodes", "solve s", "setup s",
+                      "ns/node", "setup ns/call"});
+  JsonArray kernel_runs;
+  for (const KernelRow& r : kernel_rows) {
+    kernel_table.add_row(
+        {std::to_string(r.seed), std::to_string(r.calls),
+         std::to_string(r.nodes), format_double(r.solve_s, 3),
+         format_double(r.setup_s, 3), format_double(r.ns_per_node, 1),
+         format_double(r.ns_setup_per_call, 1)});
+    JsonObject run{
+        {"preset", Json("baseband-dsp")},
+        {"seed", Json(static_cast<double>(r.seed))},
+        {"solver_calls", Json(static_cast<double>(r.calls))},
+        {"solver_nodes", Json(static_cast<double>(r.nodes))},
+        {"solve_s", Json(r.solve_s)},
+        {"setup_s", Json(r.setup_s)},
+        {"ns_per_node", Json(r.ns_per_node)},
+        {"ns_setup_per_call", Json(r.ns_setup_per_call)},
+    };
+    kernel_runs.push_back(Json(std::move(run)));
+  }
+  doc.emplace_back("binding_kernel", Json(std::move(kernel_runs)));
   std::ofstream out("BENCH_kernels.json");
   out << Json(std::move(doc)).dump(2) << '\n';
-  std::printf("%swrote BENCH_kernels.json\n", table.to_ascii().c_str());
+  std::printf("%swrote BENCH_kernels.json\n",
+              kernel_table.to_ascii().c_str());
 }
 
 // ---- --smoke: the deterministic CI gate ------------------------------------
@@ -453,6 +624,6 @@ BENCHMARK(BM_OldScalarIntersects3)->Arg(64)->Arg(320);
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) return sdf::run_smoke();
-  sdf::print_and_write(sdf::run_timings());
+  sdf::print_and_write(sdf::run_timings(), sdf::run_binding_kernel());
   return sdf::bench::run_benchmarks(argc, argv);
 }

@@ -127,6 +127,40 @@ stats = json.load(sys.stdin)["stats"]
 assert stats["hier_subsolves"] == 0, "hier path engaged on a flat-only spec"
 '
 
+echo "============ binding kernel: search trees on the deep-solve anchors ============"
+# baseband-dsp seeds 3, 47 and 213 are bench_e2e's solve_presets anchors,
+# 1-2M solver nodes each.  A kernel change may make a node cheaper, never
+# change which nodes are searched: each one-thread run must print its front
+# and exactly these solver_calls / solver_nodes.  About 1 s per anchor in
+# Release, too slow for ctest under the sanitizers.
+for anchor in 3:48014:2337694 47:70307:1136220 213:100116:1186518; do
+  IFS=: read -r seed calls nodes <<< "$anchor"
+  echo "kernel anchor baseband-dsp seed $seed"
+  "$SDF" generate --preset=baseband-dsp --seed="$seed" > /tmp/sdf_anchor.$$
+  "$SDF" explore --threads 1 --json /tmp/sdf_anchor.$$ > /tmp/sdf_anchor_out.$$
+  python3 - /tmp/sdf_anchor_out.$$ "$seed" "$calls" "$nodes" <<'PY'
+import json, sys
+FRONTS = {
+    "3": [(222, 10), (344, 12), (385, 16), (469, 17), (507, 26), (510, 28),
+          (623, 31), (632, 33), (748, 35)],
+    "47": [(146, 2), (487, 5), (552, 6), (630, 7), (633, 9), (644, 11),
+           (725, 13), (808, 14), (1013, 15)],
+    "213": [(73, 23), (151, 24), (241, 25), (243, 29), (321, 30), (354, 34),
+            (426, 37), (586, 39), (641, 41)],
+}
+doc = json.load(open(sys.argv[1]))
+seed, calls, nodes = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+front = [(p["cost"], p["flexibility"]) for p in doc["front"]]
+assert front == FRONTS[seed], f"front {front}"
+stats = doc["stats"]
+assert (stats["solver_calls"], stats["solver_nodes"]) == (calls, nodes), (
+    f"solver_calls/solver_nodes {stats['solver_calls']}/"
+    f"{stats['solver_nodes']}, expected {calls}/{nodes}")
+print(f"  {calls} calls, {nodes} nodes, wall {stats['wall_seconds']:.2f} s")
+PY
+done
+rm -f /tmp/sdf_anchor.$$ /tmp/sdf_anchor_out.$$
+
 echo "============ deadline gate: nested presets return at their deadline ============"
 # EXPLORE cannot finish nested-s or nested-m, so a --deadline-ms run must
 # stop itself: the deadline, not the frontier it leaves behind, decides when

@@ -411,15 +411,28 @@ bool SpecAnalysis::cluster_core_infeasible(ClusterId cluster) const {
   collect_core(cluster, procs, visited);
   if (procs.empty()) return false;
 
-  std::vector<std::size_t> index_of(p.node_count(), CompiledFlat::npos);
+  // Positions of the core's processes, sorted by node id.  Lint asks this
+  // of every cluster, so the index covers the core only: one sized to the
+  // whole problem graph made the rule quadratic in the spec.
+  std::vector<std::pair<std::size_t, std::size_t>> position;
+  position.reserve(procs.size());
   for (std::size_t i = 0; i < procs.size(); ++i)
-    index_of[procs[i].index()] = i;
+    position.emplace_back(procs[i].index(), i);
+  std::sort(position.begin(), position.end());
+  const auto index_of = [&position](NodeId node) {
+    const auto it = std::lower_bound(
+        position.begin(), position.end(),
+        std::pair<std::size_t, std::size_t>{node.index(), 0});
+    return it != position.end() && it->first == node.index()
+               ? it->second
+               : CompiledFlat::npos;
+  };
   std::vector<std::pair<std::size_t, std::size_t>> edges;
   for (ClusterId cid : visited) {
     for (EdgeId eid : p.cluster(cid).edges) {
       const Edge& e = p.edge(eid);
-      const std::size_t i = index_of[e.from.index()];
-      const std::size_t j = index_of[e.to.index()];
+      const std::size_t i = index_of(e.from);
+      const std::size_t j = index_of(e.to);
       if (i == CompiledFlat::npos || j == CompiledFlat::npos) continue;
       edges.emplace_back(i, j);
     }

@@ -258,9 +258,11 @@ void collect_terminal_groups(const CompiledSpec& cs, const Eca& eca,
 }
 
 /// The group's slice of a full flattening: the vertices, edges and dense
-/// attribute arrays restricted to `nodes`.  The decomposition contract
-/// guarantees no flat edge crosses the slice boundary.
-std::shared_ptr<const CompiledFlat> slice_flat(const CompiledFlat& full,
+/// attribute arrays restricted to `nodes`, with its own load orders.  The
+/// decomposition contract guarantees no flat edge crosses the slice
+/// boundary.
+std::shared_ptr<const CompiledFlat> slice_flat(const CompiledSpec& cs,
+                                               const CompiledFlat& full,
                                                const DynBitset& nodes) {
   auto sub = std::make_shared<CompiledFlat>();
   sub->index_of.assign(full.index_of.size(), CompiledFlat::npos);
@@ -288,6 +290,7 @@ std::shared_ptr<const CompiledFlat> slice_flat(const CompiledFlat& full,
     sub->graph.active_clusters.push_back(c);
   for (const NodeId i : full.graph.active_interfaces)
     if (nodes.test(i.index())) sub->graph.active_interfaces.push_back(i);
+  cs.sort_loads(*sub);
   return sub;
 }
 
@@ -356,7 +359,7 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     }
 
     std::shared_ptr<const CompiledFlat> sub_flat = std::move(probe.flat);
-    if (sub_flat == nullptr) sub_flat = slice_flat(*full, g.subtree_nodes);
+    if (sub_flat == nullptr) sub_flat = slice_flat(cs, *full, g.subtree_nodes);
 
     ++s.hier_subsolves;
     SolverStats gs;

@@ -1,6 +1,7 @@
 #include "spec/compiled.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -348,6 +349,8 @@ std::size_t flat_entry_bytes(const CompiledFlat* flat) {
     bytes += n.capacity() * sizeof(std::size_t);
   bytes += (flat->demand.capacity() + flat->footprint.capacity()) *
            sizeof(double);
+  bytes += (flat->load_order.capacity() + flat->footprint_order.capacity()) *
+           sizeof(std::uint32_t);
   return bytes;
 }
 
@@ -404,6 +407,7 @@ std::shared_ptr<const CompiledFlat> CompiledSpec::flat(
       entry->demand[i] = demand_[vertices[i].index()];
       entry->footprint[i] = footprint_[vertices[i].index()];
     }
+    sort_loads(*entry);
   }
 
   const std::lock_guard<std::mutex> lock(flat_mutex_);
@@ -421,6 +425,36 @@ std::shared_ptr<const CompiledFlat> CompiledSpec::flat(
   flat_bytes_ += it->second.bytes;
   evict_flat_locked();
   return it->second.flat;
+}
+
+void CompiledSpec::sort_loads(CompiledFlat& flat) const {
+  // Ties keep ascending index order, so every build sorts alike.
+  const std::vector<NodeId>& vertices = flat.graph.vertices;
+  std::vector<std::pair<double, std::uint32_t>> keyed;
+  std::uint32_t position = 0;
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (const CompiledMapping& m : mappings_of(vertices[i])) {
+      const double share = flat.demand[i] * m.latency;
+      if (flat.demand[i] > 0.0 && !std::isnan(share))
+        keyed.emplace_back(share, position);
+      ++position;
+    }
+  }
+  const auto largest_first = [](const std::pair<double, std::uint32_t>& a,
+                                const std::pair<double, std::uint32_t>& b) {
+    return a.first > b.first || (a.first == b.first && a.second < b.second);
+  };
+  std::sort(keyed.begin(), keyed.end(), largest_first);
+  flat.load_order.clear();
+  for (const auto& entry : keyed) flat.load_order.push_back(entry.second);
+
+  keyed.clear();
+  for (std::size_t i = 0; i < vertices.size(); ++i)
+    if (flat.footprint[i] > 0.0)
+      keyed.emplace_back(flat.footprint[i], static_cast<std::uint32_t>(i));
+  std::sort(keyed.begin(), keyed.end(), largest_first);
+  flat.footprint_order.clear();
+  for (const auto& entry : keyed) flat.footprint_order.push_back(entry.second);
 }
 
 void CompiledSpec::set_flat_cache_budget(std::size_t max_entries,

@@ -72,6 +72,14 @@ struct CompiledFlat {
   /// footprint per vertex position.
   std::vector<double> demand;
   std::vector<double> footprint;
+  /// The binding solver's load orders (`CompiledSpec::sort_loads`).
+  /// `load_order` lists the mapping alternatives of vertices with a
+  /// positive demand whose utilization share demand × latency is not NaN,
+  /// by position in the concatenation of `CompiledSpec::mappings_of` over
+  /// `graph.vertices`, largest share first; `footprint_order` lists the
+  /// vertex positions with a positive footprint, largest first.
+  std::vector<std::uint32_t> load_order;
+  std::vector<std::uint32_t> footprint_order;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
@@ -246,6 +254,11 @@ class CompiledSpec {
   /// lives.  Thread-safe.
   [[nodiscard]] std::shared_ptr<const CompiledFlat> flat(
       const ClusterSelection& selection) const;
+  /// Fills `flat.load_order` and `flat.footprint_order` from its vertices
+  /// and dense attribute arrays.  `flat()` does it for every flattening it
+  /// builds; a caller that slices its own sub-flattening (the hierarchical
+  /// solve path) does it once per slice.
+  void sort_loads(CompiledFlat& flat) const;
 
   /// Reconfigures the flatten-cache LRU budget (entries / approximate
   /// payload bytes; 0 = unlimited for that dimension) and evicts down to

@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bind/binding.hpp"
 #include "bind/eca.hpp"
+#include "bind/enumerate.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
 #include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
+#include "util/rng.hpp"
 
 namespace sdf {
 namespace {
@@ -379,6 +386,193 @@ TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
                              cancellable_opts, &cancelled)
                    .has_value());
   EXPECT_EQ(cancelled.outcome, SolveOutcome::kCancelled);
+}
+
+// ---- randomized kernel checks: solver vs exhaustive enumeration ------------------
+
+/// A small random flat instance aimed at the utilization and capacity
+/// flags.  Demands (1/8, 1/4), latencies (1, 2) and footprints (1, 2) are
+/// dyadic, so loads sum exactly and a unit can sit exactly at the 0.5 bound
+/// or at its capacity (2 to 4, less `slack`); equal shares demand × latency
+/// are common (1/8 × 2 = 1/4 × 1); some processes have no timing or no
+/// footprint; and about half the instances add a device with two exclusive
+/// configurations.
+SpecificationGraph random_kernel_spec(std::uint64_t seed, double slack) {
+  Rng rng(seed);
+  SpecBuilder b("kernel" + std::to_string(seed));
+  std::vector<NodeId> targets;
+  std::vector<NodeId> endpoints;
+  const std::size_t resources = 2 + rng.uniform(2);
+  for (std::size_t r = 0; r < resources; ++r) {
+    const NodeId res = b.resource("r" + std::to_string(r), 10.0);
+    if (rng.chance(0.6))
+      b.spec().architecture().set_attr(
+          res, attr::kCapacity,
+          static_cast<double>(2 + rng.uniform(3)) - slack);
+    targets.push_back(res);
+    endpoints.push_back(res);
+  }
+  if (rng.chance(0.5)) {
+    const NodeId dev = b.device("fpga");
+    targets.push_back(b.configuration(dev, "c0", 5.0));
+    targets.push_back(b.configuration(dev, "c1", 5.0));
+    endpoints.push_back(dev);
+  }
+  // A bus that misses one endpoint now and then, so rule 3 bites too.
+  if (endpoints.size() > 2 && rng.chance(0.3))
+    endpoints.erase(endpoints.begin() + rng.pick_index(endpoints));
+  b.bus("bus", 1.0, endpoints);
+
+  std::vector<NodeId> procs;
+  const std::size_t n = 3 + rng.uniform(4);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId p = b.process("p" + std::to_string(i));
+    if (rng.chance(0.75)) b.timing(p, 1.0, rng.chance(0.5) ? 0.125 : 0.25);
+    if (rng.chance(0.7))
+      b.spec().problem().set_attr(p, attr::kFootprint,
+                                  static_cast<double>(1 + rng.uniform(2)));
+    bool mapped = false;
+    for (const NodeId t : targets) {
+      if (!rng.chance(0.5)) continue;
+      b.map(p, t, rng.chance(0.5) ? 1.0 : 2.0);
+      mapped = true;
+    }
+    if (!mapped) b.map(p, targets[rng.pick_index(targets)], 1.0);
+    for (const NodeId q : procs)
+      if (rng.chance(0.3)) b.depends(q, p);
+    procs.push_back(p);
+  }
+  return b.build();
+}
+
+/// Random allocations of `spec`: everything, plus subsets keeping each
+/// unit with probability 0.7.
+std::vector<AllocSet> random_kernel_allocs(const SpecificationGraph& spec,
+                                           std::uint64_t seed) {
+  Rng rng(seed * 31 + 7);
+  std::vector<AllocSet> out;
+  AllocSet all = spec.make_alloc_set();
+  for (std::size_t u = 0; u < spec.alloc_units().size(); ++u) all.set(u);
+  out.push_back(all);
+  for (int k = 0; k < 3; ++k) {
+    AllocSet a = spec.make_alloc_set();
+    for (std::size_t u = 0; u < spec.alloc_units().size(); ++u)
+      if (rng.chance(0.7)) a.set(u);
+    out.push_back(a);
+  }
+  return out;
+}
+
+/// True when some unit's load under `binding` sits exactly at the 0.5
+/// bound or at its capacity rounded to the integer it was drawn as.
+bool binding_at_a_limit(const CompiledSpec& cs, const Binding& binding,
+                        const SolverOptions& options) {
+  const std::vector<double> util = unit_utilizations(cs, binding);
+  const std::vector<double> used = unit_footprints(cs, binding);
+  for (std::size_t u = 0; u < cs.unit_count(); ++u) {
+    if (options.utilization_bound > 0.0 && util[u] == 0.5) return true;
+    const double cap = cs.unit_capacity(AllocUnitId{u});
+    if (options.enforce_capacities && cap > 0.0 && used[u] == std::round(cap))
+      return true;
+  }
+  return false;
+}
+
+TEST(SolverDifferential, VerdictMatchesExhaustiveEnumeration) {
+  // On even seeds the bound and the capacities sit 1e-9 below the loads
+  // the instances can reach, so a unit loaded to them meets the limit the
+  // solver compares with (bound + 1e-9) exactly, not just the bound.
+  constexpr double kSlack = 1e-9;
+  for (const double target : {0.5, 2.0, 3.0, 4.0})
+    ASSERT_EQ((target - kSlack) + 1e-9, target);
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  std::size_t at_limit = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const double slack = seed % 2 == 0 ? kSlack : 0.0;
+    const SpecificationGraph spec = random_kernel_spec(seed, slack);
+    const CompiledSpec& cs = spec.compiled();
+    SolverOptions options;
+    options.utilization_bound = seed % 5 == 0 ? 0.0 : 0.5 - slack;
+    options.enforce_capacities = seed % 7 != 0;
+    const Eca root;  // no interfaces: the root activation is the only ECA
+    for (const AllocSet& alloc : random_kernel_allocs(spec, seed)) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " alloc " +
+                   spec.allocation_names(alloc));
+      const std::optional<Binding> got =
+          solve_binding(cs, alloc, root, options);
+      const BindingEnumeration all =
+          enumerate_bindings(cs, alloc, root, options, 1);
+      ASSERT_EQ(got.has_value(), !all.feasible.empty());
+      if (!got.has_value()) {
+        ++infeasible;
+        continue;
+      }
+      ++feasible;
+      EXPECT_TRUE(binding_feasible(cs, alloc, root, *got, options));
+      EXPECT_TRUE(binding_feasible(cs, alloc, root, all.feasible.front(),
+                                   options));
+      if (binding_at_a_limit(cs, *got, options)) ++at_limit;
+    }
+  }
+  // The sample must exercise both verdicts and bindings that meet a bound
+  // or a capacity exactly (allowed: the limits are inclusive).
+  EXPECT_GT(feasible, 200u);
+  EXPECT_GT(infeasible, 200u);
+  EXPECT_GT(at_limit, 100u);
+}
+
+TEST(SolverDifferential, ConcurrentSolvesMatchSequentialOnes) {
+  // Each thread solves through its own workspace: two threads solving
+  // different instances at once must each see exactly the search a lone
+  // thread sees — same verdict, same node count.
+  struct Query {
+    SpecificationGraph spec;
+    std::vector<AllocSet> allocs;
+    std::vector<bool> verdict;
+    std::vector<std::uint64_t> nodes;
+  };
+  SolverOptions options;
+  options.utilization_bound = 0.5;
+  std::vector<Query> queries;
+  queries.reserve(2);  // the compiled index refers into its spec: no moves
+  for (const std::uint64_t seed : {11u, 12u})
+    queries.push_back(Query{random_kernel_spec(seed, 0.0), {}, {}, {}});
+  for (std::size_t t = 0; t < queries.size(); ++t) {
+    Query& q = queries[t];
+    q.allocs = random_kernel_allocs(q.spec, 11 + t);
+    for (const AllocSet& alloc : q.allocs) {
+      SolverStats stats;
+      q.verdict.push_back(
+          solve_binding(q.spec.compiled(), alloc, Eca{}, options, &stats)
+              .has_value());
+      q.nodes.push_back(stats.nodes);
+    }
+  }
+
+  std::vector<int> mismatches(queries.size(), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < queries.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const Query& q = queries[t];
+      const CompiledSpec& cs = q.spec.compiled();
+      for (int round = 0; round < 2000; ++round) {
+        for (std::size_t k = 0; k < q.allocs.size(); ++k) {
+          SolverStats stats;
+          const std::optional<Binding> got =
+              solve_binding(cs, q.allocs[k], Eca{}, options, &stats);
+          if (got.has_value() != q.verdict[k] || stats.nodes != q.nodes[k])
+            ++mismatches[t];
+          if (got.has_value() &&
+              !binding_feasible(cs, q.allocs[k], Eca{}, *got, options))
+            ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < queries.size(); ++t)
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 // ---- implementation builder ------------------------------------------------------

@@ -212,6 +212,63 @@ INSTANTIATE_TEST_SUITE_P(
             {144944, 140178, 1, 1, 0, 1, 64, 44, 1},
             StopReason::kSolverNodes, 952.0}));
 
+/// Pinned one-thread front and solver work on generated presets whose
+/// searches drive the utilization and capacity flags hard: the binding
+/// kernel must keep the same search tree, node for node.  `raw` turns off
+/// the binding cache, the hierarchical path and the analyzer prefilter, so
+/// every query is a real search.
+struct KernelPin {
+  PlatformPreset preset;
+  std::uint64_t seed;
+  bool raw;
+  CostFlex front;
+  std::uint64_t solver_calls;
+  std::uint64_t solver_nodes;
+};
+
+void PrintTo(const KernelPin& pin, std::ostream* os) {
+  *os << preset_name(pin.preset) << "_seed_" << pin.seed
+      << (pin.raw ? "_raw" : "_default");
+}
+
+class KernelPins : public ::testing::TestWithParam<KernelPin> {};
+
+TEST_P(KernelPins, MatchPinnedSearchWork) {
+  const KernelPin& pin = GetParam();
+  const SpecificationGraph spec = generate_preset(pin.preset, pin.seed);
+  ExploreOptions options;
+  if (pin.raw) {
+    options.implementation.use_bind_cache = false;
+    options.implementation.use_hier = false;
+    options.implementation.use_analysis = false;
+  }
+  const ExploreResult result = explore(spec, options);
+  ASSERT_TRUE(result.status.ok()) << result.status.error().message;
+  EXPECT_EQ(cost_flex(result), pin.front);
+  EXPECT_EQ(result.stats.solver_calls, pin.solver_calls);
+  EXPECT_EQ(result.stats.solver_nodes, pin.solver_nodes);
+}
+
+const CostFlex kBaseband114Front = {{101, 1}, {347, 3}, {389, 5}, {481, 7},
+                                    {484, 8}, {576, 10}, {586, 12}};
+const CostFlex kSettopBox64Front = {{63, 1}, {177, 2}, {559, 6}, {691, 7}};
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, KernelPins,
+    ::testing::Values(
+        KernelPin{PlatformPreset::kBasebandDsp, 108, false, {{141, 26}}, 565,
+                  19868},
+        KernelPin{PlatformPreset::kBasebandDsp, 108, true, {{141, 26}}, 565,
+                  19868},
+        KernelPin{PlatformPreset::kBasebandDsp, 114, false, kBaseband114Front,
+                  1804, 30788},
+        KernelPin{PlatformPreset::kBasebandDsp, 114, true, kBaseband114Front,
+                  1804, 39821},
+        KernelPin{PlatformPreset::kSetTopBox, 64, false, kSettopBox64Front,
+                  6192, 37210},
+        KernelPin{PlatformPreset::kSetTopBox, 64, true, kSettopBox64Front,
+                  6192, 63649}));
+
 // ---- every thread count yields the one-thread front ------------------------
 
 class ParallelThreadSweep : public ::testing::TestWithParam<std::size_t> {};
