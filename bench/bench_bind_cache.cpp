@@ -18,9 +18,9 @@
 
 #include "bench_common.hpp"
 #include "bind/bind_cache.hpp"
-#include "bind/eca.hpp"
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 

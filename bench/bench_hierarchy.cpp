@@ -21,11 +21,11 @@
 
 #include "bench_common.hpp"
 #include "bind/bind_cache.hpp"
-#include "bind/eca.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 
 namespace sdf {

@@ -18,6 +18,15 @@
 // seed counts, the first MRV scan), the latter from a second pass whose
 // solves stop at their first decision node against a tripped budget.
 //
+// The implementation-overhead case times one-thread `build_implementation`
+// with default options over the same loop's allocations on those anchors
+// and settop-box seeds 320 and 321, and splits its time per call: the
+// activatable set's prepared ECA list, the analyzer's relaxation, the
+// binding cache's probe, revalidation and insert, and the kernel searches
+// of the cache's misses.  Each phase is one pass over all calls on a cold
+// spec, as the run would make them; the rest of the total assembles the
+// implementation.
+//
 // `--smoke` skips all timing and runs the deterministic CI gate instead:
 // every kernel must agree with the naive reference on randomized universes,
 // and in the count-based work model (word operations vs bit operations) the
@@ -29,18 +38,21 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "analysis/analysis.hpp"
 #include "bench_common.hpp"
-#include "bind/eca.hpp"
+#include "bind/bind_cache.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "explore/allocation_enum.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
 #include "gen/presets.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 #include "util/bitset_kernels.hpp"
 #include "util/dyn_bitset.hpp"
@@ -371,9 +383,10 @@ struct KernelWorkload {
   std::vector<KernelQuery> queries;
 };
 
-KernelWorkload explore_queries(const CompiledSpec& cs) {
-  KernelWorkload w;
-  const ImplementationOptions raw;
+/// The allocations EXPLORE's one-thread candidate loop builds an
+/// implementation for on `cs`, with default filters, in order.
+std::vector<AllocSet> implementation_attempts(const CompiledSpec& cs) {
+  std::vector<AllocSet> attempts;
   const double f_max = max_flexibility(cs.problem());
   double f_cur = 0.0;
   const DominanceContext dominance(cs);
@@ -383,25 +396,30 @@ KernelWorkload explore_queries(const CompiledSpec& cs) {
     const std::optional<double> est = estimate_flexibility(cs, potential);
     return est.has_value() && *est > f_cur;
   });
-  std::vector<std::pair<std::size_t, ClusterSelection>> asked;
   while (std::optional<AllocSet> a = stream.next()) {
     if (a->none() || obviously_dominated(cs, dominance, *a)) continue;
     const Activatability act(cs, *a);
     if (!act.root_activatable()) continue;
     const std::optional<double> est = act.estimated_flexibility();
     if (!est.has_value() || !(*est > f_cur)) continue;
-    for (Eca& eca :
-         enumerate_ecas(cs.problem(), act.clusters(), raw.eca_limit))
-      asked.emplace_back(w.allocs.size(), std::move(eca.selection));
-    w.allocs.push_back(*a);
-    const std::optional<Implementation> impl =
-        build_implementation(cs, *a, raw);
+    attempts.push_back(*a);
+    const std::optional<Implementation> impl = build_implementation(cs, *a);
     if (!impl.has_value() || impl->flexibility <= f_cur) continue;
     f_cur = impl->flexibility;
     if (f_cur >= f_max - 1e-9) break;
   }
-  for (const auto& [alloc, selection] : asked)
-    w.queries.push_back(KernelQuery{&w.allocs[alloc], cs.flat(selection)});
+  return attempts;
+}
+
+KernelWorkload explore_queries(const CompiledSpec& cs) {
+  KernelWorkload w;
+  w.allocs = implementation_attempts(cs);
+  const std::size_t limit = ImplementationOptions{}.eca_limit;
+  for (const AllocSet& a : w.allocs) {
+    const Activatability act(cs, a);
+    for (const Eca& eca : enumerate_ecas(cs.problem(), act.clusters(), limit))
+      w.queries.push_back(KernelQuery{&a, cs.flat(eca.selection)});
+  }
   return w;
 }
 
@@ -473,8 +491,158 @@ std::vector<KernelRow> run_binding_kernel() {
   return rows;
 }
 
+// ---- implementation overhead: where build_implementation's time goes -------
+
+/// One anchor's `build_implementation` time, split by phase: medians of
+/// the per-phase passes, in seconds over all calls.
+struct OverheadRow {
+  PlatformPreset preset;
+  std::uint64_t seed;
+  std::size_t calls;    ///< build_implementation calls
+  std::size_t queries;  ///< ECA queries (`solver_calls`)
+  std::size_t misses;   ///< queries the binding cache sent to the kernel
+  double total_s;       ///< build_implementation itself
+  double prepare_s;     ///< activatability and the prepared ECA list
+  double relax_s;       ///< the analyzer's relaxation, every query
+  double cache_s;       ///< cache probe, revalidation and insert
+  double search_s;      ///< kernel searches of the cache's misses
+};
+
+/// One query the binding cache answers: a hit, or a miss with the verdict
+/// its search found.
+struct CacheQuery {
+  const AllocSet* alloc;
+  const PreparedEca* eca;
+  bool miss;
+  std::optional<Binding> verdict;
+};
+
+/// Times the phases of `build_implementation` over `attempts` on a cold
+/// spec, each one pass over every call in order: `prepare_s`, `relax_s`,
+/// `search_s` (the kernel on the binding cache's misses alone) and
+/// `cache_s` (the frontier work of `BindCache::solve` without its
+/// searches: probe, revalidation of a stored witness, insert of the
+/// verdict, replayed on a fresh frontier with the verdicts the cache's
+/// own pass found).  The anchors do not decompose, so the hierarchical
+/// path never engages.
+void time_phases(OverheadRow& row, const std::vector<AllocSet>& attempts) {
+  const SpecificationGraph spec = generate_preset(row.preset, row.seed);
+  const CompiledSpec& cs = spec.compiled();
+  const SpecAnalysis analysis(cs);
+  const std::size_t limit = ImplementationOptions{}.eca_limit;
+  row.misses = 0;
+
+  auto t0 = Clock::now();
+  std::vector<std::shared_ptr<const PreparedEcas>> lists;
+  for (const AllocSet& a : attempts) {
+    const Activatability act(cs, a);
+    lists.push_back(cs.prepared_ecas(act.clusters(), limit));
+  }
+  row.prepare_s = seconds_since(t0);
+
+  t0 = Clock::now();
+  std::vector<std::uint8_t> pruned;
+  for (std::size_t i = 0; i < attempts.size(); ++i)
+    for (const PreparedEca& eca : *lists[i])
+      pruned.push_back(analysis.eca_infeasible(attempts[i], eca) ? 1 : 0);
+  row.relax_s = seconds_since(t0);
+  row.queries = pruned.size();
+
+  // Untimed: which queries the cache answers, and the misses' verdicts.
+  BindCache cache;
+  std::vector<CacheQuery> asked;
+  std::size_t q = 0;
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    for (const PreparedEca& eca : *lists[i]) {
+      if (pruned[q++] != 0) continue;
+      SolverStats stats;
+      std::optional<Binding> verdict =
+          cache.solve(cs, attempts[i], eca, {}, &stats);
+      const bool miss =
+          stats.cache_hits_feasible + stats.cache_hits_infeasible == 0;
+      if (miss) ++row.misses;
+      asked.push_back(CacheQuery{&attempts[i], &eca, miss,
+                                 miss ? std::move(verdict) : std::nullopt});
+    }
+  }
+
+  std::vector<std::pair<const AllocSet*, const CompiledFlat*>> searches;
+  for (const CacheQuery& query : asked)
+    if (query.miss && query.eca->flat != nullptr)
+      searches.emplace_back(query.alloc, query.eca->flat.get());
+  t0 = Clock::now();
+  for (const auto& [alloc, flat] : searches)
+    benchmark::DoNotOptimize(solve_binding_flat(cs, *alloc, *flat));
+  row.search_s = seconds_since(t0);
+
+  MonotoneFrontier frontier(16);
+  t0 = Clock::now();
+  for (const CacheQuery& query : asked) {
+    const MonotoneFrontier::Key& key = query.eca->key;
+    const MonotoneFrontier::Probe probe = frontier.probe(key, *query.alloc);
+    if (probe.infeasible) continue;
+    if (probe.witness.has_value() && query.eca->flat != nullptr &&
+        binding_feasible_flat(cs, *query.alloc, *query.eca->flat,
+                              *probe.witness))
+      continue;
+    frontier.insert(key, *query.alloc,
+                    query.verdict.has_value() ? &*query.verdict : nullptr);
+  }
+  row.cache_s = seconds_since(t0);
+}
+
+std::vector<OverheadRow> run_implementation_overhead() {
+  constexpr int kReps = 3;
+  std::vector<OverheadRow> rows;
+  for (const auto& [preset, seed] :
+       {std::pair{PlatformPreset::kBasebandDsp, 3u},
+        std::pair{PlatformPreset::kBasebandDsp, 47u},
+        std::pair{PlatformPreset::kBasebandDsp, 213u},
+        std::pair{PlatformPreset::kSetTopBox, 320u},
+        std::pair{PlatformPreset::kSetTopBox, 321u}}) {
+    std::vector<AllocSet> attempts;
+    {
+      const SpecificationGraph spec = generate_preset(preset, seed);
+      attempts = implementation_attempts(spec.compiled());
+    }
+    std::vector<double> total, prepare, relax, cache, search;
+    OverheadRow row{preset, seed, attempts.size(), 0, 0, 0, 0, 0, 0, 0};
+    for (int rep = 0; rep < kReps; ++rep) {
+      {
+        // The engine's run-local caches and analyzer, on a cold spec.
+        const SpecificationGraph spec = generate_preset(preset, seed);
+        const CompiledSpec& cs = spec.compiled();
+        const SpecAnalysis analysis(cs);
+        BindCache bind_cache;
+        HierCache hier_cache;
+        ImplementationOptions options;
+        options.analysis = &analysis;
+        options.bind_cache = &bind_cache;
+        options.hier_cache = &hier_cache;
+        const auto t0 = Clock::now();
+        for (const AllocSet& a : attempts)
+          benchmark::DoNotOptimize(build_implementation(cs, a, options));
+        total.push_back(seconds_since(t0));
+      }
+      time_phases(row, attempts);
+      prepare.push_back(row.prepare_s);
+      relax.push_back(row.relax_s);
+      cache.push_back(row.cache_s);
+      search.push_back(row.search_s);
+    }
+    row.total_s = median_of(total);
+    row.prepare_s = median_of(prepare);
+    row.relax_s = median_of(relax);
+    row.cache_s = median_of(cache);
+    row.search_s = median_of(search);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 void print_and_write(const std::vector<Row>& rows,
-                     const std::vector<KernelRow>& kernel_rows) {
+                     const std::vector<KernelRow>& kernel_rows,
+                     const std::vector<OverheadRow>& overhead_rows) {
   bench::section("bitset kernels: ns/op, kernel vs pre-refactor scalar vs "
                  "per-bit naive");
   Table table({"primitive", "bits", "kernel ns", "scalar ns", "naive ns",
@@ -529,10 +697,48 @@ void print_and_write(const std::vector<Row>& rows,
     kernel_runs.push_back(Json(std::move(run)));
   }
   doc.emplace_back("binding_kernel", Json(std::move(kernel_runs)));
+  std::printf("%s", kernel_table.to_ascii().c_str());
+
+  bench::section("build_implementation per call, one thread, default "
+                 "options: median of 3 cold passes, microseconds");
+  Table overhead_table({"preset", "seed", "calls", "queries", "total",
+                        "prepare", "relaxation", "cache", "search"});
+  JsonArray overhead_runs;
+  for (const OverheadRow& r : overhead_rows) {
+    const double per_call =
+        1e6 / static_cast<double>(std::max<std::size_t>(r.calls, 1));
+    overhead_table.add_row(
+        {preset_name(r.preset), std::to_string(r.seed),
+         std::to_string(r.calls), std::to_string(r.queries),
+         format_double(r.total_s * per_call, 1),
+         format_double(r.prepare_s * per_call, 1),
+         format_double(r.relax_s * per_call, 1),
+         format_double(r.cache_s * per_call, 1),
+         format_double(r.search_s * per_call, 1)});
+    JsonObject run{
+        {"preset", Json(preset_name(r.preset))},
+        {"seed", Json(static_cast<double>(r.seed))},
+        {"implementation_calls", Json(static_cast<double>(r.calls))},
+        {"solver_calls", Json(static_cast<double>(r.queries))},
+        {"cache_misses", Json(static_cast<double>(r.misses))},
+        {"total_s", Json(r.total_s)},
+        {"prepare_s", Json(r.prepare_s)},
+        {"relaxation_s", Json(r.relax_s)},
+        {"cache_probe_s", Json(r.cache_s)},
+        {"search_s", Json(r.search_s)},
+        {"us_per_call_total", Json(r.total_s * per_call)},
+        {"us_per_call_prepare", Json(r.prepare_s * per_call)},
+        {"us_per_call_relaxation", Json(r.relax_s * per_call)},
+        {"us_per_call_cache_probe", Json(r.cache_s * per_call)},
+        {"us_per_call_search", Json(r.search_s * per_call)},
+    };
+    overhead_runs.push_back(Json(std::move(run)));
+  }
+  doc.emplace_back("implementation_overhead", Json(std::move(overhead_runs)));
   std::ofstream out("BENCH_kernels.json");
   out << Json(std::move(doc)).dump(2) << '\n';
   std::printf("%swrote BENCH_kernels.json\n",
-              kernel_table.to_ascii().c_str());
+              overhead_table.to_ascii().c_str());
 }
 
 // ---- --smoke: the deterministic CI gate ------------------------------------
@@ -624,6 +830,7 @@ BENCHMARK(BM_OldScalarIntersects3)->Arg(64)->Arg(320);
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) return sdf::run_smoke();
-  sdf::print_and_write(sdf::run_timings(), sdf::run_binding_kernel());
+  sdf::print_and_write(sdf::run_timings(), sdf::run_binding_kernel(),
+                       sdf::run_implementation_overhead());
   return sdf::bench::run_benchmarks(argc, argv);
 }

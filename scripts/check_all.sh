@@ -128,35 +128,56 @@ assert stats["hier_subsolves"] == 0, "hier path engaged on a flat-only spec"
 '
 
 echo "============ binding kernel: search trees on the deep-solve anchors ============"
-# baseband-dsp seeds 3, 47 and 213 are bench_e2e's solve_presets anchors,
-# 1-2M solver nodes each.  A kernel change may make a node cheaper, never
-# change which nodes are searched: each one-thread run must print its front
-# and exactly these solver_calls / solver_nodes.  About 1 s per anchor in
+# baseband-dsp seeds 3, 47 and 213 and settop-box seeds 320 and 321 are
+# bench_e2e's solve_presets anchors: 1-2M solver nodes each on the
+# baseband seeds, 12-15k mostly cached queries on the settop-box seeds.  A
+# kernel or cache change may make a node or a query cheaper, never change
+# which nodes are searched or which queries a cache or the analyzer
+# answers: each one-thread run must print its front and exactly these
+# solver, cache and analyzer counters.  About 1 s per baseband anchor in
 # Release, too slow for ctest under the sanitizers.
-for anchor in 3:48014:2337694 47:70307:1136220 213:100116:1186518; do
-  IFS=: read -r seed calls nodes <<< "$anchor"
-  echo "kernel anchor baseband-dsp seed $seed"
-  "$SDF" generate --preset=baseband-dsp --seed="$seed" > /tmp/sdf_anchor.$$
+for anchor in baseband-dsp:3 baseband-dsp:47 baseband-dsp:213 \
+              settop-box:320 settop-box:321; do
+  preset=${anchor%:*}
+  seed=${anchor#*:}
+  echo "kernel anchor $preset seed $seed"
+  "$SDF" generate --preset="$preset" --seed="$seed" > /tmp/sdf_anchor.$$
   "$SDF" explore --threads 1 --json /tmp/sdf_anchor.$$ > /tmp/sdf_anchor_out.$$
-  python3 - /tmp/sdf_anchor_out.$$ "$seed" "$calls" "$nodes" <<'PY'
+  python3 - /tmp/sdf_anchor_out.$$ "$anchor" <<'PY'
 import json, sys
 FRONTS = {
-    "3": [(222, 10), (344, 12), (385, 16), (469, 17), (507, 26), (510, 28),
-          (623, 31), (632, 33), (748, 35)],
-    "47": [(146, 2), (487, 5), (552, 6), (630, 7), (633, 9), (644, 11),
-           (725, 13), (808, 14), (1013, 15)],
-    "213": [(73, 23), (151, 24), (241, 25), (243, 29), (321, 30), (354, 34),
-            (426, 37), (586, 39), (641, 41)],
+    "baseband-dsp:3": [(222, 10), (344, 12), (385, 16), (469, 17), (507, 26),
+                       (510, 28), (623, 31), (632, 33), (748, 35)],
+    "baseband-dsp:47": [(146, 2), (487, 5), (552, 6), (630, 7), (633, 9),
+                        (644, 11), (725, 13), (808, 14), (1013, 15)],
+    "baseband-dsp:213": [(73, 23), (151, 24), (241, 25), (243, 29), (321, 30),
+                         (354, 34), (426, 37), (586, 39), (641, 41)],
+    "settop-box:320": [(101, 11)],
+    "settop-box:321": [(150, 11), (296, 12), (437, 13), (439, 15), (755, 16),
+                       (812, 17), (990, 18)],
+}
+KEYS = ("solver_calls", "solver_nodes", "cache_hits_feasible",
+        "cache_hits_infeasible", "cache_revalidations", "analysis_pruned",
+        "hier_subsolves", "cache_entries", "flat_cache_entries")
+COUNTERS = {
+    "baseband-dsp:3": (48014, 2337694, 8578, 0, 8578, 9439, 0, 7451, 185),
+    "baseband-dsp:47": (70307, 1136220, 5978, 0, 5978, 10412, 0, 4844, 42),
+    "baseband-dsp:213": (100116, 1186518, 70431, 0, 70431, 6055, 0, 3049, 162),
+    "settop-box:320": (14688, 1894, 14178, 0, 14178, 185, 0, 72, 36),
+    "settop-box:321": (12672, 20111, 10364, 0, 10364, 795, 0, 280, 48),
 }
 doc = json.load(open(sys.argv[1]))
-seed, calls, nodes = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+anchor = sys.argv[2]
 front = [(p["cost"], p["flexibility"]) for p in doc["front"]]
-assert front == FRONTS[seed], f"front {front}"
+assert front == FRONTS[anchor], f"front {front}"
 stats = doc["stats"]
-assert (stats["solver_calls"], stats["solver_nodes"]) == (calls, nodes), (
-    f"solver_calls/solver_nodes {stats['solver_calls']}/"
-    f"{stats['solver_nodes']}, expected {calls}/{nodes}")
-print(f"  {calls} calls, {nodes} nodes, wall {stats['wall_seconds']:.2f} s")
+got = tuple(stats[k] for k in KEYS)
+want = COUNTERS[anchor]
+assert got == want, "counters differ: " + ", ".join(
+    f"{k} {g} (expected {w})" for k, g, w in zip(KEYS, got, want) if g != w)
+print(f"  {stats['solver_calls']} calls, {stats['solver_nodes']} nodes, "
+      f"{stats['cache_hits_feasible']} feasible cache hits, "
+      f"wall {stats['wall_seconds']:.2f} s")
 PY
 done
 rm -f /tmp/sdf_anchor.$$ /tmp/sdf_anchor_out.$$

@@ -27,6 +27,53 @@ Json bound_json(double v) {
   return std::isinf(v) ? Json() : Json(v);
 }
 
+/// Scratch of one relaxation, kept per thread so that the steady state
+/// allocates nothing.  Between calls `live` is empty and `forced_fp` /
+/// `forced_util` hold 0 at every unit: a call resets the units it forced
+/// (`forced`) and clears `live` instead of refilling the unit universe.
+struct RelaxationScratch {
+  DynBitset live;                   ///< union of the live candidates' units
+  std::vector<double> forced_fp;    ///< by unit: summed forced footprint
+  std::vector<double> forced_util;  ///< by unit: summed forced utilization
+  std::vector<std::size_t> forced;  ///< units with a forced process
+  /// One forced configuration cluster per device top.
+  std::vector<std::pair<NodeId, ClusterId>> forced_configs;
+};
+
+/// The calling thread's relaxation scratch, sized to `unit_count` units and
+/// reset when the lease ends, whichever way the relaxation returns.
+class RelaxationLease {
+ public:
+  explicit RelaxationLease(std::size_t unit_count) : s_(thread_scratch()) {
+    if (s_.live.size() != unit_count) s_.live = DynBitset(unit_count);
+    if (s_.forced_fp.size() < unit_count) {
+      s_.forced_fp.resize(unit_count, 0.0);
+      s_.forced_util.resize(unit_count, 0.0);
+    }
+  }
+  ~RelaxationLease() {
+    s_.live.clear();
+    for (const std::size_t u : s_.forced) {
+      s_.forced_fp[u] = 0.0;
+      s_.forced_util[u] = 0.0;
+    }
+    s_.forced.clear();
+    s_.forced_configs.clear();
+  }
+  RelaxationLease(const RelaxationLease&) = delete;
+  RelaxationLease& operator=(const RelaxationLease&) = delete;
+
+  [[nodiscard]] RelaxationScratch& operator*() const { return s_; }
+
+ private:
+  static RelaxationScratch& thread_scratch() {
+    thread_local RelaxationScratch scratch;
+    return scratch;
+  }
+
+  RelaxationScratch& s_;
+};
+
 }  // namespace
 
 SpecAnalysis::SpecAnalysis(const CompiledSpec& cs,
@@ -231,14 +278,17 @@ bool SpecAnalysis::relaxation_infeasible(
     return true;
   };
 
-  DynBitset live_union(cs_.unit_count());
-  std::vector<double> forced_fp;    // summed footprint of forced processes
-  std::vector<double> forced_util;  // summed minimal utilization, forced
+  const RelaxationLease lease(cs_.unit_count());
+  RelaxationScratch& scratch = *lease;
+  DynBitset& live_union = scratch.live;
+  std::vector<double>& forced_fp = scratch.forced_fp;
+  std::vector<double>& forced_util = scratch.forced_util;
   double total_fp = 0.0;
   double total_util = 0.0;
   // One forced configuration cluster per device top; a second distinct one
   // proves an exclusive-configuration conflict.
-  std::vector<std::pair<NodeId, ClusterId>> forced_configs;
+  std::vector<std::pair<NodeId, ClusterId>>& forced_configs =
+      scratch.forced_configs;
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::span<const CompiledMapping> maps = cs_.mappings_of(procs[i]);
@@ -263,10 +313,7 @@ bool SpecAnalysis::relaxation_infeasible(
     if (multiple) continue;
     // Forced assignment: every feasible binding puts `procs[i]` on `single`.
     const std::size_t u = single.index();
-    if (forced_fp.size() < cs_.unit_count()) {
-      forced_fp.resize(cs_.unit_count(), 0.0);
-      forced_util.resize(cs_.unit_count(), 0.0);
-    }
+    scratch.forced.push_back(u);
     forced_fp[u] += footprint[i];
     forced_util[u] += min_util;
     if (check_cap) {
@@ -338,19 +385,12 @@ bool SpecAnalysis::relaxation_infeasible(
   return false;
 }
 
-bool SpecAnalysis::eca_infeasible(const AllocSet& alloc, const Eca& eca) const {
-  const std::shared_ptr<const CompiledFlat> flat = cs_.flat(eca.selection);
+bool SpecAnalysis::eca_infeasible(const AllocSet& alloc,
+                                  const PreparedEca& eca) const {
+  const CompiledFlat* flat = eca.flat.get();
   if (flat == nullptr) return false;  // cannot reason: leave it to the solver
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  edges.reserve(flat->graph.edges.size());
-  for (const auto& [from, to] : flat->graph.edges) {
-    const std::size_t i = flat->index_of[from.index()];
-    const std::size_t j = flat->index_of[to.index()];
-    if (i == CompiledFlat::npos || j == CompiledFlat::npos) continue;
-    edges.emplace_back(i, j);
-  }
   return relaxation_infeasible(alloc, flat->graph.vertices, flat->demand,
-                               flat->footprint, edges);
+                               flat->footprint, flat->edge_pairs);
 }
 
 bool SpecAnalysis::allocation_infeasible(const AllocSet& alloc) const {

@@ -45,11 +45,11 @@
 #include <string>
 #include <vector>
 
-// Header-only uses: SolverOptions (option vocabulary shared with the
-// solver) and Eca.  sdf_analysis does NOT link sdf_bind — the prefilter
-// call sites live in sdf_bind, which links this library.
-#include "bind/eca.hpp"
+// Header-only use: SolverOptions (option vocabulary shared with the
+// solver).  sdf_analysis does NOT link sdf_bind — the prefilter call sites
+// live in sdf_bind, which links this library.
 #include "bind/solver.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 #include "spec/specification.hpp"
 #include "util/json.hpp"
@@ -89,7 +89,8 @@ struct ClusterBounds {
 };
 
 /// Whole-spec static analysis; immutable after construction, safe to share
-/// across threads (all queries are const and allocate only local scratch).
+/// across threads (all queries are const; the relaxation's scratch is
+/// per thread).
 class SpecAnalysis {
  public:
   /// Builds every summary in one pass over the hierarchy.  `cs` must
@@ -131,9 +132,10 @@ class SpecAnalysis {
 
   /// Proof attempt for one solver query: true means the solver would return
   /// kInfeasible for (alloc, eca) under `options().solver` — the caller may
-  /// skip the search.  False proves nothing.
+  /// skip the search.  False proves nothing.  Runs on `eca.flat`; `eca`
+  /// must have been prepared by `compiled()` (`CompiledSpec::prepare`).
   [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
-                                    const Eca& eca) const;
+                                    const PreparedEca& eca) const;
 
   /// ECA-independent form over the mandatory core (processes active in
   /// *every* elementary activation): true proves no activation of the

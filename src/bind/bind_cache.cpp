@@ -140,38 +140,15 @@ void MonotoneFrontier::clear() {
 
 // ---- BindCache --------------------------------------------------------------
 
-namespace {
-
-/// Canonical per-ECA key: the sorted cluster-selection pairs plus the
-/// activated cluster ids.  Two ECAs with the same key flatten to the same
-/// subproblem, so their frontiers are interchangeable.
-Key make_key(const Eca& eca) {
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> selection =
-      eca.selection.key();
-  Key key;
-  key.reserve(2 * selection.size() + eca.clusters.size() + 2);
-  key.push_back(static_cast<std::uint32_t>(selection.size()));
-  for (const auto& [interface_id, cluster_id] : selection) {
-    key.push_back(interface_id);
-    key.push_back(cluster_id);
-  }
-  key.push_back(static_cast<std::uint32_t>(eca.clusters.size()));
-  for (const ClusterId c : eca.clusters)
-    key.push_back(static_cast<std::uint32_t>(c.index()));
-  return key;
-}
-
-}  // namespace
-
 std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
-                                        const AllocSet& alloc, const Eca& eca,
+                                        const AllocSet& alloc,
+                                        const PreparedEca& eca,
                                         const SolverOptions& options,
                                         SolverStats* stats) {
   SolverStats local;
   SolverStats& s = stats != nullptr ? *stats : local;
 
-  const Key key = make_key(eca);
-  MonotoneFrontier::Probe probe = frontier_.probe(key, alloc);
+  MonotoneFrontier::Probe probe = frontier_.probe(eca.key, alloc);
   if (probe.infeasible) {
     s.aborted = false;
     s.outcome = SolveOutcome::kInfeasible;
@@ -180,7 +157,8 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
   }
   if (probe.witness.has_value()) {
     ++s.cache_revalidations;
-    if (binding_feasible(cs, alloc, eca, *probe.witness, options)) {
+    if (eca.flat != nullptr &&
+        binding_feasible_flat(cs, alloc, *eca.flat, *probe.witness, options)) {
       s.aborted = false;
       s.outcome = SolveOutcome::kFeasible;
       ++s.cache_hits_feasible;
@@ -190,72 +168,33 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
     // by falling through to a real solve.
   }
 
-  std::optional<Binding> solved = solve_binding(cs, alloc, eca, options, &s);
+  std::optional<Binding> solved;
+  if (eca.flat != nullptr) {
+    solved = solve_binding_flat(cs, alloc, *eca.flat, options, &s);
+  } else {
+    // A selection that does not flatten has no binding.
+    s.aborted = false;
+    s.outcome = SolveOutcome::kInfeasible;
+  }
   if (s.outcome == SolveOutcome::kFeasible && solved.has_value())
-    frontier_.insert(key, alloc, &*solved);
+    frontier_.insert(eca.key, alloc, &*solved);
   else if (s.outcome == SolveOutcome::kInfeasible)
-    frontier_.insert(key, alloc, nullptr);
+    frontier_.insert(eca.key, alloc, nullptr);
   // kBudgetExceeded / kCancelled: the solver gave up — that
   // verdict proves nothing and must never enter the frontier.
   return solved;
 }
 
+std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
+                                        const AllocSet& alloc, const Eca& eca,
+                                        const SolverOptions& options,
+                                        SolverStats* stats) {
+  return solve(cs, alloc, cs.prepare(eca), options, stats);
+}
+
 // ---- HierCache --------------------------------------------------------------
 
 namespace {
-
-/// Cache key of one terminal group under one ECA: cluster id, group index,
-/// the group's static port-signature digest, and the cluster selection
-/// restricted to the group's subtree interfaces (which fully determines the
-/// group's flat sub-problem).
-Key make_group_key(ClusterId cluster, std::uint32_t group_index,
-                   const ClusterGroup& group, const Eca& eca) {
-  Key key;
-  key.reserve(6 + 2 * group.subtree_interfaces.count());
-  key.push_back(static_cast<std::uint32_t>(cluster.index()));
-  key.push_back(group_index);
-  key.push_back(static_cast<std::uint32_t>(group.signature));
-  key.push_back(static_cast<std::uint32_t>(group.signature >> 32));
-  const std::size_t restriction_slot = key.size();
-  key.push_back(0);  // patched below: number of restricted selection pairs
-  std::uint32_t pairs = 0;
-  for (const auto& [iface, cl] : eca.selection.key()) {
-    if (!group.subtree_interfaces.test(iface)) continue;
-    key.push_back(iface);
-    key.push_back(cl);
-    ++pairs;
-  }
-  key[restriction_slot] = pairs;
-  return key;
-}
-
-/// One terminal group of the recursive decomposition of an ECA.
-struct TerminalGroup {
-  ClusterId cluster;
-  std::uint32_t index = 0;  ///< position in the cluster's decomposition
-  const ClusterGroup* group = nullptr;
-};
-
-/// Walks the decomposition under `eca.selection`: single-interface groups
-/// whose selected alternative itself decomposes recurse into it; everything
-/// else is terminal.  The terminal groups' subtree node sets partition the
-/// active leaves of the flattening.
-void collect_terminal_groups(const CompiledSpec& cs, const Eca& eca,
-                             ClusterId cluster,
-                             std::vector<TerminalGroup>& out) {
-  const ClusterDecomposition& d = cs.decomposition(cluster);
-  for (std::size_t gi = 0; gi < d.groups.size(); ++gi) {
-    const ClusterGroup& g = d.groups[gi];
-    if (g.single_interface) {
-      const ClusterId alt = eca.selection.selected(g.items[0]);
-      if (alt.valid() && cs.decomposition(alt).useful) {
-        collect_terminal_groups(cs, eca, alt, out);
-        continue;
-      }
-    }
-    out.push_back(TerminalGroup{cluster, static_cast<std::uint32_t>(gi), &g});
-  }
-}
 
 /// The group's slice of a full flattening: the vertices, edges and dense
 /// attribute arrays restricted to `nodes`, with its own load orders.  The
@@ -285,6 +224,7 @@ std::shared_ptr<const CompiledFlat> slice_flat(const CompiledSpec& cs,
     const std::size_t j = sub->index_of[to.index()];
     sub->adj[i].push_back(j);
     if (j != i) sub->adj[j].push_back(i);
+    sub->edge_pairs.emplace_back(i, j);
   }
   for (const ClusterId c : full.graph.active_clusters)
     sub->graph.active_clusters.push_back(c);
@@ -312,7 +252,8 @@ AllocSet project_alloc(const CompiledSpec& cs, const AllocSet& alloc,
 }  // namespace
 
 std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
-                                        const AllocSet& alloc, const Eca& eca,
+                                        const AllocSet& alloc,
+                                        const PreparedEca& eca,
                                         const SolverOptions& options,
                                         SolverStats* stats) {
   SolverStats local;
@@ -321,22 +262,17 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
   // Infeasible until every terminal group is proven feasible.
   s.outcome = SolveOutcome::kInfeasible;
 
-  // The memoized flattening is still consulted once — it decides
-  // flattenability exactly like the flat path and is the substrate terminal
-  // groups are sliced from on a miss.  What the hierarchical path never does
-  // is *search* the flat problem as a whole.
-  const std::shared_ptr<const CompiledFlat> full = cs.flat(eca.selection);
-  if (full == nullptr) return std::nullopt;
-
-  std::vector<TerminalGroup> terminals;
-  collect_terminal_groups(cs, eca, cs.problem().root(), terminals);
+  // The memoized flattening decides flattenability exactly like the flat
+  // path and is the substrate terminal groups are sliced from on a miss.
+  // What the hierarchical path never does is *search* the flat problem as
+  // a whole.
+  if (eca.flat == nullptr) return std::nullopt;
 
   Binding combined;
-  for (const TerminalGroup& t : terminals) {
+  for (const PreparedGroup& t : eca.groups) {
     const ClusterGroup& g = *t.group;
-    const Key key = make_group_key(t.cluster, t.index, g, eca);
     const AllocSet proj = project_alloc(cs, alloc, g, options);
-    MonotoneFrontier::Probe probe = frontier_.probe(key, proj);
+    MonotoneFrontier::Probe probe = frontier_.probe(t.key, proj);
 
     if (probe.infeasible) {
       // One infeasible group refutes the whole ECA; later groups are never
@@ -359,7 +295,8 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     }
 
     std::shared_ptr<const CompiledFlat> sub_flat = std::move(probe.flat);
-    if (sub_flat == nullptr) sub_flat = slice_flat(cs, *full, g.subtree_nodes);
+    if (sub_flat == nullptr)
+      sub_flat = slice_flat(cs, *eca.flat, g.subtree_nodes);
 
     ++s.hier_subsolves;
     SolverStats gs;
@@ -369,13 +306,13 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
     s.backtracks += gs.backtracks;
 
     if (gs.outcome == SolveOutcome::kFeasible && solved.has_value()) {
-      frontier_.insert(key, proj, &*solved, std::move(sub_flat));
+      frontier_.insert(t.key, proj, &*solved, std::move(sub_flat));
       for (const BindingAssignment& a : solved->assignments())
         combined.assign(a);
       continue;
     }
     if (gs.outcome == SolveOutcome::kInfeasible) {
-      frontier_.insert(key, proj, nullptr, std::move(sub_flat));
+      frontier_.insert(t.key, proj, nullptr, std::move(sub_flat));
       return std::nullopt;
     }
     // Budget / cancel / node-limit: proves nothing, cache nothing.
@@ -386,6 +323,13 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
 
   s.outcome = SolveOutcome::kFeasible;
   return combined;
+}
+
+std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
+                                        const AllocSet& alloc, const Eca& eca,
+                                        const SolverOptions& options,
+                                        SolverStats* stats) {
+  return solve(cs, alloc, cs.prepare(eca), options, stats);
 }
 
 }  // namespace sdf

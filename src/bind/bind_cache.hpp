@@ -49,9 +49,12 @@
 
 namespace sdf {
 
+struct PreparedEca;
+
 /// Per-key antichains of minimal feasible allocations (with witnesses) and
 /// maximal infeasible allocations, in mutex-guarded shards.  A key is an
-/// opaque word vector; each cache builds its own.
+/// opaque word vector, prepared once per ECA (`PreparedEca::key` for
+/// `BindCache`, `PreparedGroup::key` for `HierCache`).
 class MonotoneFrontier {
  public:
   using Key = std::vector<std::uint32_t>;
@@ -111,8 +114,10 @@ class MonotoneFrontier {
 ///
 /// Each group's sub-result is memoized in the same `MonotoneFrontier` the
 /// per-ECA `BindCache` uses, keyed by (cluster, group, port-signature
-/// digest, selection restricted to the group's subtree interfaces) and
-/// probed with the allocation *projected* onto the group's unit share, so
+/// digest, selection restricted to the group's subtree interfaces) — the
+/// prepared ECA carries its terminal groups and their keys
+/// (`PreparedEca::groups`) — and probed with the allocation *projected*
+/// onto the group's unit share, so
 /// the sub-result is reused across every ECA that selects the same sub-tree
 /// and every allocation that agrees on the group's units (the
 /// "residual-capacity class").  On specs with repeated or deeply nested
@@ -132,7 +137,14 @@ class HierCache {
   /// `cs.hier_useful()` holds; the caller is expected to fall back to the
   /// flat path (or `BindCache`) otherwise.  Per-call `stats` fields are
   /// reset exactly like `solve_binding`; cumulative counters (including
-  /// `hier_subsolves` / `hier_hits`) accumulate.
+  /// `hier_subsolves` / `hier_hits`) accumulate.  `eca` must have been
+  /// prepared by `cs`.
+  [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
+                                             const AllocSet& alloc,
+                                             const PreparedEca& eca,
+                                             const SolverOptions& options = {},
+                                             SolverStats* stats = nullptr);
+  /// Same, preparing `eca` first (`CompiledSpec::prepare`).
   [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
                                              const AllocSet& alloc,
                                              const Eca& eca,
@@ -163,7 +175,15 @@ class BindCache {
   ///
   /// Per-call `stats` fields (`outcome`, `aborted`) are reset exactly like
   /// `solve_binding`; cumulative counters (including `cache_hits_*` and
-  /// `cache_revalidations`) accumulate.
+  /// `cache_revalidations`) accumulate.  The frontier is keyed by
+  /// `eca.key`, and a cached witness is revalidated on `eca.flat`; `eca`
+  /// must have been prepared by `cs`.
+  [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
+                                             const AllocSet& alloc,
+                                             const PreparedEca& eca,
+                                             const SolverOptions& options = {},
+                                             SolverStats* stats = nullptr);
+  /// Same, preparing `eca` first (`CompiledSpec::prepare`).
   [[nodiscard]] std::optional<Binding> solve(const CompiledSpec& cs,
                                              const AllocSet& alloc,
                                              const Eca& eca,

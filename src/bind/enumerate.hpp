@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "bind/eca.hpp"
 #include "bind/solver.hpp"
+#include "graph/eca.hpp"
 
 namespace sdf {
 

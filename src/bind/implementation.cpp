@@ -40,10 +40,10 @@ std::optional<Implementation> build_implementation(
   const Activatability act(cs, alloc);
   if (!act.root_activatable()) return std::nullopt;
 
-  const std::vector<Eca> ecas =
-      enumerate_ecas(cs.problem(), act.clusters(), options.eca_limit);
-  st.ecas_enumerated += ecas.size();
-  if (ecas.empty()) return std::nullopt;
+  // The activatable set's ECAs, flattened and keyed once per spec.
+  const std::shared_ptr<const PreparedEcas> ecas =
+      cs.prepared_ecas(act.clusters(), options.eca_limit);
+  if (ecas->empty()) return std::nullopt;
 
   Implementation impl;
   impl.units = alloc;
@@ -58,23 +58,32 @@ std::optional<Implementation> build_implementation(
                         ? options.hier_cache
                         : nullptr;
 
-  for (const Eca& eca : ecas) {
+  PreparedEca spare;
+  for (const PreparedEca& listed : *ecas) {
+    // An entry past the memo's byte budget holds its ECA alone.
+    const PreparedEca& prepared =
+        listed.prepared() ? listed : (spare = cs.prepare(listed.eca));
     SolverStats ss;
     // `solver_calls` counts *queries*, not searches — it stays invariant
     // under the cache and under this prefilter, so checkpointed counters
     // and pinned test expectations are unaffected.
     ++st.solver_calls;
-    if (analysis != nullptr && analysis->eca_infeasible(alloc, eca)) {
+    if (analysis != nullptr && analysis->eca_infeasible(alloc, prepared)) {
       // Sound proof: the solver would return kInfeasible.  Same verdict,
       // zero nodes searched.
       ++st.analysis_pruned;
       continue;
     }
     std::optional<Binding> binding =
-        hier != nullptr ? hier->solve(cs, alloc, eca, options.solver, &ss)
+        hier != nullptr
+            ? hier->solve(cs, alloc, prepared, options.solver, &ss)
         : options.bind_cache != nullptr
-            ? options.bind_cache->solve(cs, alloc, eca, options.solver, &ss)
-            : solve_binding(cs, alloc, eca, options.solver, &ss);
+            ? options.bind_cache->solve(cs, alloc, prepared, options.solver,
+                                        &ss)
+        : prepared.flat != nullptr
+            ? solve_binding_flat(cs, alloc, *prepared.flat, options.solver,
+                                 &ss)
+            : std::nullopt;  // a selection that does not flatten
     st.solver_nodes += ss.nodes;
     st.cache_hits_feasible += ss.cache_hits_feasible;
     st.cache_hits_infeasible += ss.cache_hits_infeasible;
@@ -91,9 +100,9 @@ std::optional<Implementation> build_implementation(
       return std::nullopt;
     }
     if (!binding.has_value()) continue;
-    for (ClusterId c : eca.clusters)
+    for (ClusterId c : prepared.eca.clusters)
       impl.implemented_clusters.set(c.index());
-    impl.ecas.push_back(FeasibleEca{eca, std::move(*binding)});
+    impl.ecas.push_back(FeasibleEca{prepared.eca, std::move(*binding)});
   }
 
   if (impl.ecas.empty()) return std::nullopt;

@@ -12,8 +12,8 @@
 #include <optional>
 #include <vector>
 
-#include "bind/eca.hpp"
 #include "bind/solver.hpp"
+#include "graph/eca.hpp"
 #include "spec/specification.hpp"
 
 namespace sdf {
@@ -97,7 +97,6 @@ struct ImplementationOptions {
 };
 
 struct ImplementationStats {
-  std::uint64_t ecas_enumerated = 0;
   /// ECA feasibility queries issued (cache hits included) — invariant
   /// under caching and under checkpoint/resume.
   std::uint64_t solver_calls = 0;
@@ -127,12 +126,13 @@ struct ImplementationStats {
 };
 
 /// Tries to construct a feasible implementation of `spec` on `alloc`:
-/// enumerates the elementary cluster activations of the activatable
-/// clusters, solves the binding problem for each, and aggregates the
-/// feasible ones.  Returns nullopt when no elementary activation is
-/// feasible (the allocation implements nothing).  The compiled form is the
-/// hot path of EXPLORE's inner loop; the `SpecificationGraph` form is a
-/// shim over `spec.compiled()`.
+/// takes the elementary cluster activations of the activatable clusters
+/// (prepared once per activatable set, `CompiledSpec::prepared_ecas`),
+/// solves the binding problem for each, and aggregates the feasible ones.
+/// Returns nullopt when no elementary activation is feasible (the
+/// allocation implements nothing).  The compiled form is the hot path of
+/// EXPLORE's inner loop; the `SpecificationGraph` form is a shim over
+/// `spec.compiled()`.
 [[nodiscard]] std::optional<Implementation> build_implementation(
     const CompiledSpec& cs, const AllocSet& alloc,
     const ImplementationOptions& options = {},

@@ -23,7 +23,7 @@
 #include <optional>
 
 #include "bind/binding.hpp"
-#include "bind/eca.hpp"
+#include "graph/eca.hpp"
 #include "util/run_budget.hpp"
 
 namespace sdf {

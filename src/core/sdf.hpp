@@ -12,12 +12,13 @@
 //
 // Layering (each header is independently includable):
 //   util/        ids, bitsets, RNG, JSON, tables
-//   graph/       hierarchical graphs (Def. 1), flattening, validation, DOT
+//   graph/       hierarchical graphs (Def. 1), flattening, elementary cluster
+//                activations (ECAs), validation, DOT
 //   spec/        specification graphs G_S = (G_P, G_A, E_M), builders, I/O,
 //                and the CompiledSpec query index (spec/compiled.hpp)
 //   activation/  hierarchical timed activation and timelines (§2)
 //   flex/        the flexibility metric (Def. 4) and its estimation (§4)
-//   bind/        allocations/bindings (Defs. 2-3), ECAs, the binding solver
+//   bind/        allocations/bindings (Defs. 2-3), the binding solver
 //   sched/       utilization estimate (69% rule), exact RM, list scheduling
 //   moo/         Pareto fronts and quality indicators
 //   explore/     EXPLORE, exhaustive and evolutionary explorers (§4)
@@ -37,7 +38,6 @@
 #include "activation/timeline.hpp"
 #include "bind/bind_cache.hpp"
 #include "bind/binding.hpp"
-#include "bind/eca.hpp"
 #include "bind/enumerate.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
@@ -57,6 +57,7 @@
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/dot.hpp"
+#include "graph/eca.hpp"
 #include "graph/filter.hpp"
 #include "graph/flatten.hpp"
 #include "graph/hierarchical_graph.hpp"

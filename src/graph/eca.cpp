@@ -1,4 +1,4 @@
-#include "bind/eca.hpp"
+#include "graph/eca.hpp"
 
 #include <algorithm>
 

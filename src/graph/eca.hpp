@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/flatten.hpp"
-#include "spec/specification.hpp"
 #include "util/dyn_bitset.hpp"
 
 namespace sdf {

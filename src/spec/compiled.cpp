@@ -347,11 +347,71 @@ std::size_t flat_entry_bytes(const CompiledFlat* flat) {
   bytes += flat->adj.capacity() * sizeof(std::vector<std::size_t>);
   for (const std::vector<std::size_t>& n : flat->adj)
     bytes += n.capacity() * sizeof(std::size_t);
+  bytes += flat->edge_pairs.capacity() *
+           sizeof(std::pair<std::size_t, std::size_t>);
   bytes += (flat->demand.capacity() + flat->footprint.capacity()) *
            sizeof(double);
   bytes += (flat->load_order.capacity() + flat->footprint_order.capacity()) *
            sizeof(std::uint32_t);
   return bytes;
+}
+
+/// Approximate heap payload of one prepared-activation list, flattenings
+/// included (the list keeps them alive past their flatten-cache eviction).
+std::size_t prepared_bytes(const PreparedEcas& ecas) {
+  std::size_t bytes =
+      sizeof(PreparedEcas) + ecas.capacity() * sizeof(PreparedEca);
+  for (const PreparedEca& p : ecas) {
+    // One hash node per selected interface.
+    bytes += p.eca.selection.size() *
+             (sizeof(NodeId) + sizeof(ClusterId) + 2 * sizeof(void*));
+    bytes += p.eca.clusters.capacity() * sizeof(ClusterId);
+    bytes += p.key.capacity() * sizeof(std::uint32_t);
+    bytes += p.groups.capacity() * sizeof(PreparedGroup);
+    for (const PreparedGroup& g : p.groups)
+      bytes += g.key.capacity() * sizeof(std::uint32_t);
+    bytes += flat_entry_bytes(p.flat.get());
+  }
+  return bytes;
+}
+
+using SelectionPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Appends the terminal groups of `cluster`'s decomposition under
+/// `selection` (see `PreparedEca::groups`), each with its `HierCache` key.
+void collect_terminal_groups(const CompiledSpec& cs,
+                             const ClusterSelection& selection,
+                             const SelectionPairs& pairs, ClusterId cluster,
+                             std::vector<PreparedGroup>& out) {
+  const ClusterDecomposition& d = cs.decomposition(cluster);
+  for (std::size_t gi = 0; gi < d.groups.size(); ++gi) {
+    const ClusterGroup& g = d.groups[gi];
+    if (g.single_interface) {
+      const ClusterId alt = selection.selected(g.items[0]);
+      if (alt.valid() && cs.decomposition(alt).useful) {
+        collect_terminal_groups(cs, selection, pairs, alt, out);
+        continue;
+      }
+    }
+    PreparedGroup& t = out.emplace_back();
+    t.group = &g;
+    std::vector<std::uint32_t>& key = t.key;
+    key.reserve(6 + 2 * g.subtree_interfaces.count());
+    key.push_back(static_cast<std::uint32_t>(cluster.index()));
+    key.push_back(static_cast<std::uint32_t>(gi));
+    key.push_back(static_cast<std::uint32_t>(g.signature));
+    key.push_back(static_cast<std::uint32_t>(g.signature >> 32));
+    const std::size_t restriction_slot = key.size();
+    key.push_back(0);  // patched below: number of restricted selection pairs
+    std::uint32_t restricted = 0;
+    for (const auto& [iface, cl] : pairs) {
+      if (!g.subtree_interfaces.test(iface)) continue;
+      key.push_back(iface);
+      key.push_back(cl);
+      ++restricted;
+    }
+    key[restriction_slot] = restricted;
+  }
 }
 
 }  // namespace
@@ -393,6 +453,7 @@ std::shared_ptr<const CompiledFlat> CompiledSpec::flat(
     for (std::size_t i = 0; i < vertices.size(); ++i)
       entry->index_of[vertices[i].index()] = i;
     entry->adj.resize(vertices.size());
+    entry->edge_pairs.reserve(entry->graph.edges.size());
     for (const auto& [from, to] : entry->graph.edges) {
       const std::size_t a = entry->index_of[from.index()];
       const std::size_t b = entry->index_of[to.index()];
@@ -400,6 +461,7 @@ std::shared_ptr<const CompiledFlat> CompiledSpec::flat(
                 "flat edge endpoint is not an active leaf");
       entry->adj[a].push_back(b);
       entry->adj[b].push_back(a);
+      entry->edge_pairs.emplace_back(a, b);
     }
     entry->demand.resize(vertices.size());
     entry->footprint.resize(vertices.size());
@@ -459,10 +521,12 @@ void CompiledSpec::sort_loads(CompiledFlat& flat) const {
 
 void CompiledSpec::set_flat_cache_budget(std::size_t max_entries,
                                          std::size_t max_bytes) const {
-  const std::lock_guard<std::mutex> lock(flat_mutex_);
+  // Both locks: the memo reads the limits under its own.
+  const std::scoped_lock lock(flat_mutex_, prep_mutex_);
   flat_max_entries_ = max_entries;
   flat_max_bytes_ = max_bytes;
   evict_flat_locked();
+  evict_prepared_locked();
 }
 
 std::uint64_t CompiledSpec::flat_cache_entries() const {
@@ -473,6 +537,91 @@ std::uint64_t CompiledSpec::flat_cache_entries() const {
 std::uint64_t CompiledSpec::flat_cache_evictions() const {
   const std::lock_guard<std::mutex> lock(flat_mutex_);
   return flat_evictions_;
+}
+
+PreparedEca CompiledSpec::prepare(Eca eca) const {
+  PreparedEca p;
+  p.eca = std::move(eca);
+  const ClusterSelection& selection = p.eca.selection;
+  const std::vector<ClusterId>& clusters = p.eca.clusters;
+  p.flat = flat(selection);
+  const SelectionPairs pairs = selection.key();
+  p.key.reserve(2 * pairs.size() + clusters.size() + 2);
+  p.key.push_back(static_cast<std::uint32_t>(pairs.size()));
+  for (const auto& [interface_id, cluster_id] : pairs) {
+    p.key.push_back(interface_id);
+    p.key.push_back(cluster_id);
+  }
+  p.key.push_back(static_cast<std::uint32_t>(clusters.size()));
+  for (const ClusterId c : clusters)
+    p.key.push_back(static_cast<std::uint32_t>(c.index()));
+  if (p.flat != nullptr)
+    collect_terminal_groups(*this, selection, pairs, problem().root(),
+                            p.groups);
+  return p;
+}
+
+void CompiledSpec::evict_prepared_locked() const {
+  while (prep_cache_.size() > 1 &&
+         ((flat_max_entries_ != 0 && prep_cache_.size() > flat_max_entries_) ||
+          (flat_max_bytes_ != 0 && prep_bytes_ > flat_max_bytes_))) {
+    const PreparedKey* victim = prep_lru_.back();
+    const auto it = prep_cache_.find(*victim);
+    SDF_CHECK(it != prep_cache_.end(), "prepared-memo LRU key without entry");
+    prep_bytes_ -= it->second.bytes;
+    prep_lru_.pop_back();
+    prep_cache_.erase(it);
+  }
+}
+
+std::shared_ptr<const PreparedEcas> CompiledSpec::prepared_ecas(
+    const DynBitset& activatable, std::size_t eca_limit) const {
+  PreparedKey key{activatable, eca_limit};
+  std::size_t max_bytes = 0;
+  {
+    const std::lock_guard<std::mutex> lock(prep_mutex_);
+    if (const auto it = prep_cache_.find(key); it != prep_cache_.end()) {
+      prep_lru_.splice(prep_lru_.begin(), prep_lru_, it->second.lru);
+      return it->second.ecas;
+    }
+    max_bytes = flat_max_bytes_;
+  }
+
+  // Build outside the lock, like `flat()`: a concurrent duplicate build is
+  // cheaper than serializing every miss, and the first publish wins.  A
+  // list holds its flattenings alive, so it stops preparing entries once
+  // they pass the byte budget: one activatable set can have thousands of
+  // ECAs, each flattening with an index over the whole problem graph.
+  auto ecas = std::make_shared<PreparedEcas>();
+  std::size_t held_bytes = 0;
+  for (Eca& eca : enumerate_ecas(problem(), activatable, eca_limit)) {
+    PreparedEca& entry = ecas->emplace_back();
+    if (max_bytes != 0 && held_bytes > max_bytes) {
+      entry.eca = std::move(eca);
+      continue;
+    }
+    entry = prepare(std::move(eca));
+    held_bytes += flat_entry_bytes(entry.flat.get());
+  }
+
+  const std::lock_guard<std::mutex> lock(prep_mutex_);
+  const auto [it, inserted] = prep_cache_.try_emplace(std::move(key));
+  if (!inserted) {
+    prep_lru_.splice(prep_lru_.begin(), prep_lru_, it->second.lru);
+    return it->second.ecas;
+  }
+  it->second.bytes = prepared_bytes(*ecas);
+  it->second.ecas = std::move(ecas);
+  prep_lru_.push_front(&it->first);
+  it->second.lru = prep_lru_.begin();
+  prep_bytes_ += it->second.bytes;
+  evict_prepared_locked();
+  return it->second.ecas;
+}
+
+std::uint64_t CompiledSpec::prepared_entries() const {
+  const std::lock_guard<std::mutex> lock(prep_mutex_);
+  return prep_cache_.size();
 }
 
 }  // namespace sdf

@@ -21,16 +21,21 @@
 //     three-way word-wise intersection with no allocation,
 //   * a memoized flatten cache keyed by cluster selection, each entry
 //     carrying the solver-ready dense index/adjacency/attribute arrays,
-//     bounded by an LRU entry/byte budget, and
+//     bounded by an LRU entry/byte budget,
+//   * a memo of prepared activations keyed by (activatable-cluster set,
+//     ECA cap): each set's elementary cluster activations enumerated once,
+//     with their flattenings and cache keys (`prepared_ecas`), under the
+//     same budget, and
 //   * a per-cluster decomposition sub-index (`decomposition()`): the static
 //     partition of each cluster's interior into independently bindable
 //     groups, which the hierarchical solve path combines at interfaces
 //     instead of flattening (see bind/bind_cache.hpp, `HierCache`).
 //
-// All queries except `flat()` touch only immutable state and are safe to
-// call concurrently; `flat()` is internally synchronized.  Obtain an
-// instance via `SpecificationGraph::compiled()` (lazily built, invalidated
-// by mutation) or build one directly for full control of its lifetime.
+// All queries except `flat()` and `prepared_ecas()` touch only immutable
+// state and are safe to call concurrently; those two are internally
+// synchronized.  Obtain an instance via `SpecificationGraph::compiled()`
+// (lazily built, invalidated by mutation) or build one directly for full
+// control of its lifetime.
 // The index holds references into the owning `SpecificationGraph`; mutating
 // the spec invalidates a directly-constructed index.
 #pragma once
@@ -41,8 +46,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "graph/eca.hpp"
 #include "graph/flatten.hpp"
 #include "spec/specification.hpp"
 #include "util/dyn_bitset.hpp"
@@ -68,6 +75,9 @@ struct CompiledFlat {
   /// Undirected adjacency between vertex positions (both directions of
   /// every flat dependence edge).
   std::vector<std::vector<std::size_t>> adj;
+  /// `graph.edges` as vertex positions, one (from, to) pair per edge: the
+  /// static analyzer's relaxation walks these.
+  std::vector<std::pair<std::size_t, std::size_t>> edge_pairs;
   /// Timing demand (timing_weight / period; 0 = unconstrained) and
   /// footprint per vertex position.
   std::vector<double> demand;
@@ -123,6 +133,41 @@ struct ClusterDecomposition {
   /// decomposable alternative somewhere below it.
   bool useful = false;
 };
+
+/// One terminal group of an ECA's recursive decomposition: the
+/// hierarchical solve path (`HierCache`) solves it as one flat sub-problem.
+struct PreparedGroup {
+  const ClusterGroup* group = nullptr;  ///< into the owning index
+  /// `HierCache` key: cluster id, group index, the group's port-signature
+  /// digest, and the selection restricted to the group's subtree
+  /// interfaces (which fully determines the group's flat sub-problem).
+  std::vector<std::uint32_t> key;
+};
+
+/// One elementary cluster activation with everything a binding query asks
+/// of it that depends on the activation alone, computed once per spec.
+/// An entry of a list that outgrew the byte budget holds `eca` alone
+/// (`prepared()` is false; see `CompiledSpec::prepared_ecas`).
+struct PreparedEca {
+  Eca eca;
+  /// `CompiledSpec::flat(eca.selection)`; null when the selection does not
+  /// flatten.
+  std::shared_ptr<const CompiledFlat> flat;
+  /// `BindCache` key: the sorted selection pairs plus the activated
+  /// clusters.  Two ECAs with equal keys flatten to the same sub-problem.
+  std::vector<std::uint32_t> key;
+  /// Terminal groups under `eca.selection`, in decomposition order: a
+  /// single-interface group whose selected alternative decomposes recurses
+  /// into it, every other group is terminal.  Their subtree node sets
+  /// partition the flattening's vertices.  Empty when `flat` is null.
+  std::vector<PreparedGroup> groups;
+
+  /// False for an entry that holds its ECA alone.
+  [[nodiscard]] bool prepared() const { return !key.empty(); }
+};
+
+/// An activatable-cluster set's prepared ECAs, in `enumerate_ecas` order.
+using PreparedEcas = std::vector<PreparedEca>;
 
 class CompiledSpec {
  public:
@@ -260,14 +305,33 @@ class CompiledSpec {
   /// solve path) does it once per slice.
   void sort_loads(CompiledFlat& flat) const;
 
-  /// Reconfigures the flatten-cache LRU budget (entries / approximate
-  /// payload bytes; 0 = unlimited for that dimension) and evicts down to
-  /// it.  Thread-safe; `const` because the cache is memoization state.
+  /// Reconfigures the LRU budget (entries / approximate payload bytes; 0 =
+  /// unlimited for that dimension) of the flatten cache and, separately,
+  /// of the prepared-activation memo, and evicts both down to it.
+  /// Thread-safe; `const` because both are memoization state.
   void set_flat_cache_budget(std::size_t max_entries,
                              std::size_t max_bytes) const;
   /// Live flatten-cache entries / cumulative LRU evictions.
   [[nodiscard]] std::uint64_t flat_cache_entries() const;
   [[nodiscard]] std::uint64_t flat_cache_evictions() const;
+
+  // ---- prepared activations ------------------------------------------------
+
+  /// The elementary cluster activations of `activatable` (a bitset over
+  /// problem clusters), exactly `enumerate_ecas(problem(), activatable,
+  /// eca_limit)` in order, each prepared (`prepare`) while the list's
+  /// flattenings fit the flatten cache's byte budget; the entries past it
+  /// hold their ECA alone, for the caller to prepare per query.  Memoized
+  /// per (activatable, eca_limit) under the flatten cache's entry/byte
+  /// budget, counted separately; the returned list is immutable and stays
+  /// valid across its eviction.  Thread-safe: one lock per call on a hit.
+  [[nodiscard]] std::shared_ptr<const PreparedEcas> prepared_ecas(
+      const DynBitset& activatable, std::size_t eca_limit) const;
+  /// Prepares one ECA: flattens its selection (`flat()`) and builds its
+  /// cache keys and terminal groups.  Not memoized itself.
+  [[nodiscard]] PreparedEca prepare(Eca eca) const;
+  /// Live prepared-activation lists.
+  [[nodiscard]] std::uint64_t prepared_entries() const;
 
   // ---- hierarchical decomposition -------------------------------------------
 
@@ -292,8 +356,25 @@ class CompiledSpec {
     std::list<const FlatKey*>::iterator lru;   ///< position in lru_
   };
 
+  struct PreparedKey {
+    DynBitset activatable;
+    std::size_t eca_limit = 0;
+    bool operator==(const PreparedKey&) const = default;
+  };
+  struct PreparedKeyHash {
+    std::size_t operator()(const PreparedKey& key) const {
+      return key.activatable.hash() ^ (key.eca_limit * 0x9e3779b97f4a7c15ull);
+    }
+  };
+  struct PreparedEntry {
+    std::shared_ptr<const PreparedEcas> ecas;
+    std::size_t bytes = 0;
+    std::list<const PreparedKey*>::iterator lru;  ///< position in prep_lru_
+  };
+
   void build_decomposition();
   void evict_flat_locked() const;
+  void evict_prepared_locked() const;
 
   const SpecificationGraph& spec_;
 
@@ -346,6 +427,16 @@ class CompiledSpec {
   mutable std::size_t flat_max_entries_ = 1024;
   mutable std::size_t flat_max_bytes_ = std::size_t{64} << 20;
   mutable std::uint64_t flat_evictions_ = 0;
+
+  // Prepared-activation memo: the same LRU scheme as the flatten cache,
+  // with its own lock and its own tally against the same limits (which
+  // `set_flat_cache_budget` writes under both locks).  A list holds its
+  // flattenings, so its bytes count them too.
+  mutable std::mutex prep_mutex_;
+  mutable std::unordered_map<PreparedKey, PreparedEntry, PreparedKeyHash>
+      prep_cache_;
+  mutable std::list<const PreparedKey*> prep_lru_;
+  mutable std::size_t prep_bytes_ = 0;
 };
 
 }  // namespace sdf

@@ -10,11 +10,11 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
-#include "bind/eca.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
 #include "spec/attributes.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/specification.hpp"
@@ -92,7 +92,7 @@ TEST_P(AnalysisSweep, RelaxationNeverRefutesAFeasibleQuery) {
             solve_binding(cs, alloc, eca, opts.solver).has_value();
         if (solver_feasible) {
           any_feasible = true;
-          EXPECT_FALSE(analysis.eca_infeasible(alloc, eca))
+          EXPECT_FALSE(analysis.eca_infeasible(alloc, cs.prepare(eca)))
               << "eca_infeasible refuted a solver witness, alloc="
               << spec.allocation_names(alloc);
         }

@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "bind/binding.hpp"
-#include "bind/eca.hpp"
 #include "bind/enumerate.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
+#include "graph/eca.hpp"
 #include "spec/builder.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"

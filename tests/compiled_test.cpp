@@ -7,15 +7,22 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "explore/explorer.hpp"
+#include "explore/report.hpp"
 #include "flex/activatability.hpp"
+#include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
 #include "graph/flatten.hpp"
 #include "spec/attributes.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
+#include "spec/spec_io.hpp"
 #include "util/rng.hpp"
 
 namespace sdf {
@@ -309,6 +316,183 @@ TEST(CompiledInvalidation, CopiesStartWithColdCaches) {
   SpecificationGraph moved = std::move(copy);
   EXPECT_EQ(moved.compiled().unit_count(), spec.compiled().unit_count());
 }
+
+// ---- prepared activations ---------------------------------------------------
+
+/// The specs the memo is checked on: both paper models, the nested-tile
+/// example (the hierarchical path) and a deep-solve preset.
+SpecificationGraph memo_spec(const std::string& name) {
+  if (name == "settop") return models::make_settop_spec();
+  if (name == "decoder") return models::make_tv_decoder_spec();
+  if (name == "baseband-dsp-114")
+    return generate_preset(PlatformPreset::kBasebandDsp, 114);
+  Result<SpecificationGraph> spec =
+      spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/" + name + ".json");
+  SDF_CHECK(spec.ok(), ("cannot load example spec " + name).c_str());
+  return std::move(spec).value();
+}
+
+/// The activatable-cluster set of every possible allocation of `cs`'s
+/// universe: every set an exploration run can ask the memo for.
+std::vector<DynBitset> possible_activatable_sets(const CompiledSpec& cs) {
+  const std::size_t n = cs.unit_count();
+  SDF_CHECK(n <= 20, "universe too large to walk exhaustively");
+  std::unordered_set<DynBitset> seen;
+  std::vector<DynBitset> sets;
+  AllocSet alloc = cs.make_alloc_set();
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+    for (std::size_t i = 0; i < n; ++i) alloc.set(i, ((mask >> i) & 1u) != 0);
+    const Activatability act(cs, alloc);
+    if (act.root_activatable() && seen.insert(act.clusters()).second)
+      sets.push_back(act.clusters());
+  }
+  return sets;
+}
+
+/// Names a case by its spec, as the test listings print it.
+struct MemoCase {
+  const char* spec;
+};
+
+void PrintTo(const MemoCase& c, std::ostream* os) { *os << c.spec; }
+
+class PreparedMemo : public ::testing::TestWithParam<MemoCase> {};
+
+TEST_P(PreparedMemo, ListsEqualEnumerationWithTheCachedFlattenings) {
+  const SpecificationGraph spec = memo_spec(GetParam().spec);
+  const CompiledSpec& cs = spec.compiled();
+  cs.set_flat_cache_budget(0, 0);  // no eviction: flattenings stay canonical
+  const std::vector<DynBitset> sets = possible_activatable_sets(cs);
+  ASSERT_FALSE(sets.empty());
+  const std::size_t limit = ImplementationOptions{}.eca_limit;
+  for (const DynBitset& activatable : sets) {
+    SCOPED_TRACE("activatable " + activatable.to_string());
+    const std::shared_ptr<const PreparedEcas> prepared =
+        cs.prepared_ecas(activatable, limit);
+    const std::vector<Eca> ecas =
+        enumerate_ecas(cs.problem(), activatable, limit);
+    ASSERT_NE(prepared, nullptr);
+    ASSERT_EQ(prepared->size(), ecas.size());
+    for (std::size_t i = 0; i < ecas.size(); ++i) {
+      const PreparedEca& p = (*prepared)[i];
+      EXPECT_TRUE(p.prepared());
+      EXPECT_EQ(p.eca.selection.key(), ecas[i].selection.key());
+      EXPECT_EQ(p.eca.clusters, ecas[i].clusters);
+      EXPECT_EQ(p.flat, cs.flat(ecas[i].selection));
+      if (p.flat == nullptr) {
+        EXPECT_TRUE(p.groups.empty());
+        continue;
+      }
+      ASSERT_EQ(p.flat->edge_pairs.size(), p.flat->graph.edges.size());
+      for (std::size_t e = 0; e < p.flat->edge_pairs.size(); ++e) {
+        const auto [from, to] = p.flat->graph.edges[e];
+        EXPECT_EQ(p.flat->edge_pairs[e].first, p.flat->index_of[from.index()]);
+        EXPECT_EQ(p.flat->edge_pairs[e].second, p.flat->index_of[to.index()]);
+      }
+      // The terminal groups partition the flattening's vertices.
+      ASSERT_FALSE(p.groups.empty());
+      std::vector<int> owners(p.flat->graph.vertices.size(), 0);
+      for (const PreparedGroup& g : p.groups)
+        for (std::size_t v = 0; v < owners.size(); ++v)
+          if (g.group->subtree_nodes.test(p.flat->graph.vertices[v].index()))
+            ++owners[v];
+      EXPECT_EQ(std::count(owners.begin(), owners.end(), 1),
+                static_cast<std::ptrdiff_t>(owners.size()));
+    }
+  }
+  EXPECT_EQ(cs.prepared_entries(), sets.size());
+}
+
+TEST_P(PreparedMemo, RepeatedCallsShareOneList) {
+  const SpecificationGraph spec = memo_spec(GetParam().spec);
+  const CompiledSpec& cs = spec.compiled();
+  AllocSet full = cs.make_alloc_set();
+  for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
+  const Activatability act(cs, full);
+  const std::shared_ptr<const PreparedEcas> first =
+      cs.prepared_ecas(act.clusters(), 4096);
+  const std::shared_ptr<const PreparedEcas> again =
+      cs.prepared_ecas(act.clusters(), 4096);
+  EXPECT_EQ(first.get(), again.get());
+  EXPECT_EQ(cs.prepared_entries(), 1u);
+}
+
+TEST_P(PreparedMemo, EachEcaLimitGetsItsOwnTruncatedList) {
+  const SpecificationGraph spec = memo_spec(GetParam().spec);
+  const CompiledSpec& cs = spec.compiled();
+  AllocSet full = cs.make_alloc_set();
+  for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
+  const Activatability act(cs, full);
+  const DynBitset& activatable = act.clusters();
+  const std::shared_ptr<const PreparedEcas> all =
+      cs.prepared_ecas(activatable, 0);
+  ASSERT_GT(all->size(), 1u);
+  const std::set<std::size_t> limits = {1, all->size() - 1, all->size(),
+                                        all->size() + 1};
+  for (const std::size_t limit : limits) {
+    SCOPED_TRACE("eca_limit " + std::to_string(limit));
+    const std::shared_ptr<const PreparedEcas> capped =
+        cs.prepared_ecas(activatable, limit);
+    EXPECT_NE(capped.get(), all.get());
+    const std::vector<Eca> ecas =
+        enumerate_ecas(cs.problem(), activatable, limit);
+    ASSERT_EQ(capped->size(), ecas.size());
+    ASSERT_EQ(capped->size(), std::min(limit, all->size()));
+    for (std::size_t i = 0; i < capped->size(); ++i) {
+      EXPECT_EQ((*capped)[i].eca.selection.key(), ecas[i].selection.key());
+      EXPECT_EQ((*capped)[i].key, (*all)[i].key);
+    }
+  }
+  EXPECT_EQ(cs.prepared_entries(), limits.size() + 1);
+}
+
+/// The explore result as `--json` prints it, minus the timings and the
+/// flatten-cache tally, which a budget moves by design.
+std::string result_without_timings(const SpecificationGraph& spec,
+                                   const ExploreResult& result) {
+  Json doc = explore_result_to_json(spec, result);
+  for (auto& [key, value] : doc.as_object()) {
+    if (key != "stats") continue;
+    std::erase_if(value.as_object(), [](const auto& field) {
+      return field.first.ends_with("_seconds") ||
+             field.first.starts_with("flat_cache_");
+    });
+  }
+  return doc.dump();
+}
+
+TEST_P(PreparedMemo, TinyBudgetLeavesTheRunIdentical) {
+  const SpecificationGraph roomy = memo_spec(GetParam().spec);
+  const ExploreResult reference = explore(roomy);
+  const SpecificationGraph tight = memo_spec(GetParam().spec);
+  const CompiledSpec& cs = tight.compiled();
+  cs.set_flat_cache_budget(1, 1);
+  const ExploreResult squeezed = explore(tight);
+  EXPECT_EQ(result_without_timings(tight, squeezed),
+            result_without_timings(roomy, reference));
+  EXPECT_EQ(cs.prepared_entries(), 1u);
+  EXPECT_EQ(cs.flat_cache_entries(), 1u);
+
+  // Past its first flattening a list is over the byte budget, and its
+  // later entries hold their ECA alone.
+  AllocSet full = cs.make_alloc_set();
+  for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
+  const Activatability act(cs, full);
+  const std::shared_ptr<const PreparedEcas> list =
+      cs.prepared_ecas(act.clusters(), ImplementationOptions{}.eca_limit);
+  ASSERT_FALSE(list->empty());
+  EXPECT_TRUE(list->front().prepared());
+  for (std::size_t i = 1; i < list->size(); ++i) {
+    EXPECT_FALSE((*list)[i].prepared());
+    EXPECT_EQ((*list)[i].flat, nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, PreparedMemo,
+                         ::testing::Values(MemoCase{"settop"},
+                                           MemoCase{"decoder"},
+                                           MemoCase{"nested"},
+                                           MemoCase{"baseband-dsp-114"}));
 
 // ---- pinned paper-example results (bit-identity guard) ----------------------
 

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -18,6 +21,8 @@
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_io.hpp"
 #include "util/thread_pool.hpp"
@@ -212,30 +217,49 @@ INSTANTIATE_TEST_SUITE_P(
             {144944, 140178, 1, 1, 0, 1, 64, 44, 1},
             StopReason::kSolverNodes, 952.0}));
 
-/// Pinned one-thread front and solver work on generated presets whose
-/// searches drive the utilization and capacity flags hard: the binding
-/// kernel must keep the same search tree, node for node.  `raw` turns off
-/// the binding cache, the hierarchical path and the analyzer prefilter, so
-/// every query is a real search.
+/// Pinned one-thread front and work on generated presets whose searches
+/// drive the utilization and capacity flags hard, and on the nested-tile
+/// example, which takes the hierarchical path: the binding kernel must keep
+/// the same search tree, node for node, and every cache and analyzer
+/// counter its value.  `raw` turns off the binding cache, the hierarchical
+/// path and the analyzer prefilter, so every query is a real search.
+struct KernelCounters {
+  std::uint64_t solver_calls;
+  std::uint64_t solver_nodes;
+  std::uint64_t cache_hits_feasible;
+  std::uint64_t cache_hits_infeasible;
+  std::uint64_t cache_revalidations;
+  std::uint64_t analysis_pruned;
+  std::uint64_t hier_subsolves;
+  std::uint64_t hier_hits;
+  std::uint64_t cache_entries;
+  std::uint64_t flat_cache_entries;
+};
+
 struct KernelPin {
-  PlatformPreset preset;
+  std::optional<PlatformPreset> preset;  ///< none: examples/specs/nested.json
   std::uint64_t seed;
   bool raw;
   CostFlex front;
-  std::uint64_t solver_calls;
-  std::uint64_t solver_nodes;
+  KernelCounters counters;
 };
 
 void PrintTo(const KernelPin& pin, std::ostream* os) {
-  *os << preset_name(pin.preset) << "_seed_" << pin.seed
-      << (pin.raw ? "_raw" : "_default");
+  if (pin.preset.has_value()) {
+    *os << preset_name(*pin.preset) << "_seed_" << pin.seed;
+  } else {
+    *os << "nested";
+  }
+  *os << (pin.raw ? "_raw" : "_default");
 }
 
 class KernelPins : public ::testing::TestWithParam<KernelPin> {};
 
 TEST_P(KernelPins, MatchPinnedSearchWork) {
   const KernelPin& pin = GetParam();
-  const SpecificationGraph spec = generate_preset(pin.preset, pin.seed);
+  const SpecificationGraph spec = pin.preset.has_value()
+                                      ? generate_preset(*pin.preset, pin.seed)
+                                      : example("nested");
   ExploreOptions options;
   if (pin.raw) {
     options.implementation.use_bind_cache = false;
@@ -245,29 +269,111 @@ TEST_P(KernelPins, MatchPinnedSearchWork) {
   const ExploreResult result = explore(spec, options);
   ASSERT_TRUE(result.status.ok()) << result.status.error().message;
   EXPECT_EQ(cost_flex(result), pin.front);
-  EXPECT_EQ(result.stats.solver_calls, pin.solver_calls);
-  EXPECT_EQ(result.stats.solver_nodes, pin.solver_nodes);
+  const ExploreStats& got = result.stats;
+  const KernelCounters& want = pin.counters;
+  EXPECT_EQ(got.solver_calls, want.solver_calls);
+  EXPECT_EQ(got.solver_nodes, want.solver_nodes);
+  EXPECT_EQ(got.cache_hits_feasible, want.cache_hits_feasible);
+  EXPECT_EQ(got.cache_hits_infeasible, want.cache_hits_infeasible);
+  EXPECT_EQ(got.cache_revalidations, want.cache_revalidations);
+  EXPECT_EQ(got.analysis_pruned, want.analysis_pruned);
+  EXPECT_EQ(got.hier_subsolves, want.hier_subsolves);
+  EXPECT_EQ(got.hier_hits, want.hier_hits);
+  EXPECT_EQ(got.cache_entries, want.cache_entries);
+  EXPECT_EQ(got.flat_cache_entries, want.flat_cache_entries);
 }
 
 const CostFlex kBaseband114Front = {{101, 1}, {347, 3}, {389, 5}, {481, 7},
                                     {484, 8}, {576, 10}, {586, 12}};
 const CostFlex kSettopBox64Front = {{63, 1}, {177, 2}, {559, 6}, {691, 7}};
 
+// Counters: solver_calls, solver_nodes, cache_hits_feasible,
+// cache_hits_infeasible, cache_revalidations, analysis_pruned,
+// hier_subsolves, hier_hits, cache_entries, flat_cache_entries.
 INSTANTIATE_TEST_SUITE_P(
     Presets, KernelPins,
     ::testing::Values(
-        KernelPin{PlatformPreset::kBasebandDsp, 108, false, {{141, 26}}, 565,
-                  19868},
-        KernelPin{PlatformPreset::kBasebandDsp, 108, true, {{141, 26}}, 565,
-                  19868},
+        KernelPin{PlatformPreset::kBasebandDsp, 108, false, {{141, 26}},
+                  {565, 19868, 0, 0, 0, 0, 0, 0, 565, 565}},
+        KernelPin{PlatformPreset::kBasebandDsp, 108, true, {{141, 26}},
+                  {565, 19868, 0, 0, 0, 0, 0, 0, 0, 565}},
         KernelPin{PlatformPreset::kBasebandDsp, 114, false, kBaseband114Front,
-                  1804, 30788},
+                  {1804, 30788, 155, 0, 155, 907, 0, 0, 242, 31}},
         KernelPin{PlatformPreset::kBasebandDsp, 114, true, kBaseband114Front,
-                  1804, 39821},
+                  {1804, 39821, 0, 0, 0, 0, 0, 0, 0, 31}},
         KernelPin{PlatformPreset::kSetTopBox, 64, false, kSettopBox64Front,
-                  6192, 37210},
+                  {6192, 37210, 1015, 0, 1015, 1978, 0, 0, 40, 16}},
         KernelPin{PlatformPreset::kSetTopBox, 64, true, kSettopBox64Front,
-                  6192, 63649}));
+                  {6192, 63649, 0, 0, 0, 0, 0, 0, 0, 16}},
+        KernelPin{std::nullopt, 0, false, {{950, 11}, {952, 13}, {1255, 15}},
+                  {27904, 106, 0, 0, 104412, 10480, 53, 104427, 53, 64}}));
+
+// ---- prepared activations under concurrent callers ------------------------
+
+/// Four threads ask the memo for every activatable set of baseband-dsp
+/// 114's universe (156 sets), each in its own order, under a budget that
+/// keeps evicting lists: concurrent misses, duplicate builds and evictions
+/// must still hand every caller the list `enumerate_ecas` gives.
+TEST(PreparedMemoThreads, ConcurrentCallersGetTheEnumeratedLists) {
+  const SpecificationGraph spec =
+      generate_preset(PlatformPreset::kBasebandDsp, 114);
+  const CompiledSpec& cs = spec.compiled();
+  cs.set_flat_cache_budget(4, 1 << 16);
+  const std::size_t n = cs.unit_count();
+  std::unordered_set<DynBitset> seen;
+  std::vector<DynBitset> sets;
+  AllocSet alloc = cs.make_alloc_set();
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+    for (std::size_t i = 0; i < n; ++i) alloc.set(i, ((mask >> i) & 1u) != 0);
+    const Activatability act(cs, alloc);
+    if (act.root_activatable() && seen.insert(act.clusters()).second)
+      sets.push_back(act.clusters());
+  }
+  ASSERT_GT(sets.size(), 100u);
+  std::vector<std::vector<Eca>> expected;
+  for (const DynBitset& s : sets)
+    expected.push_back(enumerate_ecas(cs.problem(), s, 4096));
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t k = 0; k < sets.size(); ++k) {
+          const std::size_t i = (k * (2 * t + 1) + t) % sets.size();
+          const std::shared_ptr<const PreparedEcas> got =
+              cs.prepared_ecas(sets[i], 4096);
+          bool same = got->size() == expected[i].size();
+          for (std::size_t e = 0; same && e < got->size(); ++e) {
+            const PreparedEca& p = (*got)[e];
+            same = p.eca.clusters == expected[i][e].clusters &&
+                   p.eca.selection.key() == expected[i][e].selection.key() &&
+                   (p.flat == nullptr) == p.groups.empty();
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_LE(cs.prepared_entries(), 4u);
+}
+
+/// The band workers share the memo: at four threads under a tiny budget the
+/// fronts stay the one-thread fronts.
+TEST(PreparedMemoThreads, TinyBudgetKeepsTheFourThreadFronts) {
+  const SpecificationGraph settop_spec = models::make_settop_spec();
+  const SpecificationGraph baseband =
+      generate_preset(PlatformPreset::kBasebandDsp, 114);
+  for (const SpecificationGraph* spec : {&settop_spec, &baseband}) {
+    const ExploreResult seq = explore(*spec);
+    spec->compiled().set_flat_cache_budget(1, 1);
+    const ExploreResult par = explore_with(*spec, {}, 4);
+    expect_identical(seq, par);
+  }
+}
 
 // ---- every thread count yields the one-thread front ------------------------
 

@@ -13,12 +13,12 @@
 #include <vector>
 
 #include "bind/bind_cache.hpp"
-#include "bind/eca.hpp"
 #include "bind/solver.hpp"
 #include "explore/explorer.hpp"
 #include "flex/activatability.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "util/rng.hpp"

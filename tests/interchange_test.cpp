@@ -2,11 +2,11 @@
 // profiles (§5's statistical timing analysis).
 #include <gtest/gtest.h>
 
-#include "bind/eca.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
 #include "flex/interchange.hpp"
 #include "gen/spec_generator.hpp"
+#include "graph/eca.hpp"
 #include "sched/profile.hpp"
 #include "sched/utilization.hpp"
 #include "spec/builder.hpp"

@@ -4,9 +4,9 @@
 
 #include <sstream>
 
-#include "bind/eca.hpp"
 #include "explore/evolutionary.hpp"
 #include "explore/exhaustive.hpp"
+#include "graph/eca.hpp"
 #include "spec/paper_models.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
