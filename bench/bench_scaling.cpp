@@ -146,6 +146,9 @@ void print_parallel_sweep() {
   const SpecificationGraph generated = generate_spec(params);
   const SpecificationGraph baseband =
       generate_preset(PlatformPreset::kBasebandDsp, 3);
+  Result<SpecificationGraph> nested =
+      spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/nested.json");
+  SDF_CHECK(nested.ok(), "cannot load examples/specs/nested.json");
 
   struct Config {
     const char* name;
@@ -157,7 +160,10 @@ void print_parallel_sweep() {
   // pool's best case.  paper_default is the §4 configuration as contrast.
   // baseband_dsp_seed3 is a preset whose few candidates need deep binding
   // searches: the workload where the pool pays at the default options.
-  Config configs[3];
+  // nested_json is stream-bound: the §5 filter rejects 96% of its
+  // candidates in microseconds, so the stream, which the merge thread
+  // drains, and the pool's cost per candidate decide.
+  Config configs[4];
   configs[0].name = "attempt_dominated";
   configs[0].spec = &generated;
   configs[0].options.use_flexibility_bound = false;
@@ -166,6 +172,8 @@ void print_parallel_sweep() {
   configs[1].spec = &generated;
   configs[2].name = "baseband_dsp_seed3";
   configs[2].spec = &baseband;
+  configs[3].name = "nested_json";
+  configs[3].spec = &nested.value();
 
   JsonObject doc;
   doc.reserve(4);
@@ -173,7 +181,7 @@ void print_parallel_sweep() {
   doc.emplace_back("host", bench::host_metadata());
   doc.emplace_back("hardware_threads", Json(ThreadPool::hardware_threads()));
   JsonArray runs;
-  runs.reserve(12);
+  runs.reserve(16);
   Table table({"config", "units", "threads", "wall ms", "evaluate ms",
                "speedup", "front", "attempts"});
   for (Config& config : configs) {

@@ -90,14 +90,15 @@ echo "==== front equivalence: threads x (default, --no-bind-cache, --no-hier, bo
 # band counters).  settop/decoder exercise hier's not-decomposable
 # fallback, nested.json its real per-group path.  --no-bind-cache alone
 # still takes the hierarchical path on nested.json; only with --no-hier
-# too does a spec that decomposes run the uncached kernel.
+# too does a spec that decomposes run the uncached kernel.  8 threads
+# oversubscribe a 4-core host: the band pool's workers then share cores.
 extract_front() {
   python3 -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["front"], indent=1))'
 }
 for spec in examples/specs/*.json; do
   "$SDF" explore --json --no-stats --threads 1 "$spec" \
     | extract_front > /tmp/sdf_front_ref.$$
-  for threads in 1 4; do
+  for threads in 1 4 8; do
     for mode in "" --no-bind-cache --no-hier "--no-bind-cache --no-hier"; do
       echo "front diff (threads=$threads ${mode:-default}) $spec"
       "$SDF" explore --json --no-stats --threads "$threads" $mode "$spec" \

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "bind/implementation.hpp"
 #include "spec/compiled.hpp"
 #include "util/fault_injection.hpp"
 #include "util/status.hpp"
@@ -330,6 +331,14 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
                                         const SolverOptions& options,
                                         SolverStats* stats) {
   return solve(cs, alloc, cs.prepare(eca), options, stats);
+}
+
+void adopt_run_caches(ImplementationOptions& impl, BindCache& bind_cache,
+                      HierCache& hier_cache) {
+  if (impl.use_bind_cache && impl.bind_cache == nullptr)
+    impl.bind_cache = &bind_cache;
+  if (impl.use_hier && impl.hier_cache == nullptr)
+    impl.hier_cache = &hier_cache;
 }
 
 }  // namespace sdf

@@ -200,4 +200,15 @@ class BindCache {
   MonotoneFrontier frontier_;
 };
 
+struct ImplementationOptions;
+
+/// Points `impl` at an engine run's own binding and hierarchical sub-solve
+/// caches, unless the caller supplied its own or turned them off.  Each
+/// only skips work whose verdict is already proven, so sharing them among
+/// a run's workers leaves its result independent of the thread schedule.
+/// Derived data: rebuilt from scratch on resume (deliberately not
+/// checkpointed — see docs/ROBUSTNESS.md).
+void adopt_run_caches(ImplementationOptions& impl, BindCache& bind_cache,
+                      HierCache& hier_cache);
+
 }  // namespace sdf

@@ -55,11 +55,8 @@ EaResult explore_evolutionary(const SpecificationGraph& spec,
   ImplementationOptions eval_impl = options.implementation;
   eval_impl.solver.budget = &tracker;
   BindCache bind_cache;
-  if (eval_impl.use_bind_cache && eval_impl.bind_cache == nullptr)
-    eval_impl.bind_cache = &bind_cache;
   HierCache hier_cache;
-  if (eval_impl.use_hier && eval_impl.hier_cache == nullptr)
-    eval_impl.hier_cache = &hier_cache;
+  adopt_run_caches(eval_impl, bind_cache, hier_cache);
   bool stopped = false;  // budget tripped: wind down, keep the archive
 
   auto evaluate = [&](const AllocSet& genome) {

@@ -24,11 +24,8 @@ ExhaustiveResult explore_exhaustive(const SpecificationGraph& spec,
   ImplementationOptions eval = options;
   eval.solver.budget = &tracker;
   BindCache bind_cache;
-  if (eval.use_bind_cache && eval.bind_cache == nullptr)
-    eval.bind_cache = &bind_cache;
   HierCache hier_cache;
-  if (eval.use_hier && eval.hier_cache == nullptr)
-    eval.hier_cache = &hier_cache;
+  adopt_run_caches(eval, bind_cache, hier_cache);
 
   std::vector<Implementation> feasible;
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {

@@ -207,20 +207,6 @@ void account(const BandSlot& slot, ExploreStats& stats) {
   }
 }
 
-/// Points `impl` at run-local binding and hierarchical sub-solve caches,
-/// unless the caller supplied its own or turned them off.  They are shared
-/// by every worker.  Each only skips work whose verdict is already proven,
-/// so the front does not depend on the thread schedule.  Derived data:
-/// rebuilt from scratch on resume (deliberately not checkpointed — see
-/// docs/ROBUSTNESS.md).
-void adopt_run_caches(ImplementationOptions& impl, BindCache& bind_cache,
-                      HierCache& hier_cache) {
-  if (impl.use_bind_cache && impl.bind_cache == nullptr)
-    impl.bind_cache = &bind_cache;
-  if (impl.use_hier && impl.hier_cache == nullptr)
-    impl.hier_cache = &hier_cache;
-}
-
 }  // namespace
 
 void ExploreStats::add(const ImplementationStats& work) {
@@ -358,7 +344,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   }
 
   // Band sizing.  One thread: bands of one, no pool.  More threads: the
-  // merge thread helps evaluate via ThreadPool::wait_idle, so the pool holds
+  // merge thread evaluates candidates of the band too, so the pool holds
   // one worker fewer, and the capacity adapts between its bounds — bands
   // whose candidates mostly die in the cheap filters double it so the merge
   // barrier stops dominating, attempt-heavy bands halve it so workers
@@ -467,8 +453,8 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
       try {
         for (std::size_t i = 0; i < size; ++i)
           evaluate(ev, committed, level_best, band[i]);
-      } catch (const std::exception& e) {
-        eval_status = Error{std::string("worker task failed: ") + e.what()};
+      } catch (...) {
+        eval_status = task_error(std::current_exception());
       }
     }
     if (pooled) result.stats.evaluate_seconds += seconds_since(te);

@@ -25,7 +25,8 @@
 // allocation cost), evaluates a band, and then merges it on one thread in
 // stream order with the acceptance rules above.  With `num_threads == 1` a
 // band holds one candidate and no pool exists: that is the sequential loop
-// of §4.  With more threads a band is evaluated on a work-stealing pool and
+// of §4.  With more threads the merge thread and `num_threads - 1` pool
+// workers take a band's candidates one at a time from a shared cursor, and
 // an adaptive controller sizes the next band by how many candidates of the
 // last one reached the binding construction.
 //

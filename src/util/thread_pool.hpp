@@ -1,30 +1,20 @@
-// A small work-stealing thread pool.
+// A fork-join thread pool for EXPLORE's cost bands.
 //
-// Built for the parallel EXPLORE engine: a band of expensive, independent
-// candidate evaluations is fanned out with `parallel_for`, whose iterations
-// vary wildly in cost (a dominance-filtered candidate returns in
-// microseconds, a binding solve can take milliseconds).  Each worker owns a
-// deque; it pops its own work LIFO (cache-warm) and steals FIFO from the
-// busiest end of its siblings when it runs dry, so long-running iterations
-// do not strand queued work behind them.
-//
-// Exception safety: a throwing task never deadlocks or leaks the pool.  The
-// worker catches the exception, keeps draining, and the first captured
-// error is surfaced as a `Status` from `wait_idle()` / `parallel_for()` —
-// remaining tasks still run (expected-failure paths in the library use
-// Result<T>; an exception here is exceptional, e.g. an injected fault or
-// bad_alloc, and the caller decides how to wind down).
-//
-// The pool is deliberately minimal: no futures, no task graph, no
-// priorities.
+// `parallel_for` is the only entry point: the workers and the calling
+// thread each take the next index from one shared atomic cursor until the
+// band is done, so a long iteration (a deep binding solve among candidates
+// the filters reject in microseconds) strands nothing behind it.  A
+// throwing iteration is recorded, every other one still runs, and the first
+// error comes back as a `Status`: an exception here is exceptional (an
+// injected fault, bad_alloc), expected failures use Result<T>.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,13 +23,14 @@
 
 namespace sdf {
 
+/// Renders the exception of a failed iteration as the Status it is
+/// reported by, whether or not a pool ran it.
+[[nodiscard]] Status task_error(const std::exception_ptr& error);
+
 class ThreadPool {
  public:
-  /// Spawns `workers` threads; 0 means one per hardware thread.
-  explicit ThreadPool(std::size_t workers = 0);
-  /// Drains remaining work, then joins all workers.  A pending task error
-  /// that was never collected is logged and dropped (destructors cannot
-  /// return a Status).
+  /// Spawns `workers` threads; with none, `parallel_for` runs on the caller.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -47,49 +38,37 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
-  /// Enqueues one task.  Callable from any thread, including workers.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.  The calling thread
-  /// helps execute queued work while it waits instead of idling.  Returns
-  /// the first error any task threw since the last collection (the error
-  /// slot is cleared), or Ok.
-  [[nodiscard]] Status wait_idle();
-
-  /// Runs `fn(0) .. fn(n-1)` across the pool and blocks until all complete.
-  /// Iterations are independent; no ordering is guaranteed.  A throwing
-  /// iteration does not stop the others; the first error is returned.
+  /// Runs `fn(0) .. fn(n-1)` on the workers and the calling thread, and
+  /// returns once every iteration has finished and every worker has left
+  /// the job, so `fn` never outlives the call.  No ordering is guaranteed.
+  /// A throwing iteration does not stop the others; the first error is
+  /// returned.  One job at a time: call it from one thread, never from `fn`.
   [[nodiscard]] Status parallel_for(std::size_t n,
                                     const std::function<void(std::size_t)>& fn);
 
   /// `std::thread::hardware_concurrency()` with a sane floor of 1.
-  [[nodiscard]] static std::size_t hardware_threads();
+  [[nodiscard]] static std::size_t hardware_threads() {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop();
+  /// Runs iterations of the current job until the cursor passes its end.
+  void run_job();
+  void stop_workers();
 
-  /// Pops from `self`'s back (LIFO) or steals from another queue's front
-  /// (FIFO).  Returns an empty function when no work is available.
-  std::function<void()> take_task(std::size_t self);
-  void worker_loop(std::size_t index);
-  bool run_one(std::size_t self);  ///< executes one task if available
-  /// Swaps out the first captured task error and renders it as a Status.
-  [[nodiscard]] Status collect_error();
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex idle_mu_;
-  std::condition_variable work_cv_;   ///< wakes sleeping workers
-  std::condition_variable idle_cv_;   ///< wakes wait_idle()
-  std::size_t in_flight_ = 0;         ///< submitted but not finished
-  std::size_t queued_ = 0;            ///< sitting in a deque, not yet taken
-  std::size_t next_queue_ = 0;        ///< round-robin for external submits
+  std::mutex mu_;  ///< guards the job and its state below, not the cursor
+  std::condition_variable start_cv_;  ///< wakes workers: a new job or stop
+  std::condition_variable done_cv_;   ///< wakes the caller: workers left
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t generation_ = 0;      ///< bumped per job workers may join
+  bool open_ = false;               ///< the caller still runs the job
+  std::size_t active_ = 0;          ///< workers inside the job
   bool stop_ = false;
-  std::exception_ptr first_error_;    ///< first uncaught task exception
+  std::exception_ptr first_error_;  ///< the job's first exception
+  std::atomic<std::size_t> next_{0};  ///< the cursor: next unclaimed index
+  std::vector<std::thread> workers_;  // last: the threads use all the above
 };
 
 }  // namespace sdf

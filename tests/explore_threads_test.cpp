@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
@@ -97,38 +98,43 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, SubmitFromWithinTasksAndWaitIdle) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &sum] {
-      sum.fetch_add(1);
-      // Nested submission from a worker thread (goes to its own deque).
-      pool.submit([&sum] { sum.fetch_add(10); });
-    });
+TEST(ThreadPool, ConsecutiveJobsRunEveryIndexExactlyOnce) {
+  // One pool, jobs of every size in a row: none, one (run by the caller),
+  // fewer than the workers, and far more.  Each job starts its cursor at
+  // zero and returns only after all of its iterations ran.
+  ThreadPool pool(4);
+  for (const std::size_t n : {0u, 1u, 3u, 1000u, 0u, 2u, 257u, 1u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::vector<std::atomic<int>> hits(n);
+    ASSERT_TRUE(
+        pool.parallel_for(n, [&](std::size_t i) { hits.at(i).fetch_add(1); })
+            .ok());
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  ASSERT_TRUE(pool.wait_idle().ok());
-  EXPECT_EQ(sum.load(), 8 + 80);
-  // The pool is reusable after an idle barrier.
-  ASSERT_TRUE(
-      pool.parallel_for(5, [&sum](std::size_t) { sum.fetch_add(100); }).ok());
-  EXPECT_EQ(sum.load(), 88 + 500);
 }
 
 TEST(ThreadPool, UnevenTaskDurationsAreStolen) {
-  // One long task plus many short ones: with stealing, the short tasks
-  // finish on other workers and the total equals the submitted count.
+  // One long iteration strands nothing: while iteration 0 runs, the other
+  // threads take every remaining index, so it can wait for all of them.
   ThreadPool pool(2);
+  constexpr int kIterations = 64;
   std::atomic<int> done{0};
-  const Status st = pool.parallel_for(64, [&](std::size_t i) {
+  bool others_finished = false;  // read after the call: it joins the job
+  const Status st = pool.parallel_for(kIterations, [&](std::size_t i) {
     if (i == 0) {
-      volatile int spin = 0;
-      while (spin < 2000000) spin = spin + 1;
+      const auto limit =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (done.load() < kIterations - 1 &&
+             std::chrono::steady_clock::now() < limit)
+        std::this_thread::yield();
+      others_finished = done.load() == kIterations - 1;
     }
     done.fetch_add(1);
   });
   EXPECT_TRUE(st.ok());
-  EXPECT_EQ(done.load(), 64);
+  EXPECT_TRUE(others_finished);
+  EXPECT_EQ(done.load(), kIterations);
 }
 
 // ---- one thread is the sequential algorithm --------------------------------

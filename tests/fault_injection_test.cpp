@@ -55,8 +55,10 @@ TEST(ThreadPoolFaults, BadAllocIsCapturedNotFatal) {
     if (i == 0) throw std::bad_alloc();
   });
   ASSERT_FALSE(st.ok());
-  // Returning the error cleared the slot.
-  EXPECT_TRUE(pool.wait_idle().ok());
+  EXPECT_EQ(st.error().message,
+            "worker task failed: allocation failure (bad_alloc)");
+  // Returning the error cleared it: the next job starts clean.
+  EXPECT_TRUE(pool.parallel_for(8, [](std::size_t) {}).ok());
 }
 
 TEST(ThreadPoolFaults, FirstOfManyErrorsIsReportedOnceAndOnlyOnce) {
@@ -64,14 +66,7 @@ TEST(ThreadPoolFaults, FirstOfManyErrorsIsReportedOnceAndOnlyOnce) {
   const Status st = pool.parallel_for(
       16, [](std::size_t i) { throw std::runtime_error(std::to_string(i)); });
   ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(pool.wait_idle().ok());
-}
-
-TEST(ThreadPoolFaults, DestructionWithUncollectedErrorIsSafe) {
-  // A pending error the caller never collects is logged and dropped by the
-  // destructor; it must not escape (std::terminate) or deadlock the join.
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("never collected"); });
+  EXPECT_TRUE(pool.parallel_for(16, [](std::size_t) {}).ok());
 }
 
 #ifdef SDF_FAULT_INJECTION
@@ -183,16 +178,22 @@ TEST(FaultInjection, InjectedEvaluationFaultSurfacesAndRunResumes) {
 }
 
 TEST(FaultInjection, InjectedBadAllocAbortsTheRunResumably) {
-  DisarmGuard guard;
+  // With or without a pool, a failed evaluation reads the same.
   const SpecificationGraph spec = models::make_settop_spec();
-  ExploreOptions options;
-  options.num_threads = 2;
-  FaultInjector::arm("explore.evaluate", FaultKind::kBadAlloc, 1);
-  const ExploreResult broken = explore(spec, options);
-  FaultInjector::disarm_all();
-  ASSERT_FALSE(broken.status.ok());
-  EXPECT_EQ(broken.stats.stop_reason, StopReason::kWorkerError);
-  ASSERT_TRUE(broken.checkpoint.has_value());
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    DisarmGuard guard;
+    ExploreOptions options;
+    options.num_threads = threads;
+    FaultInjector::arm("explore.evaluate", FaultKind::kBadAlloc, 1);
+    const ExploreResult broken = explore(spec, options);
+    FaultInjector::disarm_all();
+    ASSERT_FALSE(broken.status.ok());
+    EXPECT_EQ(broken.status.error().message,
+              "worker task failed: allocation failure (bad_alloc)");
+    EXPECT_EQ(broken.stats.stop_reason, StopReason::kWorkerError);
+    ASSERT_TRUE(broken.checkpoint.has_value());
+  }
 }
 
 TEST(FaultInjection, InjectedEvaluationFaultStopsAnUpgradeRun) {
