@@ -26,7 +26,7 @@ void print_fig4() {
       AllocSet a = spec.make_alloc_set();
       for (std::size_t i = 0; i < n; ++i)
         if (mask & (std::uint64_t{1} << i)) a.set(i);
-      if (const auto impl = build_implementation(spec, a))
+      if (const auto impl = build_implementation(spec.compiled(), a))
         cloud.push_back(
             ParetoPoint{impl->cost, 1.0 / impl->flexibility, 0});
     }

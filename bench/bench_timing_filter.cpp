@@ -21,6 +21,7 @@ struct Case {
 
 void print_timing() {
   const SpecificationGraph spec = models::make_settop_spec();
+  const CompiledSpec& cs = spec.compiled();
   const HierarchicalGraph& p = spec.problem();
 
   const std::vector<Case> cases = {
@@ -44,12 +45,12 @@ void print_timing() {
     alloc.set(spec.find_unit(c.cpu).index());
     SolverOptions no_timing;
     no_timing.utilization_bound = 0.0;
-    const auto binding = solve_binding(spec, alloc, eca, no_timing);
+    const auto binding = solve_binding(cs, alloc, eca, no_timing);
     if (!binding.has_value()) {
       table.add_row({c.label, "-", "-", "-", "unbindable"});
       continue;
     }
-    const UtilizationReport util = analyze_utilization(spec, *binding);
+    const UtilizationReport util = analyze_utilization(cs, *binding);
     const bool bound_ok = util.feasible();
     const bool rm_ok = rm_schedulable(spec, *binding);
 
@@ -137,6 +138,7 @@ void print_timing() {
 
 void BM_UtilizationAnalysis(benchmark::State& state) {
   const SpecificationGraph spec = models::make_settop_spec();
+  const CompiledSpec& cs = spec.compiled();
   const HierarchicalGraph& p = spec.problem();
   Eca eca;
   for (const char* name : {"gD", "gD1", "gU1"}) {
@@ -145,9 +147,9 @@ void BM_UtilizationAnalysis(benchmark::State& state) {
   }
   AllocSet alloc = spec.make_alloc_set();
   alloc.set(spec.find_unit("uP2").index());
-  const auto binding = solve_binding(spec, alloc, eca);
+  const auto binding = solve_binding(cs, alloc, eca);
   for (auto _ : state)
-    benchmark::DoNotOptimize(analyze_utilization(spec, *binding));
+    benchmark::DoNotOptimize(analyze_utilization(cs, *binding));
 }
 BENCHMARK(BM_UtilizationAnalysis);
 
@@ -169,7 +171,7 @@ void BM_ListSchedule(benchmark::State& state) {
   }
   AllocSet alloc = spec.make_alloc_set();
   alloc.set(spec.find_unit("uP2").index());
-  const auto binding = solve_binding(spec, alloc, eca);
+  const auto binding = solve_binding(spec.compiled(), alloc, eca);
   const FlatGraph flat = flatten(p, eca.selection).value();
   for (auto _ : state)
     benchmark::DoNotOptimize(list_schedule(spec, flat, *binding));

@@ -23,6 +23,7 @@
 int main() {
   using namespace sdf;
   const SpecificationGraph spec = models::make_settop_spec();
+  const CompiledSpec& cs = spec.compiled();
   const HierarchicalGraph& p = spec.problem();
 
   // The fully flexible platform from the case study's Pareto front.
@@ -65,7 +66,7 @@ int main() {
       if (!p.cluster(ClusterId{i}).is_root())
         eca.clusters.push_back(ClusterId{i});
     });
-    const auto binding = solve_binding(spec, platform.units, eca);
+    const auto binding = solve_binding(cs, platform.units, eca);
     if (!binding.has_value()) {
       std::printf("t=%.0f: no feasible binding!\n", t);
       return 1;
@@ -81,7 +82,7 @@ int main() {
       bindings += p.node(a.process).name + "->" +
                   spec.alloc_units()[a.unit.index()].name;
     }
-    const UtilizationReport util = analyze_utilization(spec, *binding);
+    const UtilizationReport util = analyze_utilization(cs, *binding);
     table.add_row({format_double(t), clusters, bindings,
                    format_double(util.max_utilization, 2)});
   }

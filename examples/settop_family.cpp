@@ -28,6 +28,7 @@ void write_file(const std::string& path, const std::string& content) {
 int main() {
   using namespace sdf;
   const SpecificationGraph spec = models::make_settop_spec();
+  const CompiledSpec& cs = spec.compiled();
 
   // ---- 1. Model summary. ----
   std::printf("== Set-Top box family (Haubelt et al., DATE 2002, Figs. 3/5) ==\n\n");
@@ -101,7 +102,7 @@ int main() {
       binding += spec.problem().node(a.process).name + "->" +
                  spec.alloc_units()[a.unit.index()].name;
     }
-    const UtilizationReport util = analyze_utilization(spec, fe.binding);
+    const UtilizationReport util = analyze_utilization(cs, fe.binding);
     ecas.add_row({activation, binding,
                   format_double(util.max_utilization, 3)});
   }

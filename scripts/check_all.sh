@@ -6,7 +6,8 @@
 #   3. fault injection         SDF_FAULT_INJECTION=ON + TSan, armed-site tests
 #   4. fuzz harnesses          front-door parsers under ASan+UBSan, ~60s each
 #   5. scripts/check_tidy.sh   clang-tidy profile (skips if not installed)
-#   6. sdf lint                zero-diagnostic gate over examples/specs/
+#   6. bench_e2e               the benchmark's own CMake project and tests
+#   7. sdf lint                zero-diagnostic gate over examples/specs/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +58,15 @@ for h in spec_parse lint checkpoint; do
 done
 
 scripts/check_tidy.sh
+
+echo "==================== bench_e2e: build and replay tests ===================="
+# bench_e2e/ is a separate CMake project over src/ that no other stage
+# builds, so an API change that breaks it would first show as a failed
+# benchmark run.  run.py --test builds it into .bench_build/ (Release) and
+# runs its e2e_test: the layer-timed replay must agree with explore(), the
+# fronts committed in bench_e2e/expected_fronts.json must hold, and the
+# printed metric names must match BENCHMARK.json.
+python3 bench_e2e/run.py --test
 
 echo "==================== kernel perf smoke ===================="
 # Count-based, not wall-clock: asserts every bitset kernel agrees with a

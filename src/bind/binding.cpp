@@ -76,12 +76,6 @@ bool units_can_communicate(const CompiledSpec& cs, const AllocSet& alloc,
   return false;
 }
 
-bool units_can_communicate(const SpecificationGraph& spec,
-                           const AllocSet& alloc, AllocUnitId a, AllocUnitId b,
-                           CommModel model) {
-  return units_can_communicate(spec.compiled(), alloc, a, b, model);
-}
-
 Status check_binding(const CompiledSpec& cs, const AllocSet& alloc,
                      const FlatGraph& flat, const Binding& binding,
                      CommModel model) {
@@ -125,12 +119,6 @@ Status check_binding(const CompiledSpec& cs, const AllocSet& alloc,
   }
 
   return Status::Ok();
-}
-
-Status check_binding(const SpecificationGraph& spec, const AllocSet& alloc,
-                     const FlatGraph& flat, const Binding& binding,
-                     CommModel model) {
-  return check_binding(spec.compiled(), alloc, flat, binding, model);
 }
 
 }  // namespace sdf

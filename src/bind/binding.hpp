@@ -67,12 +67,9 @@ class Binding {
 class CompiledSpec;
 
 /// Communication feasibility between two units under `alloc` and `model`.
-/// The compiled form answers `kDirectOnly`/`kOneHopBus` from precomputed
+/// `kDirectOnly`/`kOneHopBus` are answered from the index's precomputed
 /// adjacency bitsets without touching the architecture graph.
 [[nodiscard]] bool units_can_communicate(const CompiledSpec& cs,
-                                         const AllocSet& alloc, AllocUnitId a,
-                                         AllocUnitId b, CommModel model);
-[[nodiscard]] bool units_can_communicate(const SpecificationGraph& spec,
                                          const AllocSet& alloc, AllocUnitId a,
                                          AllocUnitId b, CommModel model);
 
@@ -80,10 +77,6 @@ class CompiledSpec;
 /// activated problem vertices `flat` and the allocation `alloc`.
 /// Returns the first violated rule (1..3) with a message, or OK.
 [[nodiscard]] Status check_binding(const CompiledSpec& cs,
-                                   const AllocSet& alloc, const FlatGraph& flat,
-                                   const Binding& binding,
-                                   CommModel model = CommModel::kOneHopBus);
-[[nodiscard]] Status check_binding(const SpecificationGraph& spec,
                                    const AllocSet& alloc, const FlatGraph& flat,
                                    const Binding& binding,
                                    CommModel model = CommModel::kOneHopBus);

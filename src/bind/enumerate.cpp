@@ -90,12 +90,4 @@ BindingEnumeration enumerate_bindings(const CompiledSpec& cs,
   return result;
 }
 
-BindingEnumeration enumerate_bindings(const SpecificationGraph& spec,
-                                      const AllocSet& alloc, const Eca& eca,
-                                      const SolverOptions& options,
-                                      std::size_t max_feasible) {
-  return enumerate_bindings(spec.compiled(), alloc, eca, options,
-                            max_feasible);
-}
-
 }  // namespace sdf

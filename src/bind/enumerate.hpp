@@ -27,14 +27,10 @@ struct BindingEnumeration {
 };
 
 /// Enumerates bindings of `eca` on `alloc`.  `max_feasible` caps the stored
-/// feasible bindings (0 = unlimited).  The compiled form reads domains and
-/// the memoized flattening from the index; the `SpecificationGraph` form is
-/// a shim over `spec.compiled()`.
+/// feasible bindings (0 = unlimited).  Domains and the memoized flattening
+/// come from the index.
 [[nodiscard]] BindingEnumeration enumerate_bindings(
     const CompiledSpec& cs, const AllocSet& alloc, const Eca& eca,
-    const SolverOptions& options = {}, std::size_t max_feasible = 0);
-[[nodiscard]] BindingEnumeration enumerate_bindings(
-    const SpecificationGraph& spec, const AllocSet& alloc, const Eca& eca,
     const SolverOptions& options = {}, std::size_t max_feasible = 0);
 
 }  // namespace sdf

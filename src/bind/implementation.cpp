@@ -110,10 +110,4 @@ std::optional<Implementation> build_implementation(
   return impl;
 }
 
-std::optional<Implementation> build_implementation(
-    const SpecificationGraph& spec, const AllocSet& alloc,
-    const ImplementationOptions& options, ImplementationStats* stats) {
-  return build_implementation(spec.compiled(), alloc, options, stats);
-}
-
 }  // namespace sdf

@@ -125,20 +125,15 @@ struct ImplementationStats {
   }
 };
 
-/// Tries to construct a feasible implementation of `spec` on `alloc`:
-/// takes the elementary cluster activations of the activatable clusters
-/// (prepared once per activatable set, `CompiledSpec::prepared_ecas`),
-/// solves the binding problem for each, and aggregates the feasible ones.
-/// Returns nullopt when no elementary activation is feasible (the
-/// allocation implements nothing).  The compiled form is the hot path of
-/// EXPLORE's inner loop; the `SpecificationGraph` form is a shim over
-/// `spec.compiled()`.
+/// Tries to construct a feasible implementation of the indexed spec on
+/// `alloc`: takes the elementary cluster activations of the activatable
+/// clusters (prepared once per activatable set,
+/// `CompiledSpec::prepared_ecas`), solves the binding problem for each, and
+/// aggregates the feasible ones.  Returns nullopt when no elementary
+/// activation is feasible (the allocation implements nothing).  The hot
+/// path of EXPLORE's inner loop.
 [[nodiscard]] std::optional<Implementation> build_implementation(
     const CompiledSpec& cs, const AllocSet& alloc,
-    const ImplementationOptions& options = {},
-    ImplementationStats* stats = nullptr);
-[[nodiscard]] std::optional<Implementation> build_implementation(
-    const SpecificationGraph& spec, const AllocSet& alloc,
     const ImplementationOptions& options = {},
     ImplementationStats* stats = nullptr);
 

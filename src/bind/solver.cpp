@@ -487,13 +487,6 @@ std::optional<Binding> solve_binding_flat(const CompiledSpec& cs,
   return BindingSearch(cs, alloc, flat, options, s).run();
 }
 
-std::optional<Binding> solve_binding(const SpecificationGraph& spec,
-                                     const AllocSet& alloc, const Eca& eca,
-                                     const SolverOptions& options,
-                                     SolverStats* stats) {
-  return solve_binding(spec.compiled(), alloc, eca, options, stats);
-}
-
 bool binding_feasible(const CompiledSpec& cs, const AllocSet& alloc,
                       const Eca& eca, const Binding& binding,
                       const SolverOptions& options) {
@@ -593,19 +586,6 @@ std::vector<double> unit_footprints(const CompiledSpec& cs,
   return used;
 }
 
-std::vector<double> unit_footprints(const SpecificationGraph& spec,
-                                    const Binding& binding) {
-  return unit_footprints(spec.compiled(), binding);
-}
-
-double unit_capacity(const CompiledSpec& cs, AllocUnitId unit) {
-  return cs.unit_capacity(unit);
-}
-
-double unit_capacity(const SpecificationGraph& spec, AllocUnitId unit) {
-  return spec.compiled().unit_capacity(unit);
-}
-
 std::vector<double> unit_utilizations(const CompiledSpec& cs,
                                       const Binding& binding) {
   std::vector<double> load(cs.unit_count(), 0.0);
@@ -616,11 +596,6 @@ std::vector<double> unit_utilizations(const CompiledSpec& cs,
       load[a.unit.index()] += weight * a.latency / period;
   }
   return load;
-}
-
-std::vector<double> unit_utilizations(const SpecificationGraph& spec,
-                                      const Binding& binding) {
-  return unit_utilizations(spec.compiled(), binding);
 }
 
 }  // namespace sdf

@@ -78,15 +78,10 @@ struct SolverStats {
 /// `alloc`.  Returns the first feasible binding found, or nullopt if none
 /// exists (or the run budget was hit — see `stats.outcome`).
 ///
-/// The compiled form reads candidate domains, adjacency and per-process
-/// attributes straight from the index (including its memoized flattening of
-/// `eca.selection`); the `SpecificationGraph` form is a shim over
-/// `spec.compiled()`.
+/// Candidate domains, adjacency and per-process attributes come straight
+/// from the index, including its memoized flattening of `eca.selection`.
 [[nodiscard]] std::optional<Binding> solve_binding(
     const CompiledSpec& cs, const AllocSet& alloc, const Eca& eca,
-    const SolverOptions& options = {}, SolverStats* stats = nullptr);
-[[nodiscard]] std::optional<Binding> solve_binding(
-    const SpecificationGraph& spec, const AllocSet& alloc, const Eca& eca,
     const SolverOptions& options = {}, SolverStats* stats = nullptr);
 
 /// Kernel entry on an explicit flat (sub-)problem: identical search to
@@ -124,20 +119,10 @@ struct SolverStats {
 /// nothing).  Indexed by unit.
 [[nodiscard]] std::vector<double> unit_utilizations(
     const CompiledSpec& cs, const Binding& binding);
-[[nodiscard]] std::vector<double> unit_utilizations(
-    const SpecificationGraph& spec, const Binding& binding);
 
 /// Occupied capacity of each unit under `binding`: summed kFootprint of
 /// the processes bound to it.  Indexed by unit.
 [[nodiscard]] std::vector<double> unit_footprints(
     const CompiledSpec& cs, const Binding& binding);
-[[nodiscard]] std::vector<double> unit_footprints(
-    const SpecificationGraph& spec, const Binding& binding);
-
-/// Capacity of a unit (kCapacity of its vertex or configuration cluster);
-/// 0 = unlimited.
-[[nodiscard]] double unit_capacity(const CompiledSpec& cs, AllocUnitId unit);
-[[nodiscard]] double unit_capacity(const SpecificationGraph& spec,
-                                   AllocUnitId unit);
 
 }  // namespace sdf

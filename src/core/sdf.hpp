@@ -24,13 +24,12 @@
 //   explore/     EXPLORE, exhaustive and evolutionary explorers (§4)
 //   gen/         synthetic specification generator
 //
-// Spec queries come in two forms.  `SpecificationGraph` offers convenience
-// methods (mappings_of, allocation_cost, comm_reachable, ...) that are thin
-// shims over a lazily built, mutation-invalidated `CompiledSpec`; engines
-// with a hot loop (flex/bind/explore/lint) instead fetch
-// `spec.compiled()` once and query the immutable index directly — every
-// function in those layers therefore has a `const CompiledSpec&` overload
-// next to the `const SpecificationGraph&` one.
+// Spec queries go through one index: `spec.compiled()` returns a lazily
+// built, mutation-invalidated `CompiledSpec` (unit universe, mapping
+// edges, reachability, allocation cost, communication), and the
+// flex/bind/sched engine functions take it as their first argument —
+// e.g. `sdf::build_implementation(spec.compiled(), alloc)`.  The spec's
+// unit accessors (`alloc_units`, `find_unit`, ...) read the same index.
 #pragma once
 
 #include "activation/activation_state.hpp"

@@ -250,9 +250,6 @@ CostOrderedAllocations::CostOrderedAllocations(const CompiledSpec& cs,
   frontier_size_ = 1;
 }
 
-CostOrderedAllocations::CostOrderedAllocations(const SpecificationGraph& spec)
-    : CostOrderedAllocations(spec.compiled()) {}
-
 void CostOrderedAllocations::reserve_run() {
   const std::size_t need = kHead + unit_cost_.size();
   if (words_.capacity() - words_.size() >= need) return;
@@ -555,12 +552,6 @@ bool obviously_dominated(const CompiledSpec& cs, const DominanceContext& ctx,
   return false;
 }
 
-bool obviously_dominated(const SpecificationGraph& spec,
-                         const AllocSet& alloc, const AllocSet* scope) {
-  const CompiledSpec& cs = spec.compiled();
-  return obviously_dominated(cs, DominanceContext(cs), alloc, scope);
-}
-
 std::vector<AllocSet> enumerate_possible_allocations(
     const CompiledSpec& cs, bool apply_dominance_filter,
     std::size_t max_universe) {
@@ -578,13 +569,6 @@ std::vector<AllocSet> enumerate_possible_allocations(
     out.push_back(std::move(*a));
   }
   return out;
-}
-
-std::vector<AllocSet> enumerate_possible_allocations(
-    const SpecificationGraph& spec, bool apply_dominance_filter,
-    std::size_t max_universe) {
-  return enumerate_possible_allocations(spec.compiled(),
-                                        apply_dominance_filter, max_universe);
 }
 
 }  // namespace sdf

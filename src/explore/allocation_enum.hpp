@@ -97,7 +97,6 @@ struct EnumCursor {
 class CostOrderedAllocations {
  public:
   explicit CostOrderedAllocations(const CompiledSpec& cs);
-  explicit CostOrderedAllocations(const SpecificationGraph& spec);
 
   /// Variant with a frozen base: every emitted allocation contains `base`,
   /// only units outside `base` are added, and the enumeration order is by
@@ -250,21 +249,12 @@ struct DominanceContext {
                                        const AllocSet& alloc,
                                        const AllocSet* scope = nullptr);
 
-/// Convenience overload that rebuilds the context per call; prefer the
-/// context form anywhere more than one candidate is filtered.
-[[nodiscard]] bool obviously_dominated(const SpecificationGraph& spec,
-                                       const AllocSet& alloc,
-                                       const AllocSet* scope = nullptr);
-
 /// Eagerly enumerates every *possible resource allocation* (allocations
 /// admitting at least one complete problem activation by reachability,
 /// §4), ascending by cost.  Exponential in the universe — intended for the
 /// paper-sized examples; aborts via SDF_CHECK above `max_universe` units.
 [[nodiscard]] std::vector<AllocSet> enumerate_possible_allocations(
     const CompiledSpec& cs, bool apply_dominance_filter = false,
-    std::size_t max_universe = 24);
-[[nodiscard]] std::vector<AllocSet> enumerate_possible_allocations(
-    const SpecificationGraph& spec, bool apply_dominance_filter = false,
     std::size_t max_universe = 24);
 
 }  // namespace sdf

@@ -231,10 +231,11 @@ std::vector<ParetoPoint> ExploreResult::tradeoff_curve() const {
 
 namespace {
 
-/// EXPLORE over the supersets of `base`, cost-ordered by the units they
-/// add to it.  `explore()` runs it on the empty base; `explore_upgrades`
-/// on a deployed platform, whose implemented flexibility `base_f` is the
-/// first incumbent.  Front points keep their full allocation cost; the
+/// EXPLORE over the supersets of `deployed`, cost-ordered by the units
+/// they add to it.  `explore()` runs it on the empty base (null, so a cold
+/// spec compiles inside the timed index build); `explore_upgrades` on a
+/// deployed platform, whose implemented flexibility `base_f` is the first
+/// incumbent.  Front points keep their full allocation cost; the
 /// universe and the certificate count only what lies outside the base.
 /// Only an empty base may resume: the checkpoint digests do not cover it.
 /// `explore_uncertain` passes an `interval` archive: the merge fills it
@@ -242,7 +243,7 @@ namespace {
 /// the subtree bound, which compares crisp flexibilities, stays off.
 ExploreResult explore_supersets(const SpecificationGraph& spec,
                                 const ExploreOptions& options,
-                                const AllocSet& base, double base_f,
+                                const AllocSet* deployed, double base_f,
                                 IntervalArchive* interval = nullptr) {
   const auto t0 = Clock::now();
 
@@ -255,6 +256,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   // reads from it.
   const CompiledSpec& cs = spec.compiled();
   result.stats.index_build_seconds = seconds_since(t0);
+  const AllocSet base = deployed != nullptr ? *deployed : cs.make_alloc_set();
   result.max_flexibility = max_flexibility(cs.problem());
   result.stats.universe = cs.unit_count() - base.count();
   result.stats.raw_design_points =
@@ -620,7 +622,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
 
 ExploreResult explore(const SpecificationGraph& spec,
                       const ExploreOptions& options) {
-  return explore_supersets(spec, options, spec.make_alloc_set(), 0.0);
+  return explore_supersets(spec, options, nullptr, 0.0);
 }
 
 UpgradeResult explore_upgrades(const SpecificationGraph& spec,
@@ -645,7 +647,7 @@ UpgradeResult explore_upgrades(const SpecificationGraph& spec,
   if (const auto deployed = build_implementation(cs, existing, base_impl))
     result.baseline_flexibility = deployed->flexibility;
 
-  ExploreResult run = explore_supersets(spec, run_options, existing,
+  ExploreResult run = explore_supersets(spec, run_options, &existing,
                                         result.baseline_flexibility);
   // Includes any device interface newly brought in by an added
   // configuration (charged once, like allocation_cost itself).
@@ -664,8 +666,8 @@ UncertainExploreResult explore_uncertain(
     const SpecificationGraph& spec, const UncertainExploreOptions& options) {
   const IntervalCostModel model(spec, options);
   IntervalArchive archive{model, {}, {}};
-  ExploreResult run = explore_supersets(spec, ExploreOptions{},
-                                        spec.make_alloc_set(), 0.0, &archive);
+  ExploreResult run =
+      explore_supersets(spec, ExploreOptions{}, nullptr, 0.0, &archive);
   // Only a failed evaluation ends a run without a budget early: rethrow.
   if (!run.status.ok()) throw std::runtime_error(run.status.error().message);
   UncertainExploreResult result{{}, run.max_flexibility, run.stats};

@@ -8,10 +8,10 @@ Json implementation_to_json(const SpecificationGraph& spec,
   JsonObject obj;
   obj.emplace_back("cost", Json(impl.cost));
   obj.emplace_back("flexibility", Json(impl.flexibility));
+  const std::vector<AllocUnit>& units = spec.alloc_units();
   JsonArray resources;
-  impl.units.for_each([&](std::size_t i) {
-    resources.push_back(Json(spec.alloc_units()[i].name));
-  });
+  impl.units.for_each(
+      [&](std::size_t i) { resources.push_back(Json(units[i].name)); });
   obj.emplace_back("resources", Json(std::move(resources)));
   JsonArray clusters;
   for (ClusterId c : impl.leaf_clusters(spec.problem()))

@@ -50,10 +50,6 @@ Activatability::Activatability(const CompiledSpec& cs, const AllocSet& alloc)
   }
 }
 
-Activatability::Activatability(const SpecificationGraph& spec,
-                               const AllocSet& alloc)
-    : Activatability(spec.compiled(), alloc) {}
-
 std::optional<double> Activatability::estimated_flexibility() const {
   if (!root_) return std::nullopt;
   return flexibility(problem_, activatable_);
@@ -64,18 +60,8 @@ std::optional<double> estimate_flexibility(const CompiledSpec& cs,
   return Activatability(cs, alloc).estimated_flexibility();
 }
 
-std::optional<double> estimate_flexibility(const SpecificationGraph& spec,
-                                           const AllocSet& alloc) {
-  return Activatability(spec.compiled(), alloc).estimated_flexibility();
-}
-
 bool is_possible_allocation(const CompiledSpec& cs, const AllocSet& alloc) {
   return Activatability(cs, alloc).root_activatable();
-}
-
-bool is_possible_allocation(const SpecificationGraph& spec,
-                            const AllocSet& alloc) {
-  return Activatability(spec.compiled(), alloc).root_activatable();
 }
 
 }  // namespace sdf

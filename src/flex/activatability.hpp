@@ -28,11 +28,9 @@ class CompiledSpec;
 /// Per-cluster activatability of the problem graph under `alloc`.
 class Activatability {
  public:
-  /// Preferred form: one bitset intersection per process against the
-  /// compiled reachable-unit sets, no per-call allocation.
+  /// One bitset intersection per process against the compiled
+  /// reachable-unit sets, no per-call allocation.
   Activatability(const CompiledSpec& cs, const AllocSet& alloc);
-  /// Shim over `spec.compiled()`.
-  Activatability(const SpecificationGraph& spec, const AllocSet& alloc);
 
   /// True iff `cluster` (a problem-graph cluster) is activatable.
   [[nodiscard]] bool activatable(ClusterId cluster) const {
@@ -60,13 +58,9 @@ class Activatability {
 /// `alloc` is not a possible resource allocation.
 [[nodiscard]] std::optional<double> estimate_flexibility(
     const CompiledSpec& cs, const AllocSet& alloc);
-[[nodiscard]] std::optional<double> estimate_flexibility(
-    const SpecificationGraph& spec, const AllocSet& alloc);
 
 /// Convenience: possible-resource-allocation test (§4).
 [[nodiscard]] bool is_possible_allocation(const CompiledSpec& cs,
-                                          const AllocSet& alloc);
-[[nodiscard]] bool is_possible_allocation(const SpecificationGraph& spec,
                                           const AllocSet& alloc);
 
 }  // namespace sdf

@@ -2,11 +2,13 @@
 
 #include "flex/activatability.hpp"
 #include "graph/filter.hpp"
+#include "spec/compiled.hpp"
 
 namespace sdf {
 
 SpecificationGraph reduce_specification(const SpecificationGraph& spec,
                                         const AllocSet& alloc) {
+  const CompiledSpec& cs = spec.compiled();
   // Architecture: keep top-level vertices whose unit is allocated, every
   // interface with at least one allocated configuration, allocated
   // configuration clusters, and all nodes inside kept configurations.
@@ -15,7 +17,7 @@ SpecificationGraph reduce_specification(const SpecificationGraph& spec,
     // their enclosing unit (their leaves resolve to the same unit).
     const auto leaves = spec.architecture().leaves(c.id);
     if (leaves.empty()) return true;  // structural oddity: keep
-    const AllocUnitId unit = spec.unit_of_resource(leaves.front());
+    const AllocUnitId unit = cs.unit_of_resource(leaves.front());
     if (!unit.valid()) return true;
     return alloc.test(unit.index());
   };
@@ -25,7 +27,7 @@ SpecificationGraph reduce_specification(const SpecificationGraph& spec,
       for (ClusterId sub : n.clusters) {
         const auto leaves = spec.architecture().leaves(sub);
         if (leaves.empty()) continue;
-        const AllocUnitId unit = spec.unit_of_resource(leaves.front());
+        const AllocUnitId unit = cs.unit_of_resource(leaves.front());
         if (unit.valid() && alloc.test(unit.index())) return true;
       }
       return false;
@@ -33,7 +35,7 @@ SpecificationGraph reduce_specification(const SpecificationGraph& spec,
     // Top-level vertex: keep iff its unit is allocated.  Nodes inside
     // clusters are handled by the cluster predicate; keep them.
     if (!spec.architecture().cluster(n.parent).is_root()) return true;
-    const AllocUnitId unit = spec.unit_of_resource(n.id);
+    const AllocUnitId unit = cs.unit_of_resource(n.id);
     return unit.valid() && alloc.test(unit.index());
   };
   FilterResult arch =
@@ -44,14 +46,14 @@ SpecificationGraph reduce_specification(const SpecificationGraph& spec,
   // and exactly the activatable clusters.  (A cluster emptied of its
   // unmappable vertices would otherwise read as a trivially-implementable
   // leaf alternative under Def. 4 and inflate the flexibility.)
-  const Activatability act(spec, alloc);
+  const Activatability act(cs, alloc);
   const auto problem_keep = [&](const Node& n) {
     if (n.is_interface()) {
       for (ClusterId sub : n.clusters)
         if (act.activatable(sub)) return true;
       return false;
     }
-    for (const MappingEdge& m : spec.mappings_of(n.id))
+    for (const CompiledMapping& m : cs.mappings_of(n.id))
       if (arch.node_map[m.resource.index()].valid()) return true;
     return false;
   };

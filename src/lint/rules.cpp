@@ -122,7 +122,7 @@ void check_negative_attribute(LintContext& ctx) {
 
 void check_missing_cost(LintContext& ctx) {
   const HierarchicalGraph& a = ctx.spec.architecture();
-  for (const AllocUnit& u : ctx.spec.alloc_units()) {
+  for (const AllocUnit& u : ctx.compiled.units()) {
     const bool has_cost =
         u.is_cluster_unit()
             ? a.cluster(u.cluster).attrs.contains(attr::kCost)

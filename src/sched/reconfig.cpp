@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 
+#include "spec/compiled.hpp"
 #include "util/strings.hpp"
 
 namespace sdf {
@@ -18,6 +19,7 @@ Result<ReconfigReport> analyze_reconfiguration(
     const SpecificationGraph& spec, const AllocSet& alloc,
     const ActivationTimeline& timeline, const SolverOptions& solver) {
   ReconfigReport report;
+  const CompiledSpec& cs = spec.compiled();
   const HierarchicalGraph& arch = spec.architecture();
 
   // Configuration currently loaded per device (architecture interface).
@@ -37,7 +39,7 @@ Result<ReconfigReport> analyze_reconfiguration(
         eca.clusters.push_back(ClusterId{i});
     });
 
-    std::optional<Binding> binding = solve_binding(spec, alloc, eca, solver);
+    std::optional<Binding> binding = solve_binding(cs, alloc, eca, solver);
     if (!binding.has_value()) {
       return Error{strprintf("segment at t=%s has no feasible binding",
                              format_double(segment.time).c_str())};
@@ -46,7 +48,7 @@ Result<ReconfigReport> analyze_reconfiguration(
     // Which configuration does each device hold in this segment?
     std::map<NodeId, ClusterId> wanted;
     for (const BindingAssignment& a : binding->assignments()) {
-      const AllocUnit& u = spec.alloc_units()[a.unit.index()];
+      const AllocUnit& u = cs.unit(a.unit);
       if (u.is_cluster_unit()) wanted[u.top] = u.cluster;
     }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "bind/solver.hpp"
 #include "spec/compiled.hpp"
 #include "util/strings.hpp"
 
@@ -20,16 +21,12 @@ bool UtilizationReport::feasible(double bound) const {
 UtilizationReport analyze_utilization(const CompiledSpec& cs,
                                       const Binding& binding) {
   UtilizationReport report;
-  report.per_unit.assign(cs.unit_count(), 0.0);
+  report.per_unit = unit_utilizations(cs, binding);
   report.tasks_per_unit.assign(cs.unit_count(), 0);
-
-  for (const BindingAssignment& a : binding.assignments()) {
-    const double period = cs.period(a.process);
-    const double weight = cs.timing_weight(a.process);
-    if (period <= 0.0 || weight <= 0.0) continue;
-    report.per_unit[a.unit.index()] += weight * a.latency / period;
-    ++report.tasks_per_unit[a.unit.index()];
-  }
+  // The tasks `unit_utilizations` charges: a positive period and weight.
+  for (const BindingAssignment& a : binding.assignments())
+    if (cs.period(a.process) > 0.0 && cs.timing_weight(a.process) > 0.0)
+      ++report.tasks_per_unit[a.unit.index()];
   for (std::size_t i = 0; i < report.per_unit.size(); ++i) {
     if (report.per_unit[i] > report.max_utilization) {
       report.max_utilization = report.per_unit[i];
@@ -39,27 +36,18 @@ UtilizationReport analyze_utilization(const CompiledSpec& cs,
   return report;
 }
 
-UtilizationReport analyze_utilization(const SpecificationGraph& spec,
-                                      const Binding& binding) {
-  return analyze_utilization(spec.compiled(), binding);
-}
-
 bool utilization_feasible(const CompiledSpec& cs, const Binding& binding,
                           double bound) {
   return analyze_utilization(cs, binding).feasible(bound);
 }
 
-bool utilization_feasible(const SpecificationGraph& spec,
-                          const Binding& binding, double bound) {
-  return analyze_utilization(spec.compiled(), binding).feasible(bound);
-}
-
 std::string utilization_summary(const SpecificationGraph& spec,
                                 const UtilizationReport& report) {
+  const std::vector<AllocUnit>& units = spec.alloc_units();
   std::vector<std::string> parts;
   for (std::size_t i = 0; i < report.per_unit.size(); ++i) {
     if (report.per_unit[i] <= 0.0) continue;
-    parts.push_back(spec.alloc_units()[i].name + ": " +
+    parts.push_back(units[i].name + ": " +
                     format_double(report.per_unit[i], 3));
   }
   return join(parts, ", ");

@@ -29,7 +29,7 @@ inline constexpr double kUtilizationBound69 = 0.69;
 
 /// Utilization of every allocatable unit under one binding.
 struct UtilizationReport {
-  /// Utilization per unit (indexed like `spec.alloc_units()`).
+  /// Utilization per unit (indexed like `CompiledSpec::units()`).
   std::vector<double> per_unit;
   /// Number of timing-relevant tasks per unit.
   std::vector<std::size_t> tasks_per_unit;
@@ -42,20 +42,15 @@ struct UtilizationReport {
   [[nodiscard]] bool feasible(double bound = kUtilizationBound69) const;
 };
 
-/// Computes the utilization report of `binding`.  The compiled form reads
-/// period/weight from the index's dense attribute arrays; the
-/// `SpecificationGraph` form is a shim over `spec.compiled()`.
+/// Computes the utilization report of `binding`: `per_unit` is
+/// `unit_utilizations` (bind/solver.hpp), with the task counts and the
+/// bottleneck added.
 [[nodiscard]] UtilizationReport analyze_utilization(
     const CompiledSpec& cs, const Binding& binding);
-[[nodiscard]] UtilizationReport analyze_utilization(
-    const SpecificationGraph& spec, const Binding& binding);
 
 /// Accept/reject decision as the paper's §5 applies it: true iff no unit
 /// exceeds `bound`.
 [[nodiscard]] bool utilization_feasible(const CompiledSpec& cs,
-                                        const Binding& binding,
-                                        double bound = kUtilizationBound69);
-[[nodiscard]] bool utilization_feasible(const SpecificationGraph& spec,
                                         const Binding& binding,
                                         double bound = kUtilizationBound69);
 

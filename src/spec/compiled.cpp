@@ -12,12 +12,43 @@ CompiledSpec::CompiledSpec(const SpecificationGraph& spec) : spec_(spec) {
   const HierarchicalGraph& arch = spec.architecture();
   const std::size_t np = problem.node_count();
 
-  // ---- units: copy the universe, resolve resources, price interfaces -------
-  units_ = spec.alloc_units();
+  // ---- units: the universe, resource ownership, interface prices ----------
+  // Built from the graphs alone: `spec.compiled()` holds its lock while this
+  // runs, so the spec's unit accessors must not be called back.
+  resource_to_unit_.assign(arch.node_count(), AllocUnitId{});
+  const auto push_unit = [&](AllocUnit u) {
+    u.id = AllocUnitId{units_.size()};
+    units_.push_back(std::move(u));
+    return units_.back().id;
+  };
+  // Top-level vertices first, arena order.
+  for (const NodeId nid : arch.cluster(arch.root()).nodes) {
+    const Node& n = arch.node(nid);
+    if (n.is_interface()) continue;
+    AllocUnit u;
+    u.name = n.name;
+    u.vertex = nid;
+    u.cost = arch.attr_or(nid, attr::kCost, 0.0);
+    u.is_comm = arch.attr_or(nid, attr::kComm, 0.0) != 0.0;
+    u.top = nid;
+    resource_to_unit_[nid.index()] = push_unit(std::move(u));
+  }
+  // Then the outermost refinement clusters (those whose interface sits at
+  // the top level), arena order: the paper's "whole clusters" granularity.
+  // Every leaf in such a cluster's subtree resolves to its unit.
+  for (const Cluster& c : arch.clusters()) {
+    if (c.is_root() || !arch.cluster(arch.node(c.parent).parent).is_root())
+      continue;
+    AllocUnit u;
+    u.name = c.name;
+    u.cluster = c.id;
+    u.cost = arch.attr_or(c.id, attr::kCost, 0.0);
+    u.top = c.parent;
+    const AllocUnitId id = push_unit(std::move(u));
+    for (const NodeId leaf : arch.leaves(c.id))
+      resource_to_unit_[leaf.index()] = id;
+  }
   const std::size_t nu = units_.size();
-  resource_to_unit_.resize(arch.node_count());
-  for (std::size_t i = 0; i < arch.node_count(); ++i)
-    resource_to_unit_[i] = spec.unit_of_resource(NodeId{i});
 
   unit_capacity_.resize(nu, 0.0);
   unit_iface_slot_.assign(nu, npos);
@@ -303,9 +334,8 @@ void CompiledSpec::build_decomposition() {
 }
 
 double CompiledSpec::allocation_cost(const AllocSet& alloc) const {
-  // Summation order matches the SpecificationGraph shim bit-for-bit:
-  // ascending unit index, each unit's cost followed by its device's cost
-  // the first time a configuration of that device appears.
+  // Summation order: ascending unit index, each unit's cost followed by its
+  // device's cost the first time a configuration of that device appears.
   double cost = 0.0;
   if (iface_cost_.size() <= 64) {
     std::uint64_t charged = 0;

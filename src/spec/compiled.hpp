@@ -10,6 +10,9 @@
 //
 // `CompiledSpec` answers them from an immutable, arena-style index built in
 // one pass:
+//   * the allocatable-unit universe and the unit owning each architecture
+//     leaf (`units`, `unit_of_resource`; `SpecificationGraph::alloc_units`
+//     and its other unit accessors read these),
 //   * mapping edges grouped per process in CSR layout (`mappings_of` is a
 //     zero-allocation span, insertion order preserved),
 //   * per-process reachable-unit bitsets (activatability is one bitset
@@ -188,6 +191,9 @@ class CompiledSpec {
 
   // ---- units ----------------------------------------------------------------
 
+  /// The allocatable-unit universe: one unit per top-level architecture
+  /// vertex in node order, then one per outermost refinement cluster in
+  /// cluster order.
   [[nodiscard]] const std::vector<AllocUnit>& units() const { return units_; }
   [[nodiscard]] std::size_t unit_count() const { return units_.size(); }
   [[nodiscard]] const AllocUnit& unit(AllocUnitId id) const {
@@ -220,9 +226,9 @@ class CompiledSpec {
     return comm_neighbor_tops_[id.index()];
   }
 
-  /// Allocation cost, bit-identical to the shim: unit costs in ascending
-  /// unit order plus, once per architecture interface with an allocated
-  /// configuration, the interface's own cost.
+  /// Allocation cost: unit costs in ascending unit order plus, once per
+  /// architecture interface with an allocated configuration, that
+  /// interface's own cost (the price of the reconfigurable device itself).
   [[nodiscard]] double allocation_cost(const AllocSet& alloc) const;
 
   // ---- mapping edges --------------------------------------------------------
@@ -241,7 +247,8 @@ class CompiledSpec {
   [[nodiscard]] const DynBitset& reachable_units(NodeId process) const {
     return reach_bits_[process.index()];
   }
-  /// Same set as a first-seen-order list (the shim's historical order).
+  /// Same set as a list, in the order the process's mapping edges first
+  /// reach each unit.
   [[nodiscard]] std::span<const AllocUnitId> reachable_unit_list(
       NodeId process) const {
     const std::size_t i = process.index();
@@ -378,7 +385,7 @@ class CompiledSpec {
 
   const SpecificationGraph& spec_;
 
-  // Units (copied so the index is self-contained).
+  // Units, built from the architecture graph.
   std::vector<AllocUnit> units_;
   std::vector<AllocUnitId> resource_to_unit_;  // by architecture NodeId
   std::vector<double> unit_capacity_;          // by unit

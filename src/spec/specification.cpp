@@ -1,7 +1,5 @@
 #include "spec/specification.hpp"
 
-#include <algorithm>
-
 #include "graph/validate.hpp"
 #include "spec/compiled.hpp"
 #include "util/strings.hpp"
@@ -29,7 +27,6 @@ SpecificationGraph& SpecificationGraph::operator=(
   problem_ = other.problem_;
   architecture_ = other.architecture_;
   mappings_ = other.mappings_;
-  units_dirty_ = true;
   compiled_.reset();
   return *this;
 }
@@ -39,8 +36,7 @@ SpecificationGraph::SpecificationGraph(SpecificationGraph&& other) noexcept
       problem_(std::move(other.problem_)),
       architecture_(std::move(other.architecture_)),
       mappings_(std::move(other.mappings_)) {
-  // The moved-from spec's caches would reference the data now owned here.
-  other.units_dirty_ = true;
+  // The moved-from spec's index would reference the data now owned here.
   other.compiled_.reset();
 }
 
@@ -51,9 +47,7 @@ SpecificationGraph& SpecificationGraph::operator=(
   problem_ = std::move(other.problem_);
   architecture_ = std::move(other.architecture_);
   mappings_ = std::move(other.mappings_);
-  units_dirty_ = true;
   compiled_.reset();
-  other.units_dirty_ = true;
   other.compiled_.reset();
   return *this;
 }
@@ -64,10 +58,6 @@ const CompiledSpec& SpecificationGraph::compiled() const {
       compiled_problem_version_ != problem_.version() ||
       compiled_architecture_version_ != architecture_.version() ||
       compiled_mapping_count_ != mappings_.size()) {
-    // An architecture edit may have changed unit costs/flags without going
-    // through a spec-level mutator; rebuild the unit universe too so the
-    // index never snapshots a stale cache.
-    invalidate_units();
     compiled_ = std::make_unique<CompiledSpec>(*this);
     compiled_problem_version_ = problem_.version();
     compiled_architecture_version_ = architecture_.version();
@@ -88,86 +78,9 @@ void SpecificationGraph::add_mapping(NodeId process, NodeId resource,
   mappings_.push_back(MappingEdge{process, resource, latency});
 }
 
-std::vector<MappingEdge> SpecificationGraph::mappings_of(
-    NodeId process) const {
-  const std::span<const CompiledMapping> span = compiled().mappings_of(process);
-  std::vector<MappingEdge> out;
-  out.reserve(span.size());
-  for (const CompiledMapping& m : span)
-    out.push_back(MappingEdge{process, m.resource, m.latency});
-  return out;
-}
-
-NodeId SpecificationGraph::top_node_of(NodeId arch_node) const {
-  // Walk up: node -> owning cluster -> owning interface -> ... until the
-  // owning cluster is the root.
-  NodeId cur = arch_node;
-  while (true) {
-    const Cluster& c = architecture_.cluster(architecture_.node(cur).parent);
-    if (c.is_root()) return cur;
-    cur = c.parent;
-  }
-}
-
-void SpecificationGraph::build_units() const {
-  units_.clear();
-  resource_to_unit_.assign(architecture_.node_count(), AllocUnitId{});
-
-  auto push_unit = [&](AllocUnit u) {
-    u.id = AllocUnitId{units_.size()};
-    units_.push_back(std::move(u));
-    return units_.back().id;
-  };
-
-  // Top-level vertices first, arena order.
-  for (NodeId nid : architecture_.cluster(architecture_.root()).nodes) {
-    const Node& n = architecture_.node(nid);
-    if (n.is_interface()) continue;
-    AllocUnit u;
-    u.name = n.name;
-    u.vertex = nid;
-    u.cost = architecture_.attr_or(nid, attr::kCost, 0.0);
-    u.is_comm = architecture_.attr_or(nid, attr::kComm, 0.0) != 0.0;
-    u.top = nid;
-    const AllocUnitId id = push_unit(std::move(u));
-    resource_to_unit_[nid.index()] = id;
-  }
-
-  // Refinement clusters, arena order; every leaf in a cluster's subtree
-  // resolves to that cluster's unit (innermost clusters are created later in
-  // the arena, so later assignments below would overwrite — we therefore map
-  // leaves to their *outermost* refinement cluster, matching the paper's
-  // "whole clusters" granularity).
-  for (const Cluster& c : architecture_.clusters()) {
-    if (c.is_root()) continue;
-    // Only clusters whose parent interface sits at the top level (outermost
-    // refinements) become units.
-    const Node& owner = architecture_.node(c.parent);
-    if (!architecture_.cluster(owner.parent).is_root()) continue;
-    AllocUnit u;
-    u.name = c.name;
-    u.cluster = c.id;
-    u.cost = architecture_.attr_or(c.id, attr::kCost, 0.0);
-    u.is_comm = false;
-    u.top = c.parent;
-    const AllocUnitId id = push_unit(std::move(u));
-    for (NodeId leaf : architecture_.leaves(c.id))
-      resource_to_unit_[leaf.index()] = id;
-  }
-
-  units_built_clusters_ = architecture_.cluster_count();
-  units_dirty_ = false;
-}
-
 const std::vector<AllocUnit>& SpecificationGraph::alloc_units() const {
-  if (units_dirty_ ||
-      resource_to_unit_.size() != architecture_.node_count() ||
-      units_built_clusters_ != architecture_.cluster_count())
-    build_units();
-  return units_;
+  return compiled().units();
 }
-
-void SpecificationGraph::invalidate_units() const { units_dirty_ = true; }
 
 AllocUnitId SpecificationGraph::find_unit(std::string_view name) const {
   for (const AllocUnit& u : alloc_units())
@@ -176,33 +89,20 @@ AllocUnitId SpecificationGraph::find_unit(std::string_view name) const {
 }
 
 AllocUnitId SpecificationGraph::unit_of_resource(NodeId resource) const {
-  (void)alloc_units();  // ensure resource_to_unit_ is built
-  SDF_CHECK(resource.valid() && resource.index() < resource_to_unit_.size(),
+  SDF_CHECK(resource.valid() && resource.index() < architecture_.node_count(),
             "bad architecture node id");
-  return resource_to_unit_[resource.index()];
+  return compiled().unit_of_resource(resource);
 }
 
-double SpecificationGraph::allocation_cost(const AllocSet& alloc) const {
-  return compiled().allocation_cost(alloc);
+AllocSet SpecificationGraph::make_alloc_set() const {
+  return compiled().make_alloc_set();
 }
 
 std::string SpecificationGraph::allocation_names(const AllocSet& alloc) const {
-  const auto& units = alloc_units();
+  const std::vector<AllocUnit>& units = alloc_units();
   std::vector<std::string> names;
   alloc.for_each([&](std::size_t i) { names.push_back(units[i].name); });
   return join(names, ", ");
-}
-
-bool SpecificationGraph::comm_reachable(const AllocSet& alloc, AllocUnitId a,
-                                        AllocUnitId b) const {
-  return compiled().comm_reachable(alloc, a, b);
-}
-
-std::vector<AllocUnitId> SpecificationGraph::reachable_units(
-    NodeId process) const {
-  const std::span<const AllocUnitId> span =
-      compiled().reachable_unit_list(process);
-  return {span.begin(), span.end()};
 }
 
 Status SpecificationGraph::validate() const {

@@ -9,7 +9,8 @@
 // On the architecture side, the paper's exploration reasons about
 // *allocatable units*: "only leaves v of the top-level architecture graph or
 // whole clusters of the architecture graph are considered" (§4).
-// `SpecificationGraph::alloc_units()` materializes that view — one unit per
+// The compiled query index (`CompiledSpec::units()`, also read through
+// `SpecificationGraph::alloc_units()`) materializes that view — one unit per
 // top-level architecture vertex and one per refinement cluster (e.g. one per
 // FPGA configuration) — and `AllocSet` represents allocations as bitsets
 // over the unit universe.
@@ -36,7 +37,7 @@ struct MappingEdge {
 };
 
 struct AllocUnitTag {};
-/// Dense index into `SpecificationGraph::alloc_units()`.
+/// Dense index into the unit universe (`CompiledSpec::units()`).
 using AllocUnitId = StrongId<AllocUnitTag>;
 
 /// One allocatable item of the architecture: either a top-level vertex
@@ -73,8 +74,7 @@ class SpecificationGraph {
   ~SpecificationGraph();
 
   // Copies and moves transfer the specification data only; the lazily
-  // built caches (unit universe, compiled index) start cold in the
-  // destination.
+  // built compiled index starts cold in the destination.
   SpecificationGraph(const SpecificationGraph& other);
   SpecificationGraph& operator=(const SpecificationGraph& other);
   SpecificationGraph(SpecificationGraph&& other) noexcept;
@@ -100,25 +100,21 @@ class SpecificationGraph {
     return mappings_;
   }
 
-  /// All mapping edges leaving `process`.  Thin shim over the compiled
-  /// index; hot paths should hold a `CompiledSpec` and use its
-  /// zero-allocation `mappings_of` span instead.
-  [[nodiscard]] std::vector<MappingEdge> mappings_of(NodeId process) const;
-
   /// The compiled query index of this specification, built lazily and
   /// rebuilt automatically after any mutation of the problem graph, the
   /// architecture graph, or the mapping edges.  The reference stays valid
-  /// until the next mutation.  Engines that evaluate many candidates fetch
-  /// this once and pass it down; the `mappings_of`/`reachable_units`/
-  /// `comm_reachable`/`allocation_cost` members of this class are
-  /// per-call-convenience shims over the same index.
+  /// until the next mutation.  Every spec query (mapping edges per process,
+  /// reachable units, allocation cost, communication) is asked of it; the
+  /// unit accessors below read it too.
   [[nodiscard]] const CompiledSpec& compiled() const;
 
   // ---- allocatable units ----------------------------------------------------
 
-  /// The allocatable-unit universe; stable order (top-level vertices in node
-  /// order, then refinement clusters in cluster order).  Built lazily and
-  /// cached; adding architecture nodes invalidates the cache.
+  // Each of these reads `compiled()`, so its answer follows every mutation;
+  // a reference it returns dangles after the next one.
+
+  /// The allocatable-unit universe (`CompiledSpec::units()`): top-level
+  /// vertices in node order, then refinement clusters in cluster order.
   [[nodiscard]] const std::vector<AllocUnit>& alloc_units() const;
 
   /// Unit by name; invalid id when absent.
@@ -129,50 +125,20 @@ class SpecificationGraph {
   [[nodiscard]] AllocUnitId unit_of_resource(NodeId resource) const;
 
   /// Empty allocation over the unit universe.
-  [[nodiscard]] AllocSet make_alloc_set() const {
-    return AllocSet(alloc_units().size());
-  }
-
-  /// Allocation cost: sum of unit costs plus, once per architecture
-  /// interface with at least one allocated descendant cluster, that
-  /// interface's own cost (the price of the reconfigurable device itself).
-  [[nodiscard]] double allocation_cost(const AllocSet& alloc) const;
+  [[nodiscard]] AllocSet make_alloc_set() const;
 
   /// Human-readable unit list, e.g. "uP2, G1, U2, C1".
   [[nodiscard]] std::string allocation_names(const AllocSet& alloc) const;
-
-  /// True iff an allocated communication path exists between the top-level
-  /// architecture nodes of units `a` and `b` under `alloc`:
-  ///  - `a` and `b` share the same top node (same device), or
-  ///  - a direct architecture edge connects the two tops, or
-  ///  - an allocated communication unit is adjacent (by architecture edges,
-  ///    treated as bidirectional) to both tops.
-  [[nodiscard]] bool comm_reachable(const AllocSet& alloc, AllocUnitId a,
-                                    AllocUnitId b) const;
-
-  /// Units whose `resource` mapping targets make them candidates for
-  /// `process` ("reachable resources" R_ij of §4).
-  [[nodiscard]] std::vector<AllocUnitId> reachable_units(NodeId process) const;
 
   /// Structural sanity of the whole specification (problem and architecture
   /// graphs valid, mapping edges link leaves of the right graphs).
   [[nodiscard]] Status validate() const;
 
  private:
-  void invalidate_units() const;
-  void build_units() const;
-  [[nodiscard]] NodeId top_node_of(NodeId arch_node) const;
-
   std::string name_ = "G_S";
   HierarchicalGraph problem_;
   HierarchicalGraph architecture_;
   std::vector<MappingEdge> mappings_;
-
-  // Lazily built unit universe (mutable cache).
-  mutable std::vector<AllocUnit> units_;
-  mutable std::vector<AllocUnitId> resource_to_unit_;  // by arch NodeId
-  mutable std::size_t units_built_clusters_ = 0;
-  mutable bool units_dirty_ = true;
 
   // Lazily built compiled index (mutable cache).  Guarded by a mutex so
   // concurrent readers (parallel explore workers) can share one instance;

@@ -161,7 +161,7 @@ TEST(CoverTimeline, VisitsEveryImplementedCluster) {
   AllocSet alloc = spec.make_alloc_set();
   for (const char* n : {"uP2", "A1", "C1", "C2", "D3"})
     alloc.set(spec.find_unit(n).index());
-  const auto impl = build_implementation(spec, alloc);
+  const auto impl = build_implementation(spec.compiled(), alloc);
   ASSERT_TRUE(impl.has_value());
   ASSERT_EQ(impl->flexibility, 8.0);
 

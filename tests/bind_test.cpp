@@ -64,6 +64,7 @@ TEST(Binding, PaperInfeasibleExampleViolatesRule3) {
   // FPGA.  Since no bus connects the ASIC and the FPGA, there is no way to
   // establish the communication."  (§2, Fig. 2)
   const SpecificationGraph& spec = decoder();
+  const CompiledSpec& cs = spec.compiled();
   const HierarchicalGraph& p = spec.problem();
   const AllocSet alloc = alloc_of(spec, {"uP", "A", "U1", "C1", "C2"});
   const Eca eca = eca_of(p, {"gD2", "gU1"});
@@ -79,7 +80,7 @@ TEST(Binding, PaperInfeasibleExampleViolatesRule3) {
   bad.assign({p.find_node("Pu1"), spec.architecture().find_node("U1.res"),
               spec.find_unit("U1"), 20.0});
 
-  const Status status = check_binding(spec, alloc, flat, bad);
+  const Status status = check_binding(cs, alloc, flat, bad);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("rule 3"), std::string::npos);
 
@@ -93,7 +94,7 @@ TEST(Binding, PaperInfeasibleExampleViolatesRule3) {
                spec.find_unit("A"), 25.0});
   good.assign({p.find_node("Pu1"), spec.architecture().find_node("A"),
                spec.find_unit("A"), 15.0});
-  EXPECT_TRUE(check_binding(spec, alloc, flat, good).ok());
+  EXPECT_TRUE(check_binding(cs, alloc, flat, good).ok());
 }
 
 TEST(Binding, Rule2MissingAssignmentDetected) {
@@ -106,7 +107,7 @@ TEST(Binding, Rule2MissingAssignmentDetected) {
   Binding incomplete;
   incomplete.assign({p.find_node("Pa"), spec.architecture().find_node("uP"),
                      spec.find_unit("uP"), 20.0});
-  const Status status = check_binding(spec, alloc, flat, incomplete);
+  const Status status = check_binding(spec.compiled(), alloc, flat, incomplete);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("rule 2"), std::string::npos);
 }
@@ -127,7 +128,7 @@ TEST(Binding, Rule1UnallocatedResourceDetected) {
             spec.find_unit("A"), 20.0});
   b.assign({p.find_node("Pu1"), spec.architecture().find_node("uP"),
             spec.find_unit("uP"), 40.0});
-  const Status status = check_binding(spec, alloc, flat, b);
+  const Status status = check_binding(spec.compiled(), alloc, flat, b);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("rule 1"), std::string::npos);
 }
@@ -136,15 +137,16 @@ TEST(Binding, CommModelsDiffer) {
   // uP and FPGA are joined by bus C1 (a vertex), not by a direct edge, so
   // kDirectOnly rejects what kOneHopBus accepts.
   const SpecificationGraph& spec = decoder();
+  const CompiledSpec& cs = spec.compiled();
   const AllocSet alloc = alloc_of(spec, {"uP", "D3", "C1"});
   const AllocUnitId up = spec.find_unit("uP");
   const AllocUnitId d3 = spec.find_unit("D3");
   EXPECT_FALSE(
-      units_can_communicate(spec, alloc, up, d3, CommModel::kDirectOnly));
+      units_can_communicate(cs, alloc, up, d3, CommModel::kDirectOnly));
   EXPECT_TRUE(
-      units_can_communicate(spec, alloc, up, d3, CommModel::kOneHopBus));
+      units_can_communicate(cs, alloc, up, d3, CommModel::kOneHopBus));
   EXPECT_TRUE(
-      units_can_communicate(spec, alloc, up, d3, CommModel::kAnyPath));
+      units_can_communicate(cs, alloc, up, d3, CommModel::kAnyPath));
 }
 
 TEST(Binding, AnyPathFollowsMultiHop) {
@@ -161,15 +163,16 @@ TEST(Binding, AnyPathFollowsMultiHop) {
   b.map(p1, cpu, 1.0);
   b.map(p2, acc, 1.0);
   const SpecificationGraph spec = b.build();
+  const CompiledSpec& cs = spec.compiled();
 
   AllocSet alloc = spec.make_alloc_set();
   for (std::size_t i = 0; i < spec.alloc_units().size(); ++i) alloc.set(i);
   const AllocUnitId uc = spec.find_unit("cpu");
   const AllocUnitId ua = spec.find_unit("acc");
   EXPECT_FALSE(
-      units_can_communicate(spec, alloc, uc, ua, CommModel::kOneHopBus));
+      units_can_communicate(cs, alloc, uc, ua, CommModel::kOneHopBus));
   EXPECT_TRUE(
-      units_can_communicate(spec, alloc, uc, ua, CommModel::kAnyPath));
+      units_can_communicate(cs, alloc, uc, ua, CommModel::kAnyPath));
 }
 
 // ---- elementary cluster activations ---------------------------------------------
@@ -195,7 +198,7 @@ TEST(Eca, SettopEnumeratesTenAcrossApplications) {
 
 TEST(Eca, RestrictedActivatabilityShrinksSet) {
   const SpecificationGraph& spec = settop();
-  const Activatability act(spec, alloc_of(spec, {"uP2"}));
+  const Activatability act(spec.compiled(), alloc_of(spec, {"uP2"}));
   const auto ecas = enumerate_ecas(spec.problem(), act.clusters());
   // gI; gG+gG1; gD+(gD1 x gU1) = 3 activations.
   EXPECT_EQ(ecas.size(), 3u);
@@ -239,7 +242,7 @@ TEST(Solver, FindsBindingOnSingleProcessor) {
   const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
   SolverStats stats;
   const auto binding =
-      solve_binding(spec, alloc_of(spec, {"uP2"}), eca, {}, &stats);
+      solve_binding(spec.compiled(), alloc_of(spec, {"uP2"}), eca, {}, &stats);
   ASSERT_TRUE(binding.has_value());
   EXPECT_EQ(binding->size(), 4u);  // Pa, PcD, Pd1, Pu1
   EXPECT_GT(stats.nodes, 0u);
@@ -253,14 +256,15 @@ TEST(Solver, GameOnUp2FailsUtilization) {
   const SpecificationGraph& spec = settop();
   const Eca eca = eca_of(spec.problem(), {"gG", "gG1"});
   EXPECT_FALSE(
-      solve_binding(spec, alloc_of(spec, {"uP2"}), eca).has_value());
+      solve_binding(spec.compiled(), alloc_of(spec, {"uP2"}), eca).has_value());
 }
 
 TEST(Solver, GameOnUp1MeetsUtilization) {
   // 75ns + 70ns <= 0.69 * 240ns on uP1.
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gG", "gG1"});
-  const auto binding = solve_binding(spec, alloc_of(spec, {"uP1"}), eca);
+  const auto binding = solve_binding(cs, alloc_of(spec, {"uP1"}), eca);
   ASSERT_TRUE(binding.has_value());
 }
 
@@ -270,7 +274,7 @@ TEST(Solver, GameUsesCoprocessorWhenAvailable) {
   const SpecificationGraph& spec = settop();
   const Eca eca = eca_of(spec.problem(), {"gG", "gG1"});
   const auto binding =
-      solve_binding(spec, alloc_of(spec, {"uP2", "G1", "C1"}), eca);
+      solve_binding(spec.compiled(), alloc_of(spec, {"uP2", "G1", "C1"}), eca);
   ASSERT_TRUE(binding.has_value());
   const BindingAssignment* pg1 =
       binding->find(spec.problem().find_node("Pg1"));
@@ -280,20 +284,22 @@ TEST(Solver, GameUsesCoprocessorWhenAvailable) {
 
 TEST(Solver, TimingCheckCanBeDisabled) {
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gG", "gG1"});
   SolverOptions options;
   options.utilization_bound = 0.0;  // disable
   EXPECT_TRUE(
-      solve_binding(spec, alloc_of(spec, {"uP2"}), eca, options).has_value());
+      solve_binding(cs, alloc_of(spec, {"uP2"}), eca, options).has_value());
 }
 
 TEST(Solver, ExclusiveConfigurationsBlockDoubleUse) {
   // TV activation (gD3, gU2) needs configurations D3 and U2 at the same
   // time — one FPGA cannot hold both (non-ambiguous architecture, §4).
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD3", "gU2"});
   EXPECT_FALSE(
-      solve_binding(spec, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca)
+      solve_binding(cs, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca)
           .has_value());
 
   // With an ASIC for Pu2 the conflict disappears, but one-hop communication
@@ -301,11 +307,11 @@ TEST(Solver, ExclusiveConfigurationsBlockDoubleUse) {
   // (FPGA - C1 - uP2 - C2 - A1) makes this activation bindable.
   SolverOptions multihop;
   multihop.comm_model = CommModel::kAnyPath;
-  EXPECT_FALSE(solve_binding(spec,
+  EXPECT_FALSE(solve_binding(cs,
                              alloc_of(spec, {"uP2", "D3", "A1", "C1", "C2"}),
                              eca)
                    .has_value());
-  EXPECT_TRUE(solve_binding(spec,
+  EXPECT_TRUE(solve_binding(cs,
                             alloc_of(spec, {"uP2", "D3", "A1", "C1", "C2"}),
                             eca, multihop)
                   .has_value());
@@ -314,7 +320,7 @@ TEST(Solver, ExclusiveConfigurationsBlockDoubleUse) {
   SolverOptions lax;
   lax.exclusive_configurations = false;
   EXPECT_TRUE(
-      solve_binding(spec, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca, lax)
+      solve_binding(cs, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca, lax)
           .has_value());
 }
 
@@ -322,19 +328,21 @@ TEST(Solver, CommunicationConstraintForcesFailure) {
   // Without bus C1 the D3 configuration cannot reach uP2: activation
   // (gD3, gU1) is unbindable.
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD3", "gU1"});
   EXPECT_FALSE(
-      solve_binding(spec, alloc_of(spec, {"uP2", "D3"}), eca).has_value());
-  EXPECT_TRUE(solve_binding(spec, alloc_of(spec, {"uP2", "D3", "C1"}), eca)
+      solve_binding(cs, alloc_of(spec, {"uP2", "D3"}), eca).has_value());
+  EXPECT_TRUE(solve_binding(cs, alloc_of(spec, {"uP2", "D3", "C1"}), eca)
                   .has_value());
 }
 
 TEST(Solver, UnitUtilizationsMatchHandComputation) {
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
-  const auto binding = solve_binding(spec, alloc_of(spec, {"uP2"}), eca);
+  const auto binding = solve_binding(cs, alloc_of(spec, {"uP2"}), eca);
   ASSERT_TRUE(binding.has_value());
-  const auto util = unit_utilizations(spec, *binding);
+  const auto util = unit_utilizations(cs, *binding);
   // (95 + 45) / 300 = 0.4667; Pa and PcD are negligible.
   EXPECT_NEAR(util[spec.find_unit("uP2").index()], 140.0 / 300.0, 1e-9);
 }
@@ -343,17 +351,18 @@ TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
   // The three ways to return without a binding must stay distinguishable:
   // a *proof* of infeasibility, a budget abort, and a cancellation.
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD1", "gU1"});
 
   SolverStats feasible;
-  EXPECT_TRUE(solve_binding(spec, alloc_of(spec, {"uP2"}), eca, {}, &feasible)
+  EXPECT_TRUE(solve_binding(cs, alloc_of(spec, {"uP2"}), eca, {}, &feasible)
                   .has_value());
   EXPECT_EQ(feasible.outcome, SolveOutcome::kFeasible);
 
   // Proven infeasible (§5: the game's utilization is rejected on uP2).
   SolverStats infeasible;
   const Eca game = eca_of(spec.problem(), {"gG", "gG1"});
-  EXPECT_FALSE(solve_binding(spec, alloc_of(spec, {"uP2"}), game, {},
+  EXPECT_FALSE(solve_binding(cs, alloc_of(spec, {"uP2"}), game, {},
                              &infeasible)
                    .has_value());
   EXPECT_EQ(infeasible.outcome, SolveOutcome::kInfeasible);
@@ -366,7 +375,7 @@ TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
   SolverOptions budgeted;
   budgeted.budget = &tracker;
   SolverStats aborted;
-  EXPECT_FALSE(solve_binding(spec, alloc_of(spec, {"uP2"}), eca, budgeted,
+  EXPECT_FALSE(solve_binding(cs, alloc_of(spec, {"uP2"}), eca, budgeted,
                              &aborted)
                    .has_value());
   EXPECT_EQ(aborted.outcome, SolveOutcome::kBudgetExceeded);
@@ -382,7 +391,7 @@ TEST(Solver, OutcomeSeparatesProofFromGivingUp) {
   SolverOptions cancellable_opts;
   cancellable_opts.budget = &cancelled_tracker;
   SolverStats cancelled;
-  EXPECT_FALSE(solve_binding(spec, alloc_of(spec, {"uP2"}), eca,
+  EXPECT_FALSE(solve_binding(cs, alloc_of(spec, {"uP2"}), eca,
                              cancellable_opts, &cancelled)
                    .has_value());
   EXPECT_EQ(cancelled.outcome, SolveOutcome::kCancelled);
@@ -580,9 +589,10 @@ TEST(SolverDifferential, ConcurrentSolvesMatchSequentialOnes) {
 TEST(Implementation, Up2ImplementsFlexibilityTwo) {
   // §5's first candidate: estimated 3, implemented 2 (game rejected).
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   ImplementationStats stats;
   const auto impl =
-      build_implementation(spec, alloc_of(spec, {"uP2"}), {}, &stats);
+      build_implementation(cs, alloc_of(spec, {"uP2"}), {}, &stats);
   ASSERT_TRUE(impl.has_value());
   EXPECT_EQ(impl->flexibility, 2.0);
   EXPECT_EQ(impl->cost, 100.0);
@@ -595,7 +605,8 @@ TEST(Implementation, Up2ImplementsFlexibilityTwo) {
 
 TEST(Implementation, Up1ImplementsFlexibilityThree) {
   const SpecificationGraph& spec = settop();
-  const auto impl = build_implementation(spec, alloc_of(spec, {"uP1"}));
+  const CompiledSpec& cs = spec.compiled();
+  const auto impl = build_implementation(cs, alloc_of(spec, {"uP1"}));
   ASSERT_TRUE(impl.has_value());
   EXPECT_EQ(impl->flexibility, 3.0);
   EXPECT_EQ(impl->cost, 120.0);
@@ -604,7 +615,7 @@ TEST(Implementation, Up1ImplementsFlexibilityThree) {
 TEST(Implementation, Row4AllocationImplementsFive) {
   const SpecificationGraph& spec = settop();
   const auto impl = build_implementation(
-      spec, alloc_of(spec, {"uP2", "C1", "G1", "U2", "D3"}));
+      spec.compiled(), alloc_of(spec, {"uP2", "C1", "G1", "U2", "D3"}));
   ASSERT_TRUE(impl.has_value());
   EXPECT_EQ(impl->flexibility, 5.0);
   EXPECT_EQ(impl->cost, 290.0);
@@ -612,15 +623,16 @@ TEST(Implementation, Row4AllocationImplementsFive) {
 
 TEST(Implementation, InfeasibleAllocationReturnsNullopt) {
   const SpecificationGraph& spec = settop();
-  EXPECT_FALSE(build_implementation(spec, alloc_of(spec, {"A1"})).has_value());
+  const CompiledSpec& cs = spec.compiled();
+  EXPECT_FALSE(build_implementation(cs, alloc_of(spec, {"A1"})).has_value());
   EXPECT_FALSE(
-      build_implementation(spec, spec.make_alloc_set()).has_value());
+      build_implementation(cs, spec.make_alloc_set()).has_value());
 }
 
 TEST(Implementation, MinimalCoverCoversImplementedClusters) {
   const SpecificationGraph& spec = settop();
   const auto impl = build_implementation(
-      spec, alloc_of(spec, {"uP2", "A1", "C1", "C2", "D3"}));
+      spec.compiled(), alloc_of(spec, {"uP2", "A1", "C1", "C2", "D3"}));
   ASSERT_TRUE(impl.has_value());
   EXPECT_EQ(impl->flexibility, 8.0);
   const auto cover = impl->minimal_cover(spec.problem());

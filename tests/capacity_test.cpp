@@ -5,6 +5,7 @@
 #include "bind/solver.hpp"
 #include "explore/explorer.hpp"
 #include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 
 namespace sdf {
 namespace {
@@ -47,54 +48,56 @@ struct CapacityFixture {
 
 TEST(Capacity, SolverSpreadsLoadAcrossUnits) {
   const CapacityFixture f;
+  const CompiledSpec& cs = f.spec.compiled();
   // Both on "big" would need 120 <= 150: fine.  But both on "small" (100)
   // would not.  With both CPUs allocated a binding always exists.
-  const auto binding = solve_binding(f.spec, f.all(), f.whole());
+  const auto binding = solve_binding(cs, f.all(), f.whole());
   ASSERT_TRUE(binding.has_value());
-  const auto used = unit_footprints(f.spec, *binding);
+  const auto used = unit_footprints(cs, *binding);
   for (std::size_t i = 0; i < used.size(); ++i) {
-    const double cap = unit_capacity(f.spec, AllocUnitId{i});
+    const double cap = cs.unit_capacity(AllocUnitId{i});
     if (cap > 0.0) EXPECT_LE(used[i], cap + 1e-9);
   }
 }
 
 TEST(Capacity, SmallCpuAloneInfeasible) {
   const CapacityFixture f;
+  const CompiledSpec& cs = f.spec.compiled();
   AllocSet only_small = f.spec.make_alloc_set();
   only_small.set(f.spec.find_unit("small").index());
   // 60 + 60 = 120 > 100: no feasible binding.
-  EXPECT_FALSE(solve_binding(f.spec, only_small, f.whole()).has_value());
+  EXPECT_FALSE(solve_binding(cs, only_small, f.whole()).has_value());
 
   // Disabling capacity enforcement restores feasibility.
   SolverOptions lax;
   lax.enforce_capacities = false;
-  EXPECT_TRUE(solve_binding(f.spec, only_small, f.whole(), lax).has_value());
+  EXPECT_TRUE(solve_binding(cs, only_small, f.whole(), lax).has_value());
 }
 
 TEST(Capacity, BigCpuAloneFeasible) {
   const CapacityFixture f;
   AllocSet only_big = f.spec.make_alloc_set();
   only_big.set(f.spec.find_unit("big").index());
-  EXPECT_TRUE(solve_binding(f.spec, only_big, f.whole()).has_value());
+  EXPECT_TRUE(
+      solve_binding(f.spec.compiled(), only_big, f.whole()).has_value());
 }
 
 TEST(Capacity, EnumerationAgreesWithSolver) {
   const CapacityFixture f;
+  const CompiledSpec& cs = f.spec.compiled();
   AllocSet only_small = f.spec.make_alloc_set();
   only_small.set(f.spec.find_unit("small").index());
-  const BindingEnumeration none =
-      enumerate_bindings(f.spec, only_small, f.whole());
+  const BindingEnumeration none = enumerate_bindings(cs, only_small, f.whole());
   EXPECT_TRUE(none.feasible.empty());
   EXPECT_GT(none.assignments, 0u);  // assignments exist, all infeasible
 
-  const BindingEnumeration some =
-      enumerate_bindings(f.spec, f.all(), f.whole());
+  const BindingEnumeration some = enumerate_bindings(cs, f.all(), f.whole());
   EXPECT_FALSE(some.feasible.empty());
   // Every enumerated feasible binding respects capacities.
   for (const Binding& b : some.feasible) {
-    const auto used = unit_footprints(f.spec, b);
+    const auto used = unit_footprints(cs, b);
     for (std::size_t i = 0; i < used.size(); ++i) {
-      const double cap = unit_capacity(f.spec, AllocUnitId{i});
+      const double cap = cs.unit_capacity(AllocUnitId{i});
       if (cap > 0.0) EXPECT_LE(used[i], cap + 1e-9);
     }
   }
@@ -130,7 +133,7 @@ TEST(Capacity, UnlimitedUnitsUnaffected) {
   const SpecificationGraph spec = b.build();
   AllocSet all = spec.make_alloc_set();
   all.set(0);
-  EXPECT_TRUE(solve_binding(spec, all, Eca{}).has_value());
+  EXPECT_TRUE(solve_binding(spec.compiled(), all, Eca{}).has_value());
 }
 
 }  // namespace

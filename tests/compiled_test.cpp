@@ -15,11 +15,13 @@
 #include "explore/explorer.hpp"
 #include "explore/report.hpp"
 #include "flex/activatability.hpp"
+#include "flex/flexibility.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/eca.hpp"
 #include "graph/flatten.hpp"
 #include "spec/attributes.hpp"
+#include "spec/builder.hpp"
 #include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_io.hpp"
@@ -47,6 +49,95 @@ AllocSet random_alloc(const SpecificationGraph& spec, Rng& rng,
 
 // ---- naive reference implementations (linear scans of the raw spec) ---------
 
+/// The unit universe by a plain walk of the architecture graph: one unit per
+/// top-level vertex in node order, then one per outermost refinement
+/// cluster in cluster order, and the unit owning each architecture leaf.
+struct ReferenceUniverse {
+  std::vector<AllocUnit> units;
+  std::vector<AllocUnitId> unit_of;  // by architecture NodeId
+};
+
+/// The outermost cluster enclosing `node` below the root; invalid for a
+/// top-level node.  `top` receives the top-level node above it.
+ClusterId outermost_cluster(const HierarchicalGraph& arch, NodeId node,
+                            NodeId* top) {
+  ClusterId outermost;
+  NodeId cur = node;
+  while (!arch.cluster(arch.node(cur).parent).is_root()) {
+    outermost = arch.node(cur).parent;
+    cur = arch.cluster(outermost).parent;
+  }
+  if (top != nullptr) *top = cur;
+  return outermost;
+}
+
+ReferenceUniverse reference_universe(const SpecificationGraph& spec) {
+  const HierarchicalGraph& arch = spec.architecture();
+  ReferenceUniverse ref;
+  for (const NodeId nid : arch.cluster(arch.root()).nodes) {
+    const Node& n = arch.node(nid);
+    if (n.is_interface()) continue;
+    AllocUnit& u = ref.units.emplace_back();
+    u.id = AllocUnitId{ref.units.size() - 1};
+    u.name = n.name;
+    u.vertex = nid;
+    u.cost = arch.attr_or(nid, attr::kCost, 0.0);
+    u.is_comm = arch.attr_or(nid, attr::kComm, 0.0) != 0.0;
+    u.top = nid;
+  }
+  for (const Cluster& c : arch.clusters()) {
+    if (c.is_root()) continue;
+    NodeId top;
+    if (outermost_cluster(arch, c.parent, &top).valid()) continue;
+    AllocUnit& u = ref.units.emplace_back();
+    u.id = AllocUnitId{ref.units.size() - 1};
+    u.name = c.name;
+    u.cluster = c.id;
+    u.cost = arch.attr_or(c.id, attr::kCost, 0.0);
+    u.top = top;
+  }
+  // A leaf belongs to its top-level vertex's unit or to the unit of the
+  // outermost cluster enclosing it; interfaces belong to no unit.
+  ref.unit_of.assign(arch.node_count(), AllocUnitId{});
+  for (const Node& n : arch.nodes()) {
+    if (n.is_interface()) continue;
+    const ClusterId outer = outermost_cluster(arch, n.id, nullptr);
+    for (const AllocUnit& u : ref.units)
+      if (outer.valid() ? u.cluster == outer : u.vertex == n.id)
+        ref.unit_of[n.id.index()] = u.id;
+  }
+  return ref;
+}
+
+void expect_units_match_reference(const SpecificationGraph& spec) {
+  const ReferenceUniverse ref = reference_universe(spec);
+  const CompiledSpec& cs = spec.compiled();
+  EXPECT_EQ(&spec.alloc_units(), &cs.units());
+  ASSERT_EQ(cs.unit_count(), ref.units.size());
+  for (std::size_t i = 0; i < ref.units.size(); ++i) {
+    const AllocUnit& got = cs.units()[i];
+    const AllocUnit& want = ref.units[i];
+    SCOPED_TRACE("unit " + want.name);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.is_comm, want.is_comm);
+    EXPECT_EQ(got.top, want.top);
+    EXPECT_EQ(got.vertex, want.vertex);
+    EXPECT_EQ(got.cluster, want.cluster);
+    const auto first = std::find_if(
+        ref.units.begin(), ref.units.end(),
+        [&](const AllocUnit& u) { return u.name == want.name; });
+    EXPECT_EQ(spec.find_unit(want.name), first->id);
+  }
+  for (const Node& n : spec.architecture().nodes()) {
+    EXPECT_EQ(cs.unit_of_resource(n.id), ref.unit_of[n.id.index()]) << n.name;
+    EXPECT_EQ(spec.unit_of_resource(n.id), ref.unit_of[n.id.index()])
+        << n.name;
+  }
+  EXPECT_FALSE(spec.find_unit("no such unit").valid());
+}
+
 std::vector<MappingEdge> naive_mappings_of(const SpecificationGraph& spec,
                                            NodeId process) {
   std::vector<MappingEdge> out;
@@ -56,11 +147,12 @@ std::vector<MappingEdge> naive_mappings_of(const SpecificationGraph& spec,
 }
 
 std::vector<AllocUnitId> naive_reachable_units(const SpecificationGraph& spec,
+                                               const ReferenceUniverse& ref,
                                                NodeId process) {
   std::vector<AllocUnitId> out;
   for (const MappingEdge& m : spec.mappings()) {
     if (m.process != process) continue;
-    const AllocUnitId u = spec.unit_of_resource(m.resource);
+    const AllocUnitId u = ref.unit_of[m.resource.index()];
     if (u.valid() && std::find(out.begin(), out.end(), u) == out.end())
       out.push_back(u);
   }
@@ -68,8 +160,9 @@ std::vector<AllocUnitId> naive_reachable_units(const SpecificationGraph& spec,
 }
 
 double naive_allocation_cost(const SpecificationGraph& spec,
+                             const ReferenceUniverse& ref,
                              const AllocSet& alloc) {
-  const auto& units = spec.alloc_units();
+  const std::vector<AllocUnit>& units = ref.units;
   const HierarchicalGraph& arch = spec.architecture();
   double cost = 0.0;
   DynBitset charged(arch.node_count());
@@ -91,9 +184,9 @@ bool tops_adjacent(const HierarchicalGraph& arch, NodeId a, NodeId b) {
 }
 
 bool naive_comm_reachable(const SpecificationGraph& spec,
-                          const AllocSet& alloc, AllocUnitId a,
-                          AllocUnitId b) {
-  const auto& units = spec.alloc_units();
+                          const ReferenceUniverse& ref, const AllocSet& alloc,
+                          AllocUnitId a, AllocUnitId b) {
+  const std::vector<AllocUnit>& units = ref.units;
   const HierarchicalGraph& arch = spec.architecture();
   const NodeId ta = units[a.index()].top;
   const NodeId tb = units[b.index()].top;
@@ -108,13 +201,65 @@ bool naive_comm_reachable(const SpecificationGraph& spec,
   return reachable;
 }
 
+/// Activatability from its definition: every leaf of `cluster` reaches an
+/// allocated unit, and every interface has an activatable refinement.
+bool naive_activatable(const SpecificationGraph& spec,
+                       const ReferenceUniverse& ref, const AllocSet& alloc,
+                       ClusterId cluster) {
+  const HierarchicalGraph& p = spec.problem();
+  for (const NodeId nid : p.cluster(cluster).nodes) {
+    bool ok = false;
+    if (p.node(nid).is_interface()) {
+      for (const ClusterId sub : p.node(nid).clusters)
+        ok = ok || naive_activatable(spec, ref, alloc, sub);
+    } else {
+      for (const AllocUnitId u : naive_reachable_units(spec, ref, nid))
+        ok = ok || alloc.test(u.index());
+    }
+    if (!ok) return false;
+  }
+  return true;
+}
+
 class CompiledSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+// ---- unit universe ----------------------------------------------------------
+
+TEST_P(CompiledSweep, UnitsMatchReferenceWalk) {
+  expect_units_match_reference(make_spec(GetParam()));
+}
+
+TEST(CompiledUnits, MatchReferenceWalkOnHandBuiltArchitectures) {
+  expect_units_match_reference(models::make_settop_spec());
+  expect_units_match_reference(models::make_tv_decoder_spec());
+
+  // An FPGA configuration that itself holds a reconfigurable region, next
+  // to a second device and a bus: only outermost clusters are units.
+  SpecBuilder b("nested_arch");
+  const NodeId p = b.process("p");
+  HierarchicalGraph& a = b.spec().architecture();
+  const NodeId fpga = a.add_interface(a.root(), "fpga");
+  a.set_attr(fpga, attr::kCost, 5.0);
+  const ClusterId outer = a.add_cluster(fpga, "cfg_outer");
+  a.set_attr(outer, attr::kCost, 40.0);
+  const NodeId region = a.add_interface(outer, "region");
+  const NodeId engine = a.add_vertex(a.add_cluster(region, "inner"), "eng");
+  const NodeId cpu = b.resource("cpu", 30.0);
+  const NodeId dev = b.device("dev", 2.0);
+  const NodeId cfg = b.configuration(dev, "cfg", 3.0);
+  b.bus("bus", 1.0, {cpu, fpga, dev});
+  b.map(p, engine, 7.0);
+  b.map(p, cpu, 9.0);
+  b.map(p, cfg, 4.0);
+  expect_units_match_reference(b.build());
+}
 
 // ---- mapping-edge queries ---------------------------------------------------
 
 TEST_P(CompiledSweep, MappingsMatchNaiveScan) {
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
   for (const Node& n : spec.problem().nodes()) {
     const std::vector<MappingEdge> naive = naive_mappings_of(spec, n.id);
     const auto compiled = cs.mappings_of(n.id);
@@ -122,7 +267,7 @@ TEST_P(CompiledSweep, MappingsMatchNaiveScan) {
     for (std::size_t i = 0; i < naive.size(); ++i) {
       EXPECT_EQ(naive[i].resource, compiled[i].resource);
       EXPECT_EQ(naive[i].latency, compiled[i].latency);
-      EXPECT_EQ(spec.unit_of_resource(naive[i].resource), compiled[i].unit);
+      EXPECT_EQ(ref.unit_of[naive[i].resource.index()], compiled[i].unit);
     }
   }
 }
@@ -130,8 +275,10 @@ TEST_P(CompiledSweep, MappingsMatchNaiveScan) {
 TEST_P(CompiledSweep, ReachableUnitsMatchNaiveScan) {
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
   for (const Node& n : spec.problem().nodes()) {
-    const std::vector<AllocUnitId> naive = naive_reachable_units(spec, n.id);
+    const std::vector<AllocUnitId> naive =
+        naive_reachable_units(spec, ref, n.id);
     const auto list = cs.reachable_unit_list(n.id);
     ASSERT_EQ(naive.size(), list.size());
     const DynBitset& bits = cs.reachable_units(n.id);
@@ -146,10 +293,12 @@ TEST_P(CompiledSweep, ReachableUnitsMatchNaiveScan) {
 TEST_P(CompiledSweep, ProcessesOnInvertsReachability) {
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
   for (std::size_t u = 0; u < cs.unit_count(); ++u) {
     std::vector<NodeId> naive;
     for (const Node& n : spec.problem().nodes()) {
-      const std::vector<AllocUnitId> reach = naive_reachable_units(spec, n.id);
+      const std::vector<AllocUnitId> reach =
+          naive_reachable_units(spec, ref, n.id);
       if (std::find(reach.begin(), reach.end(), AllocUnitId{u}) != reach.end())
         naive.push_back(n.id);
     }
@@ -191,17 +340,18 @@ TEST_P(CompiledSweep, DenseAttributesMatchAttrLookups) {
 TEST_P(CompiledSweep, AllocationCostBitIdenticalToNaiveSum) {
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
   Rng rng(GetParam() * 131 + 1);
   for (int trial = 0; trial < 24; ++trial) {
     const AllocSet a = random_alloc(spec, rng, rng.uniform_double(0.1, 0.9));
-    EXPECT_EQ(cs.allocation_cost(a), naive_allocation_cost(spec, a));
-    EXPECT_EQ(spec.allocation_cost(a), naive_allocation_cost(spec, a));
+    EXPECT_EQ(cs.allocation_cost(a), naive_allocation_cost(spec, ref, a));
   }
 }
 
 TEST_P(CompiledSweep, CommReachableMatchesNaiveAdjacencyScan) {
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
   Rng rng(GetParam() * 57 + 11);
   for (int trial = 0; trial < 6; ++trial) {
     const AllocSet a = random_alloc(spec, rng, 0.5);
@@ -209,7 +359,7 @@ TEST_P(CompiledSweep, CommReachableMatchesNaiveAdjacencyScan) {
       for (std::size_t j = 0; j < cs.unit_count(); ++j) {
         const AllocUnitId ui{i}, uj{j};
         EXPECT_EQ(cs.comm_reachable(a, ui, uj),
-                  naive_comm_reachable(spec, a, ui, uj))
+                  naive_comm_reachable(spec, ref, a, ui, uj))
             << cs.unit(ui).name << " <-> " << cs.unit(uj).name;
       }
   }
@@ -251,18 +401,26 @@ TEST_P(CompiledSweep, FlatEntriesMatchDirectFlatten) {
 // ---- activatability equivalence ---------------------------------------------
 
 TEST_P(CompiledSweep, ActivatabilityAgreesWithSpecPath) {
+  // The spec path: activatability by its definition over the raw mapping
+  // edges and the reference universe.
   const SpecificationGraph spec = make_spec(GetParam());
   const CompiledSpec& cs = spec.compiled();
+  const ReferenceUniverse ref = reference_universe(spec);
+  const HierarchicalGraph& p = spec.problem();
   Rng rng(GetParam() * 91 + 3);
   for (int trial = 0; trial < 10; ++trial) {
     const AllocSet a = random_alloc(spec, rng, 0.5);
-    const Activatability via_compiled(cs, a);
-    const Activatability via_spec(spec, a);
-    EXPECT_EQ(via_compiled.root_activatable(), via_spec.root_activatable());
-    for (const Cluster& c : spec.problem().clusters())
-      EXPECT_EQ(via_compiled.activatable(c.id), via_spec.activatable(c.id));
-    EXPECT_EQ(estimate_flexibility(cs, a), estimate_flexibility(spec, a));
-    EXPECT_EQ(is_possible_allocation(cs, a), is_possible_allocation(spec, a));
+    const Activatability act(cs, a);
+    DynBitset naive(p.cluster_count());
+    for (const Cluster& c : p.clusters())
+      if (naive_activatable(spec, ref, a, c.id)) naive.set(c.id.index());
+    EXPECT_EQ(act.clusters(), naive);
+    const bool root = naive.test(p.root().index());
+    EXPECT_EQ(act.root_activatable(), root);
+    EXPECT_EQ(is_possible_allocation(cs, a), root);
+    EXPECT_EQ(estimate_flexibility(cs, a),
+              root ? std::optional<double>(flexibility(p, naive))
+                   : std::nullopt);
   }
 }
 

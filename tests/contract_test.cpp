@@ -8,6 +8,7 @@
 #include "graph/hierarchical_graph.hpp"
 #include "graph/validate.hpp"
 #include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 #include "util/dyn_bitset.hpp"
 #include "util/table.hpp"
 
@@ -126,7 +127,7 @@ TEST(DeepArchitecture, LeavesResolveToOutermostCluster) {
   // Allocating the configuration charges the device interface once.
   AllocSet alloc = spec.make_alloc_set();
   alloc.set(outer.index());
-  EXPECT_EQ(spec.allocation_cost(alloc), 45.0);
+  EXPECT_EQ(spec.compiled().allocation_cost(alloc), 45.0);
 }
 
 TEST(DeepArchitecture, TwoReconfigurableDevicesAreIndependent) {
@@ -149,20 +150,21 @@ TEST(DeepArchitecture, TwoReconfigurableDevicesAreIndependent) {
   b.map(p2, b1, 1.0);
   b.map(p2, a2, 3.0);
   const SpecificationGraph spec = b.build();
+  const CompiledSpec& cs = spec.compiled();
 
   AllocSet cross = spec.make_alloc_set();
   cross.set(spec.find_unit("a1").index());
   cross.set(spec.find_unit("b1").index());
   cross.set(spec.find_unit("bus").index());
   // p1 on fpgaA/a1, p2 on fpgaB/b1: two devices, fine.
-  EXPECT_TRUE(solve_binding(spec, cross, Eca{}).has_value());
+  EXPECT_TRUE(solve_binding(cs, cross, Eca{}).has_value());
 
   AllocSet same = spec.make_alloc_set();
   same.set(spec.find_unit("a1").index());
   same.set(spec.find_unit("a2").index());
   // p1 needs a1 or a2, p2 needs a2; a1+a2 simultaneously is ambiguous, but
   // both processes CAN share configuration a2.
-  const auto binding = solve_binding(spec, same, Eca{});
+  const auto binding = solve_binding(cs, same, Eca{});
   ASSERT_TRUE(binding.has_value());
   for (const BindingAssignment& a : binding->assignments())
     EXPECT_EQ(spec.alloc_units()[a.unit.index()].name, "a2");

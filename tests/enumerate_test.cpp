@@ -28,12 +28,12 @@ AllocSet alloc_of(const SpecificationGraph& spec,
 /// activatable clusters of `alloc`.
 void check_agreement(const SpecificationGraph& spec, const AllocSet& alloc,
                      const SolverOptions& options = {}) {
-  const Activatability act(spec, alloc);
+  const Activatability act(spec.compiled(), alloc);
   if (!act.root_activatable()) return;
   for (const Eca& eca : enumerate_ecas(spec.problem(), act.clusters())) {
-    const auto solved = solve_binding(spec, alloc, eca, options);
+    const auto solved = solve_binding(spec.compiled(), alloc, eca, options);
     const BindingEnumeration all =
-        enumerate_bindings(spec, alloc, eca, options);
+        enumerate_bindings(spec.compiled(), alloc, eca, options);
     std::string label;
     for (ClusterId c : eca.clusters)
       label += spec.problem().cluster(c).name + " ";
@@ -92,13 +92,14 @@ TEST(Enumeration, CountsFeasibleBindings) {
   // TV activation (gD1, gU1) on the full platform: Pd1 has 4 allocated
   // targets (uP2, A1 via C2...) etc.; the count must be stable.
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const AllocSet alloc = alloc_of(spec, {"uP2", "A1", "C2"});
   Eca eca;
   for (const char* c : {"gD", "gD1", "gU1"}) {
     eca.selection.select(spec.problem(), spec.problem().find_cluster(c));
     eca.clusters.push_back(spec.problem().find_cluster(c));
   }
-  const BindingEnumeration all = enumerate_bindings(spec, alloc, eca);
+  const BindingEnumeration all = enumerate_bindings(cs, alloc, eca);
   // Domains: Pa{uP2} PcD{uP2} Pd1{uP2,A1} Pu1{uP2,A1}: 4 assignments, all
   // communication-feasible via C2 and utilization-feasible.
   EXPECT_EQ(all.assignments, 4u);
@@ -115,13 +116,14 @@ TEST(Enumeration, CapTruncates) {
     eca.clusters.push_back(spec.problem().find_cluster(c));
   }
   const BindingEnumeration capped =
-      enumerate_bindings(spec, alloc, eca, {}, 2);
+      enumerate_bindings(spec.compiled(), alloc, eca, {}, 2);
   EXPECT_EQ(capped.feasible.size(), 2u);
   EXPECT_TRUE(capped.truncated);
 }
 
 TEST(Enumeration, EmptyDomainShortCircuits) {
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   // gD3 requires the D3 configuration; without it no assignment exists.
   const AllocSet alloc = alloc_of(spec, {"uP2"});
   Eca eca;
@@ -129,7 +131,7 @@ TEST(Enumeration, EmptyDomainShortCircuits) {
     eca.selection.select(spec.problem(), spec.problem().find_cluster(c));
     eca.clusters.push_back(spec.problem().find_cluster(c));
   }
-  const BindingEnumeration all = enumerate_bindings(spec, alloc, eca);
+  const BindingEnumeration all = enumerate_bindings(cs, alloc, eca);
   EXPECT_EQ(all.assignments, 0u);
   EXPECT_TRUE(all.feasible.empty());
 }

@@ -502,15 +502,16 @@ TEST(ParallelExplore, MaxCandidatesCountsOnlyNonEmptyCandidates) {
   // candidate budget, so a budget sized to reach exactly the first possible
   // allocation fell one candidate short and inspected nothing useful.
   const SpecificationGraph& spec = models::make_tv_decoder_spec();
+  const CompiledSpec& cs = spec.compiled();
   // Size the budget to the first root-activatable candidate in cost order
   // (the bare uP, $50/f=1 — see explore_test's DecoderSpecFront).
   std::uint64_t budget = 0;
   {
-    CostOrderedAllocations stream(spec);
+    CostOrderedAllocations stream(cs);
     while (std::optional<AllocSet> a = stream.next()) {
       if (a->none()) continue;
       ++budget;
-      if (Activatability(spec, *a).root_activatable()) break;
+      if (Activatability(cs, *a).root_activatable()) break;
     }
   }
   ASSERT_GT(budget, 0u);

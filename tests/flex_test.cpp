@@ -165,7 +165,7 @@ TEST(Activatability, Up2AloneEstimatesThree) {
   // §5: for the first resource allocation (uP2) the estimated flexibility
   // is f_impl = 3 (gI + gG1 + gD1/gU1).
   const SpecificationGraph& spec = settop();
-  const Activatability act(spec, alloc_of(spec, {"uP2"}));
+  const Activatability act(spec.compiled(), alloc_of(spec, {"uP2"}));
   EXPECT_TRUE(act.root_activatable());
   EXPECT_EQ(act.estimated_flexibility(), 3.0);
   const HierarchicalGraph& p = spec.problem();
@@ -183,37 +183,40 @@ TEST(Activatability, EstimateIgnoresCommunicationAndTiming) {
   // The estimate is reachability-only: uP2 + U2 estimates 4 even though
   // without a bus the configuration is unusable in any feasible binding.
   const SpecificationGraph& spec = settop();
-  EXPECT_EQ(estimate_flexibility(spec, alloc_of(spec, {"uP2", "U2"})), 4.0);
+  const CompiledSpec& cs = spec.compiled();
+  EXPECT_EQ(estimate_flexibility(cs, alloc_of(spec, {"uP2", "U2"})), 4.0);
 }
 
 TEST(Activatability, FullUniverseEstimatesMaximum) {
   const SpecificationGraph& spec = settop();
   AllocSet all = spec.make_alloc_set();
   for (std::size_t i = 0; i < spec.alloc_units().size(); ++i) all.set(i);
-  EXPECT_EQ(estimate_flexibility(spec, all), 8.0);
+  EXPECT_EQ(estimate_flexibility(spec.compiled(), all), 8.0);
 }
 
 TEST(Activatability, EmptyAllocationIsNotPossible) {
   const SpecificationGraph& spec = settop();
-  EXPECT_FALSE(is_possible_allocation(spec, spec.make_alloc_set()));
-  EXPECT_EQ(estimate_flexibility(spec, spec.make_alloc_set()), std::nullopt);
+  const CompiledSpec& cs = spec.compiled();
+  EXPECT_FALSE(is_possible_allocation(cs, spec.make_alloc_set()));
+  EXPECT_EQ(estimate_flexibility(cs, spec.make_alloc_set()), std::nullopt);
 }
 
 TEST(Activatability, AsicAloneIsNotPossible) {
   // Controllers only run on processors; an ASIC alone covers no complete
   // application.
   const SpecificationGraph& spec = settop();
-  EXPECT_FALSE(is_possible_allocation(spec, alloc_of(spec, {"A1"})));
+  EXPECT_FALSE(is_possible_allocation(spec.compiled(), alloc_of(spec, {"A1"})));
 }
 
 TEST(Activatability, MonotoneInAllocation) {
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const AllocSet small = alloc_of(spec, {"uP2"});
   AllocSet big = small;
   big.set(spec.find_unit("A1").index());
   big.set(spec.find_unit("D3").index());
-  const double f_small = estimate_flexibility(spec, small).value();
-  const double f_big = estimate_flexibility(spec, big).value();
+  const double f_small = estimate_flexibility(cs, small).value();
+  const double f_big = estimate_flexibility(cs, big).value();
   EXPECT_GE(f_big, f_small);
 }
 
@@ -234,7 +237,7 @@ TEST(Activatability, InterfaceWithNoActivatableClusterKillsParent) {
   b.map(p2, acc, 1.0);
   const SpecificationGraph spec = b.build();
 
-  const Activatability act(spec, alloc_of(spec, {"cpu"}));
+  const Activatability act(spec.compiled(), alloc_of(spec, {"cpu"}));
   EXPECT_TRUE(act.root_activatable());
   EXPECT_TRUE(act.activatable(spec.problem().find_cluster("app1")));
   EXPECT_FALSE(act.activatable(spec.problem().find_cluster("app2")));

@@ -7,6 +7,7 @@
 #include "flex/flexibility.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
+#include "spec/compiled.hpp"
 #include "spec/spec_io.hpp"
 
 namespace sdf {
@@ -42,7 +43,7 @@ TEST(Generator, EveryProcessMappableToAProcessor) {
   params.seed = 3;
   const SpecificationGraph spec = generate_spec(params);
   for (NodeId leaf : spec.problem().leaves())
-    EXPECT_FALSE(spec.reachable_units(leaf).empty())
+    EXPECT_TRUE(spec.compiled().reachable_units(leaf).any())
         << spec.problem().node(leaf).name;
 }
 
@@ -51,10 +52,11 @@ TEST(Generator, FullAllocationIsAlwaysPossible) {
     GeneratorParams params;
     params.seed = seed;
     const SpecificationGraph spec = generate_spec(params);
+    const CompiledSpec& cs = spec.compiled();
     AllocSet all = spec.make_alloc_set();
     for (std::size_t i = 0; i < spec.alloc_units().size(); ++i) all.set(i);
-    EXPECT_TRUE(is_possible_allocation(spec, all)) << "seed " << seed;
-    EXPECT_EQ(estimate_flexibility(spec, all).value(),
+    EXPECT_TRUE(is_possible_allocation(cs, all)) << "seed " << seed;
+    EXPECT_EQ(estimate_flexibility(cs, all).value(),
               max_flexibility(spec.problem()))
         << "seed " << seed;
   }

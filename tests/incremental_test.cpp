@@ -7,6 +7,7 @@
 #include "explore/explorer.hpp"
 #include "explore/incremental.hpp"
 #include "gen/spec_generator.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_io.hpp"
 
@@ -86,10 +87,11 @@ TEST(Incremental, UpgradePathFromUp2) {
 
 TEST(Incremental, UpgradeCostIsDifferenceOfAllocationCosts) {
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const UpgradeResult r = explore_upgrades(spec, alloc_of(spec, {"uP2"}));
   for (const Upgrade& u : r.front) {
     EXPECT_NEAR(u.upgrade_cost,
-                spec.allocation_cost(u.implementation.units) - 100.0, 1e-9);
+                cs.allocation_cost(u.implementation.units) - 100.0, 1e-9);
   }
 }
 

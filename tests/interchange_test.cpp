@@ -55,7 +55,7 @@ TEST(BehaviorCount, RestrictedActivatability) {
   // Under the uP2-only allocation only 3 behaviors remain (gI; gG1;
   // gD1+gU1) — the §5 elementary activations.
   const SpecificationGraph& spec = settop();
-  const Activatability act(spec, [&] {
+  const Activatability act(spec.compiled(), [&] {
     AllocSet a = spec.make_alloc_set();
     a.set(spec.find_unit("uP2").index());
     return a;
@@ -130,11 +130,11 @@ TEST(ExecutionProfile, ProfiledUtilizationMatchesPaperReasoning) {
   }
   SolverOptions no_timing;
   no_timing.utilization_bound = 0.0;
-  const auto binding = solve_binding(spec, alloc, eca, no_timing);
+  const auto binding = solve_binding(spec.compiled(), alloc, eca, no_timing);
   ASSERT_TRUE(binding.has_value());
 
   // Unprofiled: Pa + PcD + Pd1 + Pu1 all charge the CPU.
-  const auto raw = unit_utilizations(spec, *binding);
+  const auto raw = unit_utilizations(spec.compiled(), *binding);
   EXPECT_NEAR(raw[spec.find_unit("uP2").index()],
               (60.0 + 10.0 + 95.0 + 45.0) / 300.0, 1e-9);
 

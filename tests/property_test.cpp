@@ -10,6 +10,7 @@
 #include "flex/flexibility.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/traversal.hpp"
+#include "spec/compiled.hpp"
 #include "spec/spec_io.hpp"
 #include "util/rng.hpp"
 
@@ -39,11 +40,12 @@ class PropertySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PropertySweep, EstimateUpperBoundsImplementedFlexibility) {
   const SpecificationGraph spec = make_spec(GetParam());
+  const CompiledSpec& cs = spec.compiled();
   Rng rng(GetParam() * 77 + 1);
   for (int trial = 0; trial < 12; ++trial) {
     const AllocSet a = random_alloc(spec, rng, 0.5);
-    const std::optional<double> est = estimate_flexibility(spec, a);
-    const std::optional<Implementation> impl = build_implementation(spec, a);
+    const std::optional<double> est = estimate_flexibility(cs, a);
+    const std::optional<Implementation> impl = build_implementation(cs, a);
     if (impl.has_value()) {
       ASSERT_TRUE(est.has_value());
       EXPECT_GE(*est, impl->flexibility)
@@ -56,14 +58,15 @@ TEST_P(PropertySweep, EstimateUpperBoundsImplementedFlexibility) {
 
 TEST_P(PropertySweep, EstimateMonotoneUnderUnitAddition) {
   const SpecificationGraph spec = make_spec(GetParam());
+  const CompiledSpec& cs = spec.compiled();
   Rng rng(GetParam() * 31 + 7);
   for (int trial = 0; trial < 12; ++trial) {
     const AllocSet small = random_alloc(spec, rng, 0.3);
     AllocSet big = small;
     for (std::size_t i = 0; i < spec.alloc_units().size(); ++i)
       if (rng.chance(0.3)) big.set(i);
-    const auto f_small = estimate_flexibility(spec, small);
-    const auto f_big = estimate_flexibility(spec, big);
+    const auto f_small = estimate_flexibility(cs, small);
+    const auto f_big = estimate_flexibility(cs, big);
     if (f_small.has_value()) {
       ASSERT_TRUE(f_big.has_value());
       EXPECT_GE(*f_big, *f_small);
@@ -75,7 +78,7 @@ TEST_P(PropertySweep, MaxFlexibilityIsFullUniverseEstimate) {
   const SpecificationGraph spec = make_spec(GetParam());
   AllocSet all = spec.make_alloc_set();
   for (std::size_t i = 0; i < spec.alloc_units().size(); ++i) all.set(i);
-  EXPECT_EQ(estimate_flexibility(spec, all).value(),
+  EXPECT_EQ(estimate_flexibility(spec.compiled(), all).value(),
             max_flexibility(spec.problem()));
 }
 
@@ -83,13 +86,14 @@ TEST_P(PropertySweep, MaxFlexibilityIsFullUniverseEstimate) {
 
 TEST_P(PropertySweep, ImplementationsAreInternallyConsistent) {
   const SpecificationGraph spec = make_spec(GetParam());
+  const CompiledSpec& cs = spec.compiled();
   Rng rng(GetParam() * 13 + 3);
   for (int trial = 0; trial < 8; ++trial) {
     const AllocSet a = random_alloc(spec, rng, 0.6);
-    const std::optional<Implementation> impl = build_implementation(spec, a);
+    const std::optional<Implementation> impl = build_implementation(cs, a);
     if (!impl.has_value()) continue;
     // Cost matches the allocation-cost model.
-    EXPECT_EQ(impl->cost, spec.allocation_cost(a));
+    EXPECT_EQ(impl->cost, cs.allocation_cost(a));
     // Flexibility is Def. 4 over the implemented clusters.
     EXPECT_EQ(impl->flexibility,
               flexibility(spec.problem(), impl->implemented_clusters));
@@ -97,7 +101,7 @@ TEST_P(PropertySweep, ImplementationsAreInternallyConsistent) {
     for (const FeasibleEca& fe : impl->ecas) {
       const FlatGraph flat =
           flatten(spec.problem(), fe.eca.selection).value();
-      EXPECT_TRUE(check_binding(spec, a, flat, fe.binding).ok());
+      EXPECT_TRUE(check_binding(cs, a, flat, fe.binding).ok());
       // All clusters of the ECA are marked implemented.
       for (ClusterId c : fe.eca.clusters)
         EXPECT_TRUE(impl->implemented_clusters.test(c.index()));
@@ -117,7 +121,7 @@ TEST_P(PropertySweep, ExploreFrontPointsAreFeasibleAndOrdered) {
     EXPECT_LE(impl.flexibility, result.max_flexibility);
     EXPECT_FALSE(impl.ecas.empty());
     // Re-constructing on the same allocation reproduces the flexibility.
-    const auto again = build_implementation(spec, impl.units);
+    const auto again = build_implementation(spec.compiled(), impl.units);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->flexibility, impl.flexibility);
   }
@@ -270,7 +274,7 @@ TEST(Stress, SolverHandlesWideEcas) {
   eca.selection.select(spec.problem(), spec.problem().find_cluster("app0"));
   eca.clusters.push_back(spec.problem().find_cluster("app0"));
   SolverStats stats;
-  const auto binding = solve_binding(spec, all, eca, {}, &stats);
+  const auto binding = solve_binding(spec.compiled(), all, eca, {}, &stats);
   ASSERT_TRUE(binding.has_value());
   EXPECT_LE(stats.nodes, 1000u);
 }

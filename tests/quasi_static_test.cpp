@@ -21,7 +21,7 @@ Implementation implementation_on(std::initializer_list<const char*> units) {
   const SpecificationGraph& spec = settop();
   AllocSet a = spec.make_alloc_set();
   for (const char* n : units) a.set(spec.find_unit(n).index());
-  auto impl = build_implementation(spec, a);
+  auto impl = build_implementation(spec.compiled(), a);
   EXPECT_TRUE(impl.has_value());
   return std::move(*impl);
 }

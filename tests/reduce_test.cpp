@@ -8,6 +8,7 @@
 #include "flex/flexibility.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/filter.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "flex/reduce.hpp"
 #include "util/rng.hpp"
@@ -109,7 +110,7 @@ TEST(ReduceSpec, EstimateOnReductionEqualsEstimateOnOriginal) {
     AllocSet a = spec.make_alloc_set();
     for (std::size_t i = 0; i < spec.alloc_units().size(); ++i)
       if (rng.chance(0.4)) a.set(i);
-    const auto direct = estimate_flexibility(spec, a);
+    const auto direct = estimate_flexibility(spec.compiled(), a);
     // The documented guarantee covers possible resource allocations; for
     // non-PRA allocations the reduction drops the uncoverable top level,
     // which has no meaningful estimate of its own.
@@ -120,7 +121,7 @@ TEST(ReduceSpec, EstimateOnReductionEqualsEstimateOnOriginal) {
     for (std::size_t i = 0; i < reduced.alloc_units().size(); ++i)
       all.set(i);
     ASSERT_FALSE(reduced.alloc_units().empty());
-    const auto via_reduction = estimate_flexibility(reduced, all);
+    const auto via_reduction = estimate_flexibility(reduced.compiled(), all);
     ASSERT_TRUE(via_reduction.has_value()) << spec.allocation_names(a);
     EXPECT_EQ(*direct, *via_reduction) << spec.allocation_names(a);
     EXPECT_EQ(max_flexibility(reduced.problem()), *direct)
@@ -140,8 +141,9 @@ TEST(ReduceSpec, ConfigurationsReduceAtUnitGranularity) {
   EXPECT_FALSE(reduced.architecture().find_cluster("G1").valid());
   // Pd3 keeps its mapping; Pg1's G1 mapping is gone but uP2 remains.
   EXPECT_TRUE(reduced.problem().find_node("Pd3").valid());
-  EXPECT_EQ(reduced.mappings_of(reduced.problem().find_node("Pg1")).size(),
-            1u);
+  EXPECT_EQ(
+      reduced.compiled().mappings_of(reduced.problem().find_node("Pg1")).size(),
+      1u);
 }
 
 TEST(ReduceSpec, EmptyAllocationReducesToNothingUseful) {

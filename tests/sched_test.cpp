@@ -40,7 +40,7 @@ Binding tv_on_up2() {
   SolverOptions no_timing;
   no_timing.utilization_bound = 0.0;
   const auto binding =
-      solve_binding(spec, alloc_of(spec, {"uP2"}),
+      solve_binding(spec.compiled(), alloc_of(spec, {"uP2"}),
                     eca_of(spec.problem(), {"gD", "gD1", "gU1"}), no_timing);
   EXPECT_TRUE(binding.has_value());
   return *binding;
@@ -52,7 +52,7 @@ Binding game_on_up2() {
   SolverOptions no_timing;
   no_timing.utilization_bound = 0.0;
   const auto binding =
-      solve_binding(spec, alloc_of(spec, {"uP2"}),
+      solve_binding(spec.compiled(), alloc_of(spec, {"uP2"}),
                     eca_of(spec.problem(), {"gG", "gG1"}), no_timing);
   EXPECT_TRUE(binding.has_value());
   return *binding;
@@ -71,35 +71,39 @@ TEST(LiuLayland, BoundValues) {
 TEST(Utilization, TvDecoderAcceptedOnUp2) {
   // (95 + 45) / 300 = 0.4667 <= 0.69.
   const SpecificationGraph& spec = settop();
-  const UtilizationReport report = analyze_utilization(spec, tv_on_up2());
+  const CompiledSpec& cs = spec.compiled();
+  const UtilizationReport report = analyze_utilization(cs, tv_on_up2());
   EXPECT_NEAR(report.max_utilization, 140.0 / 300.0, 1e-9);
   EXPECT_TRUE(report.feasible());
   EXPECT_EQ(spec.alloc_units()[report.bottleneck.index()].name, "uP2");
-  EXPECT_TRUE(utilization_feasible(spec, tv_on_up2()));
+  EXPECT_TRUE(utilization_feasible(cs, tv_on_up2()));
 }
 
 TEST(Utilization, GameRejectedOnUp2) {
   // (95 + 90) / 240 = 0.7708 > 0.69: the paper's rejection.
   const SpecificationGraph& spec = settop();
-  const UtilizationReport report = analyze_utilization(spec, game_on_up2());
+  const CompiledSpec& cs = spec.compiled();
+  const UtilizationReport report = analyze_utilization(cs, game_on_up2());
   EXPECT_NEAR(report.max_utilization, 185.0 / 240.0, 1e-9);
   EXPECT_FALSE(report.feasible());
-  EXPECT_FALSE(utilization_feasible(spec, game_on_up2()));
+  EXPECT_FALSE(utilization_feasible(cs, game_on_up2()));
 }
 
 TEST(Utilization, NegligibleProcessesDoNotCount) {
   // Pa (55/60ns) and PcD are bound but contribute nothing (§5: executed at
   // start-up / 0.01% of calls).
   const SpecificationGraph& spec = settop();
+  const CompiledSpec& cs = spec.compiled();
   const Binding binding = tv_on_up2();
-  const UtilizationReport report = analyze_utilization(spec, binding);
+  const UtilizationReport report = analyze_utilization(cs, binding);
   const std::size_t up2 = spec.find_unit("uP2").index();
   EXPECT_EQ(report.tasks_per_unit[up2], 2u);  // only Pd1 and Pu1
 }
 
 TEST(Utilization, SummaryListsLoadedUnits) {
   const SpecificationGraph& spec = settop();
-  const UtilizationReport report = analyze_utilization(spec, tv_on_up2());
+  const CompiledSpec& cs = spec.compiled();
+  const UtilizationReport report = analyze_utilization(cs, tv_on_up2());
   const std::string summary = utilization_summary(spec, report);
   EXPECT_NE(summary.find("uP2"), std::string::npos);
 }
@@ -153,7 +157,7 @@ TEST(Rm, PaperRejectionIsConservative) {
   // it.  The 69% filter is sufficient-but-conservative; the timing-filter
   // ablation bench quantifies this gap.
   const SpecificationGraph& spec = settop();
-  EXPECT_FALSE(utilization_feasible(spec, game_on_up2()));
+  EXPECT_FALSE(utilization_feasible(spec.compiled(), game_on_up2()));
   EXPECT_TRUE(rm_schedulable(spec, game_on_up2()));
   EXPECT_TRUE(rm_schedulable(spec, tv_on_up2()));
 }
@@ -186,7 +190,7 @@ TEST(ListScheduler, ParallelResourcesOverlap) {
   const SpecificationGraph& spec = settop();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD3", "gU1"});
   const AllocSet alloc = alloc_of(spec, {"uP2", "D3", "C1"});
-  const auto binding = solve_binding(spec, alloc, eca);
+  const auto binding = solve_binding(spec.compiled(), alloc, eca);
   ASSERT_TRUE(binding.has_value());
   const FlatGraph flat = flatten(spec.problem(), eca.selection).value();
   const auto schedule = list_schedule(spec, flat, *binding);

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_dot.hpp"
 #include "spec/spec_io.hpp"
@@ -20,8 +21,8 @@ TEST(SpecBuilder, BuildsSmallSpec) {
   SpecificationGraph spec = b.build();
   EXPECT_EQ(spec.name(), "tiny");
   EXPECT_EQ(spec.mappings().size(), 1u);
-  EXPECT_EQ(spec.mappings_of(p).size(), 1u);
-  EXPECT_EQ(spec.mappings_of(p)[0].latency, 5.0);
+  EXPECT_EQ(spec.compiled().mappings_of(p).size(), 1u);
+  EXPECT_EQ(spec.compiled().mappings_of(p)[0].latency, 5.0);
 }
 
 TEST(SpecificationGraph, UnitsCoverVerticesAndConfigurations) {
@@ -58,13 +59,37 @@ TEST(SpecificationGraph, UnitOfResourceResolvesConfigLeaves) {
   EXPECT_EQ(spec.unit_of_resource(up), spec.find_unit("uP"));
 }
 
+TEST(SpecificationGraph, UnitAccessorsFollowAttributeEdits) {
+  // A cost or bus flag set after the universe was read reaches the next
+  // read: the accessors read the compiled index, rebuilt on every mutation.
+  SpecificationGraph spec = models::make_tv_decoder_spec();
+  const AllocUnitId up = spec.find_unit("uP");
+  const AllocUnitId d3 = spec.find_unit("D3");
+  EXPECT_EQ(spec.alloc_units()[up.index()].cost, 50.0);
+  EXPECT_EQ(spec.alloc_units()[d3.index()].cost, 30.0);
+  EXPECT_FALSE(spec.alloc_units()[up.index()].is_comm);
+
+  HierarchicalGraph& arch = spec.architecture();
+  arch.set_attr(arch.find_node("uP"), attr::kCost, 7.0);
+  EXPECT_EQ(spec.alloc_units()[up.index()].cost, 7.0);
+  arch.set_attr(arch.find_cluster("D3"), attr::kCost, 3.0);
+  EXPECT_EQ(spec.alloc_units()[d3.index()].cost, 3.0);
+  arch.set_attr(arch.find_node("uP"), attr::kComm, 1.0);
+  EXPECT_TRUE(spec.alloc_units()[up.index()].is_comm);
+
+  AllocSet a = spec.make_alloc_set();
+  a.set(up.index());
+  a.set(d3.index());
+  EXPECT_EQ(spec.compiled().allocation_cost(a), 7.0 + 3.0);
+}
+
 TEST(SpecificationGraph, AllocationCostSumsUnits) {
   const SpecificationGraph spec = models::make_tv_decoder_spec();
   AllocSet a = spec.make_alloc_set();
   a.set(spec.find_unit("uP").index());
   a.set(spec.find_unit("C1").index());
   a.set(spec.find_unit("D3").index());
-  EXPECT_EQ(spec.allocation_cost(a), 50.0 + 5.0 + 30.0);
+  EXPECT_EQ(spec.compiled().allocation_cost(a), 50.0 + 5.0 + 30.0);
 }
 
 TEST(SpecificationGraph, DeviceCostChargedOncePerInterface) {
@@ -76,14 +101,15 @@ TEST(SpecificationGraph, DeviceCostChargedOncePerInterface) {
   b.map(p, cfg1, 1.0);
   b.map(p, cfg2, 1.0);
   const SpecificationGraph spec = b.build();
+  const CompiledSpec& cs = spec.compiled();
 
   AllocSet one = spec.make_alloc_set();
   one.set(spec.find_unit("cfg1").index());
-  EXPECT_EQ(spec.allocation_cost(one), 110.0);  // device + config
+  EXPECT_EQ(cs.allocation_cost(one), 110.0);  // device + config
 
   AllocSet both = one;
   both.set(spec.find_unit("cfg2").index());
-  EXPECT_EQ(spec.allocation_cost(both), 130.0);  // device charged once
+  EXPECT_EQ(cs.allocation_cost(both), 130.0);  // device charged once
 }
 
 TEST(SpecificationGraph, AllocationNamesInUnitOrder) {
@@ -102,11 +128,12 @@ TEST(SpecificationGraph, CommReachableSameDevice) {
   a.set(d3.index());
   a.set(u1.index());
   // Same top (FPGA): reachable even without buses.
-  EXPECT_TRUE(spec.comm_reachable(a, d3, u1));
+  EXPECT_TRUE(spec.compiled().comm_reachable(a, d3, u1));
 }
 
 TEST(SpecificationGraph, CommReachableViaBus) {
   const SpecificationGraph spec = models::make_tv_decoder_spec();
+  const CompiledSpec& cs = spec.compiled();
   const AllocUnitId up = spec.find_unit("uP");
   const AllocUnitId d3 = spec.find_unit("D3");
   const AllocUnitId asic = spec.find_unit("A");
@@ -114,11 +141,11 @@ TEST(SpecificationGraph, CommReachableViaBus) {
   AllocSet without_bus = spec.make_alloc_set();
   without_bus.set(up.index());
   without_bus.set(d3.index());
-  EXPECT_FALSE(spec.comm_reachable(without_bus, up, d3));
+  EXPECT_FALSE(cs.comm_reachable(without_bus, up, d3));
 
   AllocSet with_bus = without_bus;
   with_bus.set(spec.find_unit("C1").index());
-  EXPECT_TRUE(spec.comm_reachable(with_bus, up, d3));
+  EXPECT_TRUE(cs.comm_reachable(with_bus, up, d3));
 
   // C1 does not connect the ASIC with the FPGA (the paper's infeasible
   // example relies on exactly this).
@@ -127,13 +154,13 @@ TEST(SpecificationGraph, CommReachableViaBus) {
   asic_fpga.set(d3.index());
   asic_fpga.set(spec.find_unit("C1").index());
   asic_fpga.set(spec.find_unit("C2").index());
-  EXPECT_FALSE(spec.comm_reachable(asic_fpga, asic, d3));
+  EXPECT_FALSE(cs.comm_reachable(asic_fpga, asic, d3));
 }
 
 TEST(SpecificationGraph, ReachableUnitsFollowMappings) {
   const SpecificationGraph spec = models::make_tv_decoder_spec();
   const NodeId pu1 = spec.problem().find_node("Pu1");
-  const auto units = spec.reachable_units(pu1);
+  const auto units = spec.compiled().reachable_unit_list(pu1);
   // Pu1 maps to uP, A and the U1 configuration.
   EXPECT_EQ(units.size(), 3u);
   EXPECT_NE(std::find(units.begin(), units.end(), spec.find_unit("uP")),
@@ -164,7 +191,7 @@ TEST(SettopModel, Table1SpotChecks) {
   const HierarchicalGraph& p = spec.problem();
   auto latency = [&](const char* proc, const char* res) -> double {
     const NodeId pn = p.find_node(proc);
-    for (const MappingEdge& m : spec.mappings_of(pn)) {
+    for (const CompiledMapping& m : spec.compiled().mappings_of(pn)) {
       if (spec.alloc_units()[spec.unit_of_resource(m.resource).index()].name ==
           res)
         return m.latency;

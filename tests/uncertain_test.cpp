@@ -180,7 +180,8 @@ TEST(UncertainExplore, IntervalsScaleWithUncertainty) {
   const UncertainExploreResult r = explore_uncertain(spec, options);
   ASSERT_FALSE(r.front.empty());
   for (const UncertainPoint& p : r.front) {
-    const double crisp = spec.allocation_cost(p.implementation.units);
+    const double crisp =
+        spec.compiled().allocation_cost(p.implementation.units);
     EXPECT_NEAR(p.cost.lo, crisp * 0.9, 1e-9);
     EXPECT_NEAR(p.cost.hi, crisp * 1.1, 1e-9);
   }
@@ -194,7 +195,7 @@ TEST(UncertainExplore, DeviceIntervalsAreCharged) {
   a.set(spec.find_unit("C1").index());
   a.set(spec.find_unit("U2").index());
   a.set(spec.find_unit("D3").index());
-  const double crisp = spec.allocation_cost(a);
+  const double crisp = spec.compiled().allocation_cost(a);
   // Two configurations of one device: the device is charged once.
   EXPECT_EQ(allocation_cost_interval(spec, a),
             (Interval{crisp - 100.0, crisp}));
@@ -253,6 +254,22 @@ TEST(UncertainExplore, MutuallyNonCertainlyDominated) {
       EXPECT_FALSE(certainly_dominates(a, b));
     }
   }
+}
+
+TEST(UncertainExplore, RepricingAfterAUniverseReadReachesTheModel) {
+  // uP1 repriced from 120 to 5 after the unit universe was read: the
+  // interval model must price it as a cold copy of the same spec does.
+  SpecificationGraph spec = models::make_settop_spec();
+  const AllocUnitId up1 = spec.find_unit("uP1");
+  ASSERT_EQ(spec.alloc_units()[up1.index()].cost, 120.0);
+  HierarchicalGraph& arch = spec.architecture();
+  arch.set_attr(arch.find_node("uP1"), attr::kCost, 5.0);
+  EXPECT_EQ(spec.alloc_units()[up1.index()].cost, 5.0);
+  const SpecificationGraph cold = spec;  // a copy starts with no index
+  const UncertainExploreResult warm = explore_uncertain(spec, uniform(0.2));
+  const UncertainExploreResult fresh = explore_uncertain(cold, uniform(0.2));
+  EXPECT_EQ(fresh.front.size(), 77u);
+  EXPECT_EQ(rows(spec, warm.front), rows(cold, fresh.front));
 }
 
 TEST(UncertainExplore, ShrinkingUncertaintyConvergesToCrisp) {
