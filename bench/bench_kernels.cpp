@@ -33,6 +33,15 @@
 // spec, as the run would make them; the rest of the total assembles the
 // implementation.
 //
+// The front-door case times what a run does to a spec before exploring
+// it, on nested-m and nested-xl seed 1 (2.6 and 23 MB): load
+// (`spec_from_file` without validation), `validate()`, `compiled()`,
+// `lint_errors` and `explore_spec_digest`, median of 5 passes each, plus
+// the process's peak RSS (VmHWM) after the first pass's compile.  It runs
+// before every other case, nested-m first, so that peak is the front
+// door's own; a child process writes each spec file, so the generator's
+// memory stays out of it.
+//
 // `--smoke` skips all timing and runs the deterministic CI gate instead:
 // every kernel must agree with the naive reference on randomized universes,
 // and in the count-based work model (word operations vs bit operations) the
@@ -42,6 +51,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -49,17 +59,22 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "analysis/analysis.hpp"
 #include "bench_common.hpp"
 #include "bind/bind_cache.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "explore/allocation_enum.hpp"
+#include "explore/checkpoint.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/eca.hpp"
+#include "lint/lint.hpp"
 #include "spec/compiled.hpp"
 #include "spec/spec_io.hpp"
 #include "util/bitset_kernels.hpp"
@@ -676,6 +691,90 @@ std::vector<StreamFilterRow> run_stream_filter() {
   return rows;
 }
 
+// ---- front_door: seconds per layer before exploration ------------------------
+
+struct FrontDoorRow {
+  std::string spec;
+  std::uint64_t bytes = 0;
+  /// Medians of kReps passes.
+  double load_s = 0.0, validate_s = 0.0, compile_s = 0.0, lint_s = 0.0,
+         digest_s = 0.0;
+  double vm_hwm_mib = 0.0;  ///< after the first pass's compile
+};
+
+/// This process's peak resident set so far (VmHWM), MiB; 0 when unknown.
+double vm_hwm_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  return 0.0;
+}
+
+/// Writes the preset's spec to `path` from a child process.
+void write_preset_file(PlatformPreset preset, std::uint64_t seed,
+                       const std::string& path) {
+  const pid_t pid = fork();
+  SDF_CHECK(pid >= 0, "fork failed");
+  if (pid == 0) {
+    const Result<std::string> text =
+        spec_to_string(generate_preset(preset, seed));
+    std::ofstream out(path, std::ios::binary);
+    if (text.ok()) out << text.value();
+    _exit(text.ok() && out.good() ? 0 : 1);
+  }
+  int status = 0;
+  SDF_CHECK(waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+                WEXITSTATUS(status) == 0,
+            "cannot write the front-door spec");
+}
+
+std::vector<FrontDoorRow> run_front_door() {
+  constexpr int kReps = 5;
+  std::vector<FrontDoorRow> rows;
+  for (const PlatformPreset preset :
+       {PlatformPreset::kNestedM, PlatformPreset::kNestedXl}) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("sdf_bench_front_door." + std::to_string(getpid()) + ".json"))
+            .string();
+    write_preset_file(preset, 1, path);
+    FrontDoorRow row{std::string(preset_name(preset)) + "@1"};
+    std::vector<double> load, validate, compile, lint, digest;
+    for (int rep = 0; rep < kReps; ++rep) {
+      SpecParseOptions options;
+      options.validate = false;
+      auto t0 = Clock::now();
+      Result<SpecificationGraph> loaded = spec_from_file(path, options);
+      load.push_back(seconds_since(t0));
+      SDF_CHECK(loaded.ok(), "cannot load the front-door spec");
+      const SpecificationGraph& spec = loaded.value();
+      t0 = Clock::now();
+      SDF_CHECK(spec.validate().ok(), "front-door spec does not validate");
+      validate.push_back(seconds_since(t0));
+      t0 = Clock::now();
+      benchmark::DoNotOptimize(spec.compiled());
+      compile.push_back(seconds_since(t0));
+      if (rep == 0) row.vm_hwm_mib = vm_hwm_mib();
+      t0 = Clock::now();
+      SDF_CHECK(lint_errors(spec).errors() == 0, "front-door spec has errors");
+      lint.push_back(seconds_since(t0));
+      t0 = Clock::now();
+      SDF_CHECK(explore_spec_digest(spec).ok(), "front-door digest failed");
+      digest.push_back(seconds_since(t0));
+    }
+    row.bytes = std::filesystem::file_size(path);
+    std::filesystem::remove(path);
+    row.load_s = median_of(load);
+    row.validate_s = median_of(validate);
+    row.compile_s = median_of(compile);
+    row.lint_s = median_of(lint);
+    row.digest_s = median_of(digest);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 std::vector<OverheadRow> run_implementation_overhead() {
   constexpr int kReps = 3;
   std::vector<OverheadRow> rows;
@@ -725,7 +824,8 @@ std::vector<OverheadRow> run_implementation_overhead() {
   return rows;
 }
 
-void print_and_write(const std::vector<Row>& rows,
+void print_and_write(const std::vector<FrontDoorRow>& front_door_rows,
+                     const std::vector<Row>& rows,
                      const std::vector<KernelRow>& kernel_rows,
                      const std::vector<StreamFilterRow>& stream_rows,
                      const std::vector<OverheadRow>& overhead_rows) {
@@ -845,10 +945,36 @@ void print_and_write(const std::vector<Row>& rows,
     overhead_runs.push_back(Json(std::move(run)));
   }
   doc.emplace_back("implementation_overhead", Json(std::move(overhead_runs)));
+  std::printf("%s", overhead_table.to_ascii().c_str());
+
+  bench::section("front door, one thread: median of 5 passes, seconds per "
+                 "layer; peak RSS after the first compile");
+  Table front_table({"spec", "bytes", "load s", "validate s", "compile s",
+                     "lint s", "digest s", "VmHWM MiB"});
+  JsonArray front_runs;
+  for (const FrontDoorRow& r : front_door_rows) {
+    front_table.add_row(
+        {r.spec, std::to_string(r.bytes), format_double(r.load_s, 4),
+         format_double(r.validate_s, 4), format_double(r.compile_s, 4),
+         format_double(r.lint_s, 4), format_double(r.digest_s, 4),
+         format_double(r.vm_hwm_mib, 1)});
+    JsonObject run{
+        {"spec", Json(r.spec)},
+        {"bytes", Json(static_cast<double>(r.bytes))},
+        {"load_s", Json(r.load_s)},
+        {"validate_s", Json(r.validate_s)},
+        {"compile_s", Json(r.compile_s)},
+        {"lint_s", Json(r.lint_s)},
+        {"digest_s", Json(r.digest_s)},
+        {"vm_hwm_after_compile_mib", Json(r.vm_hwm_mib)},
+    };
+    front_runs.push_back(Json(std::move(run)));
+  }
+  doc.emplace_back("front_door", Json(std::move(front_runs)));
   std::ofstream out("BENCH_kernels.json");
   out << Json(std::move(doc)).dump(2) << '\n';
   std::printf("%swrote BENCH_kernels.json\n",
-              overhead_table.to_ascii().c_str());
+              front_table.to_ascii().c_str());
 }
 
 // ---- --smoke: the deterministic CI gate ------------------------------------
@@ -940,7 +1066,10 @@ BENCHMARK(BM_OldScalarIntersects3)->Arg(64)->Arg(320);
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--smoke") == 0) return sdf::run_smoke();
-  sdf::print_and_write(sdf::run_timings(), sdf::run_binding_kernel(),
+  // The front door first: its peak RSS must be its own.
+  std::vector<sdf::FrontDoorRow> front_door = sdf::run_front_door();
+  sdf::print_and_write(front_door, sdf::run_timings(),
+                       sdf::run_binding_kernel(),
                        sdf::run_stream_filter(),
                        sdf::run_implementation_overhead());
   return sdf::bench::run_benchmarks(argc, argv);

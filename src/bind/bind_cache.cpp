@@ -198,16 +198,16 @@ std::optional<Binding> BindCache::solve(const CompiledSpec& cs,
 namespace {
 
 /// The group's slice of a full flattening: the vertices, edges and dense
-/// attribute arrays restricted to `nodes`, with its own load orders.  The
-/// decomposition contract guarantees no flat edge crosses the slice
-/// boundary.
+/// attribute arrays restricted to the nodes under `group`, with its own
+/// load orders.  The decomposition contract guarantees no flat edge
+/// crosses the slice boundary.
 std::shared_ptr<const CompiledFlat> slice_flat(const CompiledSpec& cs,
                                                const CompiledFlat& full,
-                                               const DynBitset& nodes) {
+                                               const ClusterGroup& group) {
   auto sub = std::make_shared<CompiledFlat>();
   sub->index_of.assign(full.index_of.size(), CompiledFlat::npos);
   for (const NodeId v : full.graph.vertices) {
-    if (!nodes.test(v.index())) continue;
+    if (!cs.in_subtree(group, v)) continue;
     sub->index_of[v.index()] = sub->graph.vertices.size();
     sub->graph.vertices.push_back(v);
     const std::size_t fi = full.index_of[v.index()];
@@ -216,8 +216,8 @@ std::shared_ptr<const CompiledFlat> slice_flat(const CompiledSpec& cs,
   }
   sub->adj.resize(sub->graph.vertices.size());
   for (const auto& [from, to] : full.graph.edges) {
-    const bool in_from = nodes.test(from.index());
-    const bool in_to = nodes.test(to.index());
+    const bool in_from = cs.in_subtree(group, from);
+    const bool in_to = cs.in_subtree(group, to);
     SDF_CHECK(in_from == in_to, "flat edge crosses a decomposition group");
     if (!in_from) continue;
     sub->graph.edges.emplace_back(from, to);
@@ -230,7 +230,7 @@ std::shared_ptr<const CompiledFlat> slice_flat(const CompiledSpec& cs,
   for (const ClusterId c : full.graph.active_clusters)
     sub->graph.active_clusters.push_back(c);
   for (const NodeId i : full.graph.active_interfaces)
-    if (nodes.test(i.index())) sub->graph.active_interfaces.push_back(i);
+    if (cs.in_subtree(group, i)) sub->graph.active_interfaces.push_back(i);
   cs.sort_loads(*sub);
   return sub;
 }
@@ -297,7 +297,7 @@ std::optional<Binding> HierCache::solve(const CompiledSpec& cs,
 
     std::shared_ptr<const CompiledFlat> sub_flat = std::move(probe.flat);
     if (sub_flat == nullptr)
-      sub_flat = slice_flat(cs, *eca.flat, g.subtree_nodes);
+      sub_flat = slice_flat(cs, *eca.flat, g);
 
     ++s.hier_subsolves;
     SolverStats gs;

@@ -402,6 +402,12 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     options.resume = &*resume_state;
   }
 
+  // A budgeted run that stops puts the spec digest into its checkpoint.
+  // Taking it here, with the other per-spec setup (load, preflight,
+  // index), keeps that hashing out of the stop path the deadline bounds.
+  if (options.budget.limited() && !flags.get_bool("evolutionary"))
+    static_cast<void>(spec.value().compiled().digest());
+
   // Saves the resume checkpoint (if requested) and picks the exit code:
   // 0 = complete front, 3 = partial result because the budget ran out.
   const auto finish = [&checkpoint_path, &err](const ExploreResult& result) {

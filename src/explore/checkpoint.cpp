@@ -5,28 +5,15 @@
 
 #include "explore/explorer.hpp"
 #include "spec/compiled.hpp"
-#include "spec/spec_io.hpp"
 #include "util/json.hpp"
 #include "util/json_stream.hpp"
 #include "util/strings.hpp"
+#include "util/word_hash.hpp"
 
 namespace sdf {
 namespace {
 
 constexpr const char* kFormat = "sdf-explore-checkpoint";
-
-constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-
-/// FNV-1a over `text`, continuing from `h` (so chunked input hashes the
-/// same as the concatenation).
-std::uint64_t fnv1a64(std::string_view text,
-                      std::uint64_t h = kFnvOffsetBasis) {
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string hex64(std::uint64_t value) {
   return strprintf("%016" PRIx64, value);
@@ -319,14 +306,9 @@ Result<ExploreCheckpoint> ExploreCheckpoint::from_stream(ByteReader& in) {
 }
 
 Result<std::string> explore_spec_digest(const SpecificationGraph& spec) {
-  // FNV-1a of `spec_to_string`'s bytes, hashed chunk by chunk as the writer
-  // emits them, so no DOM or whole-spec string is ever built.
-  std::uint64_t h = kFnvOffsetBasis;
-  JsonWriter out(2, [&h](std::string_view chunk) { h = fnv1a64(chunk, h); });
-  if (Status s = write_spec(spec, out); !s.ok())
-    return s.error().wrap("checkpoint digest");
-  out.flush();
-  return hex64(h);
+  const Result<std::string>& digest = spec.compiled().digest();
+  if (!digest.ok()) return digest.error().wrap("checkpoint digest");
+  return digest.value();
 }
 
 std::string explore_options_digest(const ExploreOptions& options) {
@@ -351,7 +333,7 @@ std::string explore_options_digest(const ExploreOptions& options) {
       static_cast<int>(options.stop_at_max_flexibility),
       static_cast<int>(options.collect_equivalents), options.max_candidates,
       static_cast<int>(options.use_analysis_bound));
-  return hex64(fnv1a64(canon));
+  return hex64(word_hash64(canon));
 }
 
 Result<EnumCursor> checkpoint_cursor(const ExploreCheckpoint& ck,

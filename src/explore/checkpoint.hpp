@@ -20,7 +20,9 @@
 // spec digest hashes the canonical serialized specification, the options
 // digest hashes every option that affects the resulting front (engine
 // parallelism is deliberately excluded — thread count changes work
-// accounting, never the front).
+// accounting, never the front).  Both are `WordHash64` values
+// (util/word_hash.hpp).  Format version 1 carried byte-serial FNV-1a
+// digests instead; its files are refused by their version.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,7 @@ struct ExploreOptions;
 /// Serializable state of an interrupted EXPLORE run; see file comment.
 struct ExploreCheckpoint {
   /// Current checkpoint format version (`version` field in the JSON).
-  static constexpr int kVersion = 1;
+  static constexpr int kVersion = 2;
 
   std::string spec_digest;
   std::string options_digest;
@@ -107,7 +109,8 @@ struct ExploreCheckpoint {
   [[nodiscard]] static Result<ExploreCheckpoint> from_stream(ByteReader& in);
 };
 
-/// Digest of the canonical serialized specification (FNV-1a 64, hex).
+/// Digest of the canonical serialized specification (`WordHash64`, hex):
+/// `CompiledSpec::digest`, hashed once per index.
 [[nodiscard]] Result<std::string> explore_spec_digest(
     const SpecificationGraph& spec);
 

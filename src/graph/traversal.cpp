@@ -1,35 +1,43 @@
 #include "graph/traversal.hpp"
 
-#include <algorithm>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 
 namespace sdf {
 
+namespace {
+
+/// Kahn's algorithm takes the smallest ready id at each step, so the order
+/// does not depend on when a node became ready.
+using ReadyHeap =
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>>;
+
+}  // namespace
+
 std::optional<std::vector<NodeId>> topological_order(
     const HierarchicalGraph& g, ClusterId cluster) {
   const Cluster& c = g.cluster(cluster);
+  // Keyed by id: an edge into another cluster (an SDF006 defect) counts
+  // its foreign endpoint too.
   std::unordered_map<NodeId, std::size_t> indegree;
+  indegree.reserve(c.nodes.size());
   for (NodeId n : c.nodes) indegree[n] = 0;
   for (EdgeId eid : c.edges) ++indegree[g.edge(eid).to];
 
-  std::vector<NodeId> ready;
+  ReadyHeap ready;
   for (NodeId n : c.nodes)
-    if (indegree[n] == 0) ready.push_back(n);
-  // Deterministic order regardless of insertion history.
-  std::sort(ready.begin(), ready.end(), std::greater<>());
+    if (indegree[n] == 0) ready.push(n);
 
   std::vector<NodeId> order;
   order.reserve(c.nodes.size());
   while (!ready.empty()) {
-    const NodeId n = ready.back();
-    ready.pop_back();
+    const NodeId n = ready.top();
+    ready.pop();
     order.push_back(n);
     for (EdgeId eid : g.node(n).out_edges) {
-      const Edge& e = g.edge(eid);
-      if (--indegree[e.to] == 0) {
-        ready.push_back(e.to);
-        std::sort(ready.begin(), ready.end(), std::greater<>());
-      }
+      const NodeId to = g.edge(eid).to;
+      if (--indegree[to] == 0) ready.push(to);
     }
   }
   if (order.size() != c.nodes.size()) return std::nullopt;
@@ -52,23 +60,18 @@ std::optional<std::vector<NodeId>> topological_order(const FlatGraph& flat) {
     ++indegree[to];
     succ[from].push_back(to);
   }
-  std::vector<NodeId> ready;
+  ReadyHeap ready;
   for (NodeId v : flat.vertices)
-    if (indegree[v] == 0) ready.push_back(v);
-  std::sort(ready.begin(), ready.end(), std::greater<>());
+    if (indegree[v] == 0) ready.push(v);
 
   std::vector<NodeId> order;
   order.reserve(flat.vertices.size());
   while (!ready.empty()) {
-    const NodeId v = ready.back();
-    ready.pop_back();
+    const NodeId v = ready.top();
+    ready.pop();
     order.push_back(v);
-    for (NodeId w : succ[v]) {
-      if (--indegree[w] == 0) {
-        ready.push_back(w);
-        std::sort(ready.begin(), ready.end(), std::greater<>());
-      }
-    }
+    for (NodeId w : succ[v])
+      if (--indegree[w] == 0) ready.push(w);
   }
   if (order.size() != flat.vertices.size()) return std::nullopt;
   return order;

@@ -1,9 +1,17 @@
 #include "spec/compiled.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <functional>
+#include <iterator>
+#include <string_view>
 #include <utility>
+
+#include "spec/spec_io.hpp"
+#include "util/json.hpp"
+#include "util/strings.hpp"
+#include "util/word_hash.hpp"
 
 namespace sdf {
 
@@ -189,57 +197,83 @@ void CompiledSpec::build_decomposition() {
   const std::size_t nu = units_.size();
   const std::size_t nslots = iface_cost_.size();
 
-  // ---- per-node subtree closures (over all alternatives), bottom-up -------
-  // `dev` tracks the dense device slots (`unit_iface_slot_`) reachable in a
-  // subtree: two subtrees touching configurations of the same device couple
-  // through the exclusive-configuration rule even with disjoint unit sets.
-  std::vector<DynBitset> sub_nodes(np, DynBitset(np));
-  std::vector<DynBitset> sub_ifaces(np, DynBitset(np));
+  // ---- preorder: each node, then the nodes of each of its refinements -----
+  // A node's subtree over all alternatives is then one interval of
+  // preorder numbers.  Walks start at the root and at every cluster no
+  // interface owns (one attached to a plain vertex, an SDF001 defect, is no
+  // part of the vertex's subtree).  An explicit stack keeps arbitrarily
+  // deep hierarchies off the call stack.
+  preorder_.assign(np, 0);
+  std::vector<NodeId> visit;  // nodes in preorder
+  visit.reserve(np);
+  {
+    std::vector<NodeId> stack;
+    const auto push_children = [&](const std::vector<NodeId>& nodes) {
+      stack.insert(stack.end(), nodes.rbegin(), nodes.rend());
+    };
+    for (const Cluster& c : problem.clusters()) {
+      if (!c.is_root() && problem.node(c.parent).is_interface()) continue;
+      push_children(c.nodes);
+      while (!stack.empty()) {
+        const NodeId id = stack.back();
+        stack.pop_back();
+        preorder_[id.index()] = static_cast<std::uint32_t>(visit.size());
+        visit.push_back(id);
+        const Node& n = problem.node(id);
+        if (!n.is_interface()) continue;
+        for (auto c = n.clusters.rbegin(); c != n.clusters.rend(); ++c)
+          push_children(problem.cluster(*c).nodes);
+      }
+    }
+  }
+
+  // ---- per-node subtree summaries, bottom-up ------------------------------
+  // `subtree_end`: one past the subtree's last preorder number; `sub_dev`:
+  // the dense device slots (`unit_iface_slot_`) reachable in it, since two
+  // subtrees touching configurations of the same device couple through the
+  // exclusive-configuration rule even with disjoint unit sets.
+  std::vector<std::uint32_t> subtree_end(np);
   std::vector<DynBitset> sub_units(np, DynBitset(nu));
   std::vector<DynBitset> sub_dev(np, DynBitset(nslots));
-  std::vector<std::uint8_t> done(np, 0);
-
-  // Explicit DFS keeps arbitrarily deep hierarchies off the call stack.
-  const std::function<void(NodeId)> close_node = [&](NodeId id) {
-    const std::size_t i = id.index();
-    if (done[i] != 0) return;
-    done[i] = 1;  // hierarchy is a forest: no cycles, set-before-recurse ok
-    const Node& n = problem.node(id);
-    sub_nodes[i].set(i);
+  for (auto it = visit.rbegin(); it != visit.rend(); ++it) {
+    const std::size_t i = it->index();
+    const Node& n = problem.node(*it);
+    subtree_end[i] = preorder_[i] + 1;
     if (!n.is_interface()) {
-      if (i < reach_bits_.size()) {
-        sub_units[i] |= reach_bits_[i];
-        reach_bits_[i].for_each([&](std::size_t u) {
-          const std::size_t slot = unit_iface_slot_[u];
-          if (slot != npos) sub_dev[i].set(slot);
-        });
-      }
-      return;
+      sub_units[i] |= reach_bits_[i];
+      reach_bits_[i].for_each([&](std::size_t u) {
+        const std::size_t slot = unit_iface_slot_[u];
+        if (slot != npos) sub_dev[i].set(slot);
+      });
+      continue;
     }
-    sub_ifaces[i].set(i);
     for (const ClusterId cid : n.clusters) {
       for (const NodeId child : problem.cluster(cid).nodes) {
-        close_node(child);
-        sub_nodes[i] |= sub_nodes[child.index()];
-        sub_ifaces[i] |= sub_ifaces[child.index()];
-        sub_units[i] |= sub_units[child.index()];
-        sub_dev[i] |= sub_dev[child.index()];
+        const std::size_t c = child.index();
+        subtree_end[i] = std::max(subtree_end[i], subtree_end[c]);
+        sub_units[i] |= sub_units[c];
+        sub_dev[i] |= sub_dev[c];
       }
     }
-  };
-  for (std::size_t i = 0; i < np; ++i) close_node(NodeId{i});
+  }
+
+  // Each node's position among its own cluster's nodes.
+  std::vector<std::size_t> slot_of(np, 0);
+  for (const Cluster& c : problem.clusters())
+    for (std::size_t i = 0; i < c.nodes.size(); ++i)
+      slot_of[c.nodes[i].index()] = i;
 
   // ---- per-cluster union-find over direct nodes ----------------------------
   decomposition_.assign(nc, ClusterDecomposition{});
+  std::vector<std::size_t> parent, group_of;
   for (std::size_t ci = 0; ci < nc; ++ci) {
     const Cluster& cluster = problem.cluster(ClusterId{ci});
     const std::size_t k = cluster.nodes.size();
     if (k == 0) continue;
 
-    std::vector<std::size_t> parent(k);
+    parent.resize(k);
     for (std::size_t i = 0; i < k; ++i) parent[i] = i;
-    const std::function<std::size_t(std::size_t)> find =
-        [&](std::size_t x) -> std::size_t {
+    const auto find = [&parent](std::size_t x) {
       while (parent[x] != x) x = parent[x] = parent[parent[x]];
       return x;
     };
@@ -247,15 +281,12 @@ void CompiledSpec::build_decomposition() {
       parent[find(a)] = find(b);
     };
 
-    std::map<NodeId, std::size_t> pos;
-    for (std::size_t i = 0; i < k; ++i) pos[cluster.nodes[i]] = i;
-
     // (a) dependence edges of this cluster couple their endpoints.
     for (const EdgeId eid : cluster.edges) {
       const Edge& e = problem.edge(eid);
-      const auto fa = pos.find(e.from);
-      const auto fb = pos.find(e.to);
-      if (fa != pos.end() && fb != pos.end()) unite(fa->second, fb->second);
+      if (problem.node(e.from).parent == cluster.id &&
+          problem.node(e.to).parent == cluster.id)
+        unite(slot_of[e.from.index()], slot_of[e.to.index()]);
     }
     // (b) shared mappable units couple via utilization/capacity sums;
     // (c) shared devices couple via exclusive configurations.
@@ -270,23 +301,26 @@ void CompiledSpec::build_decomposition() {
     }
 
     // ---- materialize groups, ascending by smallest member ------------------
-    std::map<std::size_t, std::size_t> group_of_root;
+    // A group's items are siblings in cluster order, so their subtrees are
+    // consecutive preorder intervals; adjacent ones merge.
     ClusterDecomposition& d = decomposition_[ci];
+    group_of.assign(k, npos);
     for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t r = find(i);
-      const auto [it, inserted] = group_of_root.emplace(r, d.groups.size());
-      if (inserted) {
+      std::size_t& gi = group_of[find(i)];
+      if (gi == npos) {
+        gi = d.groups.size();
         d.groups.push_back(ClusterGroup{});
-        ClusterGroup& g = d.groups.back();
-        g.subtree_nodes = DynBitset(np);
-        g.subtree_interfaces = DynBitset(np);
-        g.subtree_units = DynBitset(nu);
+        d.groups.back().subtree_units = DynBitset(nu);
       }
-      ClusterGroup& g = d.groups[it->second];
+      ClusterGroup& g = d.groups[gi];
       const NodeId item = cluster.nodes[i];
+      const std::uint32_t begin = preorder_[item.index()];
+      const std::uint32_t end = subtree_end[item.index()];
       g.items.push_back(item);
-      g.subtree_nodes |= sub_nodes[item.index()];
-      g.subtree_interfaces |= sub_ifaces[item.index()];
+      if (!g.subtree.empty() && g.subtree.back().second == begin)
+        g.subtree.back().second = end;
+      else
+        g.subtree.emplace_back(begin, end);
       g.subtree_units |= sub_units[item.index()];
     }
     for (ClusterGroup& g : d.groups) {
@@ -331,6 +365,14 @@ void CompiledSpec::build_decomposition() {
   };
   for (std::size_t ci = 0; ci < nc; ++ci) useful(ClusterId{ci});
   hier_useful_ = useful(problem.root());
+}
+
+bool CompiledSpec::in_subtree(const ClusterGroup& group, NodeId node) const {
+  const std::uint32_t p = preorder_[node.index()];
+  const auto after = std::upper_bound(
+      group.subtree.begin(), group.subtree.end(), p,
+      [](std::uint32_t v, const auto& span) { return v < span.first; });
+  return after != group.subtree.begin() && p < std::prev(after)->second;
 }
 
 double CompiledSpec::allocation_cost(const AllocSet& alloc) const {
@@ -426,7 +468,6 @@ void collect_terminal_groups(const CompiledSpec& cs,
     PreparedGroup& t = out.emplace_back();
     t.group = &g;
     std::vector<std::uint32_t>& key = t.key;
-    key.reserve(6 + 2 * g.subtree_interfaces.count());
     key.push_back(static_cast<std::uint32_t>(cluster.index()));
     key.push_back(static_cast<std::uint32_t>(gi));
     key.push_back(static_cast<std::uint32_t>(g.signature));
@@ -435,7 +476,9 @@ void collect_terminal_groups(const CompiledSpec& cs,
     key.push_back(0);  // patched below: number of restricted selection pairs
     std::uint32_t restricted = 0;
     for (const auto& [iface, cl] : pairs) {
-      if (!g.subtree_interfaces.test(iface)) continue;
+      const NodeId id{iface};
+      if (!cs.problem().node(id).is_interface() || !cs.in_subtree(g, id))
+        continue;
       key.push_back(iface);
       key.push_back(cl);
       ++restricted;
@@ -652,6 +695,22 @@ std::shared_ptr<const PreparedEcas> CompiledSpec::prepared_ecas(
 std::uint64_t CompiledSpec::prepared_entries() const {
   const std::lock_guard<std::mutex> lock(prep_mutex_);
   return prep_cache_.size();
+}
+
+const Result<std::string>& CompiledSpec::digest() const {
+  std::call_once(digest_once_, [this] {
+    // Hashed chunk by chunk as the writer emits them, so no DOM or
+    // whole-spec string is ever built.
+    WordHash64 h;
+    JsonWriter out(2, [&h](std::string_view chunk) { h.update(chunk); });
+    const Status written = write_spec(spec_, out);
+    out.flush();
+    if (written.ok())
+      digest_.emplace(strprintf("%016" PRIx64, h.finish()));
+    else
+      digest_.emplace(written.error());
+  });
+  return *digest_;
 }
 
 }  // namespace sdf

@@ -32,13 +32,14 @@
 //   * a per-cluster decomposition sub-index (`decomposition()`): the static
 //     partition of each cluster's interior into independently bindable
 //     groups, which the hierarchical solve path combines at interfaces
-//     instead of flattening (see bind/bind_cache.hpp, `HierCache`).
+//     instead of flattening (see bind/bind_cache.hpp, `HierCache`), and
+//   * the spec's digest (`digest()`), hashed on first use.
 //
-// All queries except `flat()` and `prepared_ecas()` touch only immutable
-// state and are safe to call concurrently; those two are internally
-// synchronized.  Obtain an instance via `SpecificationGraph::compiled()`
-// (lazily built, invalidated by mutation) or build one directly for full
-// control of its lifetime.
+// All queries except `flat()`, `prepared_ecas()` and `digest()` touch only
+// immutable state and are safe to call concurrently; those three are
+// internally synchronized.  Obtain an instance via
+// `SpecificationGraph::compiled()` (lazily built, invalidated by mutation)
+// or build one directly for full control of its lifetime.
 // The index holds references into the owning `SpecificationGraph`; mutating
 // the spec invalidates a directly-constructed index.
 #pragma once
@@ -48,14 +49,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/eca.hpp"
 #include "graph/flatten.hpp"
 #include "spec/specification.hpp"
 #include "util/dyn_bitset.hpp"
+#include "util/status.hpp"
 
 namespace sdf {
 
@@ -109,11 +114,12 @@ struct ClusterGroup {
   /// Direct nodes of the owning cluster in this group, ascending id.
   std::vector<NodeId> items;
   /// Every problem node that can appear under these items in *any*
-  /// selection: the items plus all descendants of all alternatives.
-  DynBitset subtree_nodes;
-  /// Interfaces among `subtree_nodes`; a cluster selection restricted to
-  /// these fully determines the group's flat sub-problem.
-  DynBitset subtree_interfaces;
+  /// selection — the items plus all descendants of all alternatives — as
+  /// ascending, disjoint half-open intervals of the index's preorder
+  /// numbering of the problem hierarchy, in which each node's subtree over
+  /// all alternatives is one interval.  Test membership with
+  /// `CompiledSpec::in_subtree`.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> subtree;
   /// Units some process under the group can map to (union over all
   /// alternatives) — the group's share of the allocation.
   DynBitset subtree_units;
@@ -347,6 +353,9 @@ class CompiledSpec {
       ClusterId cluster) const {
     return decomposition_[cluster.index()];
   }
+  /// True iff `node` is one of `group`'s items or lies under one of them
+  /// in some selection (`ClusterGroup::subtree`).
+  [[nodiscard]] bool in_subtree(const ClusterGroup& group, NodeId node) const;
   /// True when the root decomposes: the hierarchical solve path can beat
   /// the flat kernel on this spec.  When false the flat path is used
   /// unchanged (identical stats, not merely identical verdicts).
@@ -354,6 +363,17 @@ class CompiledSpec {
   /// Communication units (buses), over the unit universe — the
   /// allocation-projection mask extension for the one-hop comm model.
   [[nodiscard]] const DynBitset& comm_units() const { return comm_units_; }
+
+  // ---- identity -------------------------------------------------------------
+
+  /// `WordHash64` of the spec's canonical `write_spec` text, as 16 hex
+  /// digits: the identity an exploration checkpoint records
+  /// (`explore_spec_digest`).  Hashed on first use and kept with the index,
+  /// so a run that resumes and stops again hashes the spec once, and a
+  /// caller can take it before a deadline-bounded run.  Fails where
+  /// `write_spec` does (duplicate names).  Checkpoint files store it:
+  /// changing what it hashes needs a new checkpoint format version.
+  [[nodiscard]] const Result<std::string>& digest() const;
 
  private:
   using FlatKey = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -421,6 +441,9 @@ class CompiledSpec {
 
   // Hierarchical decomposition sub-index, by cluster id.
   std::vector<ClusterDecomposition> decomposition_;
+  // Preorder number by problem NodeId: each node, then the nodes of each
+  // of its refinements.
+  std::vector<std::uint32_t> preorder_;
   bool hier_useful_ = false;
 
   // Flatten cache; null entries memoize failed flattenings.  `lru_` orders
@@ -444,6 +467,9 @@ class CompiledSpec {
       prep_cache_;
   mutable std::list<const PreparedKey*> prep_lru_;
   mutable std::size_t prep_bytes_ = 0;
+
+  mutable std::once_flag digest_once_;
+  mutable std::optional<Result<std::string>> digest_;
 };
 
 }  // namespace sdf

@@ -101,7 +101,12 @@ struct PendingMapping {
   bool seen_process = false, seen_resource = false, seen_latency = false;
 };
 
+/// One open container: its context, key, flags and ids.  One is pushed
+/// and popped per JSON container, so every payload lives on the builder's
+/// own stacks instead (see `SpecStreamBuilder`'s members).
 struct Frame {
+  explicit Frame(Ctx context) : ctx(context) {}
+
   Ctx ctx;
   /// Key of the object member whose value is being read (object frames).
   std::string key;
@@ -111,31 +116,17 @@ struct Frame {
   bool seen_ports = false, seen_root = false, seen_direction = false;
   bool seen_mapping = false;
 
-  // kNode / kCluster / kPort: identity collected before materialization.
-  std::string name;
-  std::string kind;          // node kind ("" = default "vertex")
-  std::string direction;     // port direction ("" = default "in")
-  bool materialized = false;
-  NodeId node;               // kNode: the created node
-  ClusterId cluster;         // kCluster: the created / root cluster
-  /// Attrs seen before the owning entity existed (applied on creation).
-  std::vector<std::pair<std::string, double>> attr_buf;
-
-  // kCluster: local name table + deferred edges.
-  std::unordered_map<std::string, NodeId> local;
-  std::vector<PendingEdge> pending_edges;
-
-  // kPort: deferred mapping entries (cluster name -> node name).
-  std::vector<std::pair<std::string, std::string>> port_mapping;
-
-  PendingEdge edge;        // kEdge
-  PendingMapping mapping;  // kMapping
-  int skip_depth = 0;      // kSkip
+  bool materialized = false;  // kNode / kCluster: the entity exists
+  NodeId node;                // kNode: the created node
+  ClusterId cluster;          // kCluster: the created / root cluster
+  /// kCluster: where its deferred edges start on `pending_edges_`.
+  std::size_t edges_begin = 0;
+  int skip_depth = 0;  // kSkip
 };
 
 class SpecStreamBuilder final : public JsonEventHandler {
  public:
-  SpecStreamBuilder() { frames_.push_back(Frame{.ctx = Ctx::kPreDoc}); }
+  SpecStreamBuilder() { frames_.push_back(Frame(Ctx::kPreDoc)); }
 
   Status on_null() override { return scalar(ScalarKind::kOther, 0.0, {}); }
   Status on_bool(bool) override { return scalar(ScalarKind::kOther, 0.0, {}); }
@@ -198,31 +189,41 @@ class SpecStreamBuilder final : public JsonEventHandler {
   void push(Frame frame) { frames_.push_back(std::move(frame)); }
 
   Status skip_subtree() {
-    push(Frame{.ctx = Ctx::kSkip, .skip_depth = 1});
+    Frame skip(Ctx::kSkip);
+    skip.skip_depth = 1;
+    push(std::move(skip));
     return Status::Ok();
   }
 
   // ---- materialization ------------------------------------------------------
+
+  /// Pushes the frame of a node, cluster or port: the entity whose
+  /// identity `name_`/`kind_` collect from here on.
+  void push_entity(Frame frame) {
+    name_.clear();
+    kind_.clear();
+    push(std::move(frame));
+  }
 
   /// Creates the node for a kNode frame once its identity is known.  The
   /// schema requires "name"/"kind" before "clusters"/"ports" in streaming
   /// input; the writer has always emitted them first.
   Status materialize_node(Frame& f) {
     if (f.materialized) return Status::Ok();
-    if (f.name.empty()) return err("node without a name");
-    const std::string kind = f.kind.empty() ? "vertex" : f.kind;
+    if (name_.empty()) return err("node without a name");
+    const std::string_view kind =
+        kind_.empty() ? std::string_view("vertex") : std::string_view(kind_);
     // Layout: ... kCluster kClusterNodes kNode(top).
     Frame& cf = frames_[frames_.size() - 3];
     if (kind == "interface") {
-      f.node = graph_->add_interface(cf.cluster, f.name);
+      f.node = graph_->add_interface(cf.cluster, name_);
     } else if (kind == "vertex") {
-      f.node = graph_->add_vertex(cf.cluster, f.name);
+      f.node = graph_->add_vertex(cf.cluster, name_);
     } else {
-      return err("unknown node kind '" + kind + "'");
+      return err("unknown node kind '" + std::string(kind) + "'");
     }
-    cf.local[f.name] = f.node;
-    for (const auto& [k, v] : f.attr_buf) graph_->set_attr(f.node, k, v);
-    f.attr_buf.clear();
+    for (const auto& [k, v] : node_attrs_) graph_->set_attr(f.node, k, v);
+    node_attrs_.clear();
     f.materialized = true;
     return Status::Ok();
   }
@@ -230,22 +231,26 @@ class SpecStreamBuilder final : public JsonEventHandler {
   /// Creates the cluster for a refinement kCluster frame.
   Status materialize_cluster(Frame& f) {
     if (f.materialized) return Status::Ok();
-    if (f.name.empty()) return err("cluster without a name");
+    if (name_.empty()) return err("cluster without a name");
     // Layout: ... kNode kNodeClusters kCluster(top).
     Frame& iface = frames_[frames_.size() - 3];
-    f.cluster = graph_->add_cluster(iface.node, f.name);
-    for (const auto& [k, v] : f.attr_buf) graph_->set_attr(f.cluster, k, v);
-    f.attr_buf.clear();
+    f.cluster = graph_->add_cluster(iface.node, name_);
     f.materialized = true;
     return Status::Ok();
   }
 
-  /// Resolves a cluster's deferred edges against its completed node table.
+  /// Resolves a cluster's deferred edges against its completed node list;
+  /// of two nodes with one name, the later one wins.
   Status resolve_edges(Frame& cf) {
-    for (const PendingEdge& pe : cf.pending_edges) {
-      const auto fi = cf.local.find(pe.from);
-      const auto ti = cf.local.find(pe.to);
-      if (fi == cf.local.end() || ti == cf.local.end())
+    if (pending_edges_.size() == cf.edges_begin) return Status::Ok();
+    local_.clear();
+    for (const NodeId n : graph_->cluster(cf.cluster).nodes)
+      local_.insert_or_assign(graph_->node(n).name, n);
+    for (std::size_t i = cf.edges_begin; i < pending_edges_.size(); ++i) {
+      const PendingEdge& pe = pending_edges_[i];
+      const auto fi = local_.find(pe.from);
+      const auto ti = local_.find(pe.to);
+      if (fi == local_.end() || ti == local_.end())
         return err(strprintf(
             "edge '%s' -> '%s' references nodes outside its cluster",
             pe.from.c_str(), pe.to.c_str()));
@@ -261,6 +266,7 @@ class SpecStreamBuilder final : public JsonEventHandler {
       const EdgeId eid = graph_->add_edge(fi->second, ti->second, sp, dp);
       for (const auto& [k, v] : pe.attrs) graph_->set_attr(eid, k, v);
     }
+    pending_edges_.resize(cf.edges_begin);
     return Status::Ok();
   }
 
@@ -323,7 +329,7 @@ class SpecStreamBuilder final : public JsonEventHandler {
           // The root cluster keeps its name; refinement clusters take
           // theirs from the document.
           if (!f.materialized && sk == ScalarKind::kString)
-            f.name = std::move(str);
+            name_ = std::move(str);
         } else if (f.key == "attrs" && !f.seen_attrs) {
           f.seen_attrs = true;
           return err("'attrs' must be an object");
@@ -342,18 +348,18 @@ class SpecStreamBuilder final : public JsonEventHandler {
       case Ctx::kClusterEdges:
         // The DOM reader ran `string_or` against non-object entries and got
         // fallbacks — i.e. an edge with empty endpoint names.
-        below(1).pending_edges.push_back(PendingEdge{});
+        pending_edges_.emplace_back();
         return Status::Ok();
 
       case Ctx::kNode:
         if (f.key == "name" && !f.seen_name) {
           f.seen_name = true;
           if (sk == ScalarKind::kString && !f.materialized)
-            f.name = std::move(str);
+            name_ = std::move(str);
         } else if (f.key == "kind" && !f.seen_kind) {
           f.seen_kind = true;
           if (sk == ScalarKind::kString && !f.materialized)
-            f.kind = std::move(str);
+            kind_ = std::move(str);
         } else if (f.key == "attrs" && !f.seen_attrs) {
           f.seen_attrs = true;
           return err("'attrs' must be an object");
@@ -379,10 +385,10 @@ class SpecStreamBuilder final : public JsonEventHandler {
       case Ctx::kPort:
         if (f.key == "name" && !f.seen_name) {
           f.seen_name = true;
-          if (sk == ScalarKind::kString) f.name = std::move(str);
+          if (sk == ScalarKind::kString) name_ = std::move(str);
         } else if (f.key == "direction" && !f.seen_direction) {
           f.seen_direction = true;
-          if (sk == ScalarKind::kString) f.direction = std::move(str);
+          if (sk == ScalarKind::kString) kind_ = std::move(str);
         } else if (f.key == "mapping" && !f.seen_mapping) {
           f.seen_mapping = true;
           return err("port 'mapping' must be an object");
@@ -392,22 +398,24 @@ class SpecStreamBuilder final : public JsonEventHandler {
       case Ctx::kPortMapping:
         if (sk != ScalarKind::kString)
           return err("port mapping targets must be node names");
-        below(1).port_mapping.emplace_back(f.key, std::move(str));
+        port_mappings_.push_back(
+            PendingPortMapping{PortId{}, f.key, std::move(str)});
         return Status::Ok();
 
       case Ctx::kEdge: {
+        PendingEdge& e = pending_edges_.back();
         auto take_name = [&](std::string& dst, bool& seen) {
           if (!seen) {
             seen = true;
             if (sk == ScalarKind::kString) dst = std::move(str);
           }
         };
-        if (f.key == "from") take_name(f.edge.from, f.edge.seen_from);
-        else if (f.key == "to") take_name(f.edge.to, f.edge.seen_to);
-        else if (f.key == "src_port") take_name(f.edge.src_port, f.edge.seen_src);
-        else if (f.key == "dst_port") take_name(f.edge.dst_port, f.edge.seen_dst);
-        else if (f.key == "attrs" && !f.edge.seen_attrs) {
-          f.edge.seen_attrs = true;
+        if (f.key == "from") take_name(e.from, e.seen_from);
+        else if (f.key == "to") take_name(e.to, e.seen_to);
+        else if (f.key == "src_port") take_name(e.src_port, e.seen_src);
+        else if (f.key == "dst_port") take_name(e.dst_port, e.seen_dst);
+        else if (f.key == "attrs" && !e.seen_attrs) {
+          e.seen_attrs = true;
           return err("'attrs' must be an object");
         }
         return Status::Ok();
@@ -422,18 +430,20 @@ class SpecStreamBuilder final : public JsonEventHandler {
         mappings_.push_back(PendingMapping{});
         return Status::Ok();
 
-      case Ctx::kMapping:
-        if (f.key == "process" && !f.mapping.seen_process) {
-          f.mapping.seen_process = true;
-          if (sk == ScalarKind::kString) f.mapping.process = std::move(str);
-        } else if (f.key == "resource" && !f.mapping.seen_resource) {
-          f.mapping.seen_resource = true;
-          if (sk == ScalarKind::kString) f.mapping.resource = std::move(str);
-        } else if (f.key == "latency" && !f.mapping.seen_latency) {
-          f.mapping.seen_latency = true;
-          if (sk == ScalarKind::kNumber) f.mapping.latency = num;
+      case Ctx::kMapping: {
+        PendingMapping& m = mappings_.back();
+        if (f.key == "process" && !m.seen_process) {
+          m.seen_process = true;
+          if (sk == ScalarKind::kString) m.process = std::move(str);
+        } else if (f.key == "resource" && !m.seen_resource) {
+          m.seen_resource = true;
+          if (sk == ScalarKind::kString) m.resource = std::move(str);
+        } else if (f.key == "latency" && !m.seen_latency) {
+          m.seen_latency = true;
+          if (sk == ScalarKind::kNumber) m.latency = num;
         }
         return Status::Ok();
+      }
 
       case Ctx::kSkip:
         return Status::Ok();
@@ -447,7 +457,7 @@ class SpecStreamBuilder final : public JsonEventHandler {
       case Ctx::kPreDoc:
         if (!is_object) return Error{"specification must be a JSON object"};
         seen_doc_ = true;
-        push(Frame{.ctx = Ctx::kDoc});
+        push(Frame(Ctx::kDoc));
         return Status::Ok();
 
       case Ctx::kDoc:
@@ -460,13 +470,13 @@ class SpecStreamBuilder final : public JsonEventHandler {
             return Error{"graph is missing its 'root' cluster"}.wrap(
                 graph_label_);
           graph_ = is_problem ? &spec_.problem() : &spec_.architecture();
-          push(Frame{.ctx = Ctx::kGraph});
+          push(Frame(Ctx::kGraph));
           return Status::Ok();
         }
         if (f.key == "mappings" && !seen_mappings_) {
           seen_mappings_ = true;
           if (is_object) return Error{"'mappings' must be an array"};
-          push(Frame{.ctx = Ctx::kMappings});
+          push(Frame(Ctx::kMappings));
           return Status::Ok();
         }
         if (f.key == "name" && !f.seen_name) f.seen_name = true;
@@ -476,10 +486,11 @@ class SpecStreamBuilder final : public JsonEventHandler {
         if (f.key == "root" && !f.seen_root) {
           f.seen_root = true;
           if (!is_object) return err("graph is missing its 'root' cluster");
-          Frame root{.ctx = Ctx::kCluster};
+          Frame root(Ctx::kCluster);
           root.materialized = true;
           root.cluster = graph_->root();
-          push(std::move(root));
+          root.edges_begin = pending_edges_.size();
+          push_entity(std::move(root));
           return Status::Ok();
         }
         return skip_subtree();
@@ -489,21 +500,21 @@ class SpecStreamBuilder final : public JsonEventHandler {
           f.seen_attrs = true;
           if (!is_object) return err("'attrs' must be an object");
           if (Status s = materialize_cluster_if_entry(f); !s.ok()) return s;
-          push(Frame{.ctx = Ctx::kAttrs});
+          push(Frame(Ctx::kAttrs));
           return Status::Ok();
         }
         if (f.key == "nodes" && !f.seen_nodes) {
           f.seen_nodes = true;
           if (is_object) return err("'nodes' must be an array");
           if (Status s = materialize_cluster_if_entry(f); !s.ok()) return s;
-          push(Frame{.ctx = Ctx::kClusterNodes});
+          push(Frame(Ctx::kClusterNodes));
           return Status::Ok();
         }
         if (f.key == "edges" && !f.seen_edges) {
           f.seen_edges = true;
           if (is_object) return err("'edges' must be an array");
           if (Status s = materialize_cluster_if_entry(f); !s.ok()) return s;
-          push(Frame{.ctx = Ctx::kClusterEdges});
+          push(Frame(Ctx::kClusterEdges));
           return Status::Ok();
         }
         if (f.key == "name" && !f.seen_name) f.seen_name = true;
@@ -511,23 +522,24 @@ class SpecStreamBuilder final : public JsonEventHandler {
 
       case Ctx::kClusterNodes:
         if (!is_object) return err("node entries must be objects");
-        push(Frame{.ctx = Ctx::kNode});
+        push_entity(Frame(Ctx::kNode));
         return Status::Ok();
 
       case Ctx::kClusterEdges:
         if (!is_object) {
           // Non-object entry: fallback semantics (empty endpoint names).
-          below(1).pending_edges.push_back(PendingEdge{});
+          pending_edges_.emplace_back();
           return skip_subtree();
         }
-        push(Frame{.ctx = Ctx::kEdge});
+        pending_edges_.emplace_back();
+        push(Frame(Ctx::kEdge));
         return Status::Ok();
 
       case Ctx::kNode:
         if (f.key == "attrs" && !f.seen_attrs) {
           f.seen_attrs = true;
           if (!is_object) return err("'attrs' must be an object");
-          push(Frame{.ctx = Ctx::kAttrs});
+          push(Frame(Ctx::kAttrs));
           return Status::Ok();
         }
         if (f.key == "clusters" && !f.seen_clusters) {
@@ -535,7 +547,7 @@ class SpecStreamBuilder final : public JsonEventHandler {
           if (Status s = materialize_node(f); !s.ok()) return s;
           if (!graph_->node(f.node).is_interface()) return skip_subtree();
           if (is_object) return err("'clusters' must be an array");
-          push(Frame{.ctx = Ctx::kNodeClusters});
+          push(Frame(Ctx::kNodeClusters));
           return Status::Ok();
         }
         if (f.key == "ports" && !f.seen_ports) {
@@ -543,28 +555,32 @@ class SpecStreamBuilder final : public JsonEventHandler {
           if (Status s = materialize_node(f); !s.ok()) return s;
           if (!graph_->node(f.node).is_interface()) return skip_subtree();
           if (is_object) return err("'ports' must be an array");
-          push(Frame{.ctx = Ctx::kNodePorts});
+          push(Frame(Ctx::kNodePorts));
           return Status::Ok();
         }
         if (f.key == "name" && !f.seen_name) f.seen_name = true;
         if (f.key == "kind" && !f.seen_kind) f.seen_kind = true;
         return skip_subtree();
 
-      case Ctx::kNodeClusters:
+      case Ctx::kNodeClusters: {
         if (!is_object) return err("cluster without a name");
-        push(Frame{.ctx = Ctx::kCluster});
+        Frame cluster(Ctx::kCluster);
+        cluster.edges_begin = pending_edges_.size();
+        push_entity(std::move(cluster));
         return Status::Ok();
+      }
 
       case Ctx::kNodePorts:
         if (!is_object) return err("port without a name");
-        push(Frame{.ctx = Ctx::kPort});
+        port_mappings_begin_ = port_mappings_.size();
+        push_entity(Frame(Ctx::kPort));
         return Status::Ok();
 
       case Ctx::kPort:
         if (f.key == "mapping" && !f.seen_mapping) {
           f.seen_mapping = true;
           if (!is_object) return err("port 'mapping' must be an object");
-          push(Frame{.ctx = Ctx::kPortMapping});
+          push(Frame(Ctx::kPortMapping));
           return Status::Ok();
         }
         if (f.key == "name" && !f.seen_name) f.seen_name = true;
@@ -575,10 +591,10 @@ class SpecStreamBuilder final : public JsonEventHandler {
         return err("port mapping targets must be node names");
 
       case Ctx::kEdge:
-        if (f.key == "attrs" && !f.edge.seen_attrs) {
-          f.edge.seen_attrs = true;
+        if (f.key == "attrs" && !pending_edges_.back().seen_attrs) {
+          pending_edges_.back().seen_attrs = true;
           if (!is_object) return err("'attrs' must be an object");
-          push(Frame{.ctx = Ctx::kAttrs});
+          push(Frame(Ctx::kAttrs));
           return Status::Ok();
         }
         // Container values for from/to/... fall back to "" (string_or).
@@ -592,7 +608,8 @@ class SpecStreamBuilder final : public JsonEventHandler {
           mappings_.push_back(PendingMapping{});
           return skip_subtree();
         }
-        push(Frame{.ctx = Ctx::kMapping});
+        mappings_.emplace_back();
+        push(Frame(Ctx::kMapping));
         return Status::Ok();
 
       case Ctx::kMapping:
@@ -640,33 +657,21 @@ class SpecStreamBuilder final : public JsonEventHandler {
       }
 
       case Ctx::kPort: {
-        if (f.name.empty()) return err("port without a name");
+        if (name_.empty()) return err("port without a name");
         // Layout: ... kNode kNodePorts kPort(top).
         Frame& iface = frames_[frames_.size() - 3];
         const PortId pid = graph_->add_port(
-            iface.node, f.name,
-            f.direction == "out" ? PortDirection::kOut : PortDirection::kIn);
-        for (auto& [cluster_name, node_name] : f.port_mapping)
-          port_mappings_.push_back(
-              PendingPortMapping{pid, std::move(cluster_name),
-                                 std::move(node_name)});
+            iface.node, name_,
+            kind_ == "out" ? PortDirection::kOut : PortDirection::kIn);
+        for (std::size_t i = port_mappings_begin_; i < port_mappings_.size();
+             ++i)
+          port_mappings_[i].port = pid;
         frames_.pop_back();
         return Status::Ok();
       }
 
-      case Ctx::kEdge: {
-        // Layout: ... kCluster kClusterEdges kEdge(top).
-        Frame& cf = frames_[frames_.size() - 3];
-        cf.pending_edges.push_back(std::move(f.edge));
-        frames_.pop_back();
-        return Status::Ok();
-      }
-
+      case Ctx::kEdge:
       case Ctx::kMapping:
-        mappings_.push_back(std::move(f.mapping));
-        frames_.pop_back();
-        return Status::Ok();
-
       case Ctx::kAttrs:
       case Ctx::kPortMapping:
       case Ctx::kClusterNodes:
@@ -701,10 +706,10 @@ class SpecStreamBuilder final : public JsonEventHandler {
         if (owner.materialized)
           graph_->set_attr(owner.node, key, value);
         else
-          owner.attr_buf.emplace_back(key, value);
+          node_attrs_.emplace_back(key, value);
         return Status::Ok();
       case Ctx::kEdge:
-        owner.edge.attrs.emplace_back(key, value);
+        pending_edges_.back().attrs.emplace_back(key, value);
         return Status::Ok();
       default:
         return Error{"spec reader: stray attrs context"};  // unreachable
@@ -715,7 +720,29 @@ class SpecStreamBuilder final : public JsonEventHandler {
   std::vector<Frame> frames_;
   HierarchicalGraph* graph_ = nullptr;   // inside "problem"/"architecture"
   const char* graph_label_ = nullptr;    // matching wrap() prefix
-  std::vector<PendingPortMapping> port_mappings_;  // per-graph, cleared
+
+  // Payload stacks; each is pushed only by the contexts named.  Only the
+  // innermost node, cluster or port can still lack its entity: a node and
+  // a refinement cluster are created before any nested node, cluster or
+  // port opens, and a port nests none.  So one identity and one attribute
+  // buffer serve them all.
+  std::string name_;  // kNode / kCluster / kPort: "name"
+  std::string kind_;  // kNode: "kind" ("" = "vertex"); kPort: "direction"
+  /// kNode: attrs seen before its node exists (applied on creation).
+  std::vector<std::pair<std::string, double>> node_attrs_;
+  /// kEdge and kClusterEdges: each open cluster's deferred edges, from its
+  /// frame's `edges_begin` up; a cluster pops its own when it closes.
+  std::vector<PendingEdge> pending_edges_;
+  /// The cluster-local name table `resolve_edges` refills per call; its
+  /// keys view the graph's node names and are read only within that call,
+  /// which adds no node.
+  std::unordered_map<std::string_view, NodeId> local_;
+  /// kPortMapping: per graph, resolved and cleared when the graph closes;
+  /// the open port's entries start at `port_mappings_begin_` and get its
+  /// id when it closes.
+  std::vector<PendingPortMapping> port_mappings_;
+  std::size_t port_mappings_begin_ = 0;
+  /// kMappings and kMapping: resolved when the document completes.
   std::vector<PendingMapping> mappings_;
   bool seen_doc_ = false;
   bool seen_problem_ = false;

@@ -52,6 +52,11 @@ SpecificationGraph& SpecificationGraph::operator=(
   return *this;
 }
 
+void SpecificationGraph::set_name(std::string name) {
+  name_ = std::move(name);
+  compiled_.reset();
+}
+
 const CompiledSpec& SpecificationGraph::compiled() const {
   const std::lock_guard<std::mutex> lock(compiled_mutex_);
   if (compiled_ == nullptr ||

@@ -82,8 +82,9 @@ class SpecificationGraph {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Renames the specification.  Streaming ingestion needs this because a
-  /// document's "name" key may arrive after construction has begun.
-  void set_name(std::string name) { name_ = std::move(name); }
+  /// document's "name" key may arrive after construction has begun.  Drops
+  /// the compiled index, whose digest covers the name.
+  void set_name(std::string name);
 
   [[nodiscard]] HierarchicalGraph& problem() { return problem_; }
   [[nodiscard]] const HierarchicalGraph& problem() const { return problem_; }
@@ -102,10 +103,10 @@ class SpecificationGraph {
 
   /// The compiled query index of this specification, built lazily and
   /// rebuilt automatically after any mutation of the problem graph, the
-  /// architecture graph, or the mapping edges.  The reference stays valid
-  /// until the next mutation.  Every spec query (mapping edges per process,
-  /// reachable units, allocation cost, communication) is asked of it; the
-  /// unit accessors below read it too.
+  /// architecture graph or the mapping edges, and after a rename.  The
+  /// reference stays valid until the next mutation.  Every spec query
+  /// (mapping edges per process, reachable units, allocation cost,
+  /// communication) is asked of it; the unit accessors below read it too.
   [[nodiscard]] const CompiledSpec& compiled() const;
 
   // ---- allocatable units ----------------------------------------------------

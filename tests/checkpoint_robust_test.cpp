@@ -150,7 +150,7 @@ TEST(CheckpointRobust, HostileNumericsAreRejectedNotNarrowed) {
   // Each of these used to reach an unchecked double→integer cast; all of
   // them are outside the representable range or not integral.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":1,)"
+      R"({"format":"sdf-explore-checkpoint","version":2,)"
       R"("spec_digest":"a","options_digest":"b",)";
   const std::vector<std::string> bad = {
       // fractional / negative / oversized unit indices
@@ -201,7 +201,7 @@ TEST(CheckpointRobust, FrontierListsMustBeStrictlyAscending) {
   // The stream expands a restored state above its last member, so an
   // unsorted or repeated list would re-emit or skip subsets on resume.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":1,)"
+      R"({"format":"sdf-explore-checkpoint","version":2,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -225,7 +225,7 @@ TEST(CheckpointRobust, FrontierIndexWithTheChainFlagIsOutsideTheUniverse) {
   // loaded frontier holds plain states only: 2147483653 is 2^31 + 5, far
   // outside any universe, not unit 5 standing for its later siblings.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":1,)"
+      R"({"format":"sdf-explore-checkpoint","version":2,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -261,17 +261,20 @@ TEST(CheckpointRobust, VersionAndFormatAreChecked) {
   ExploreCheckpoint ck = sample_checkpoint();
   std::string text = ck.to_string();
 
+  // A version-1 file carries FNV-1a digests: refused by its version.
   std::string wrong_version = text;
-  const std::size_t vat = wrong_version.find("\"version\": 1");
+  const std::size_t vat = wrong_version.find("\"version\": 2");
   ASSERT_NE(vat, std::string::npos);
-  wrong_version.replace(vat, 12, "\"version\": 2");
+  wrong_version.replace(vat, 12, "\"version\": 1");
   Result<ExploreCheckpoint> v = ExploreCheckpoint::from_string(wrong_version);
   ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.error().message.find("version"), std::string::npos);
+  EXPECT_NE(v.error().message.find("unsupported version (expected 2)"),
+            std::string::npos)
+      << v.error().message;
 
   // A huge version number must be rejected, not truncated into range.
   std::string huge_version = text;
-  huge_version.replace(huge_version.find("\"version\": 1"), 12,
+  huge_version.replace(huge_version.find("\"version\": 2"), 12,
                        "\"version\": 1e99");
   EXPECT_FALSE(ExploreCheckpoint::from_string(huge_version).ok());
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -552,7 +554,7 @@ TEST_P(PreparedMemo, ListsEqualEnumerationWithTheCachedFlattenings) {
       std::vector<int> owners(p.flat->graph.vertices.size(), 0);
       for (const PreparedGroup& g : p.groups)
         for (std::size_t v = 0; v < owners.size(); ++v)
-          if (g.group->subtree_nodes.test(p.flat->graph.vertices[v].index()))
+          if (cs.in_subtree(*g.group, p.flat->graph.vertices[v]))
             ++owners[v];
       EXPECT_EQ(std::count(owners.begin(), owners.end(), 1),
                 static_cast<std::ptrdiff_t>(owners.size()));
@@ -651,6 +653,261 @@ INSTANTIATE_TEST_SUITE_P(Specs, PreparedMemo,
                                            MemoCase{"decoder"},
                                            MemoCase{"nested"},
                                            MemoCase{"baseband-dsp-114"}));
+
+// ---- decomposition against the closure-based reference ---------------------
+
+/// A group as the decomposition built it with per-node closures: every
+/// node's subtree, interfaces and units over all alternatives as bitsets,
+/// OR-ed into the groups.
+struct ReferenceGroup {
+  std::vector<NodeId> items;
+  DynBitset subtree_nodes, subtree_interfaces, subtree_units;
+  bool single_interface = false;
+  std::uint64_t signature = 0;
+};
+
+struct ReferenceDecomposition {
+  std::vector<std::vector<ReferenceGroup>> groups;  // by cluster
+  std::vector<std::uint8_t> useful;                 // by cluster
+  bool hier_useful = false;
+};
+
+ReferenceDecomposition reference_decomposition(const CompiledSpec& cs) {
+  const HierarchicalGraph& problem = cs.problem();
+  const std::size_t np = problem.node_count();
+  const std::size_t nc = problem.cluster_count();
+  const std::size_t nu = cs.unit_count();
+  // Devices by their top architecture node: two configurations of one
+  // device couple through the exclusive-configuration rule.
+  const std::size_t na = cs.architecture().node_count();
+  std::vector<DynBitset> sub_nodes(np, DynBitset(np));
+  std::vector<DynBitset> sub_ifaces(np, DynBitset(np));
+  std::vector<DynBitset> sub_units(np, DynBitset(nu));
+  std::vector<DynBitset> sub_dev(np, DynBitset(na));
+  std::vector<std::uint8_t> done(np, 0);
+  const std::function<void(NodeId)> close_node = [&](NodeId id) {
+    const std::size_t i = id.index();
+    if (done[i] != 0) return;
+    done[i] = 1;
+    const Node& n = problem.node(id);
+    sub_nodes[i].set(i);
+    if (!n.is_interface()) {
+      sub_units[i] |= cs.reachable_units(id);
+      cs.reachable_units(id).for_each([&](std::size_t u) {
+        const AllocUnit& unit = cs.unit(AllocUnitId{u});
+        if (unit.is_cluster_unit()) sub_dev[i].set(unit.top.index());
+      });
+      return;
+    }
+    sub_ifaces[i].set(i);
+    for (const ClusterId cid : n.clusters) {
+      for (const NodeId child : problem.cluster(cid).nodes) {
+        close_node(child);
+        sub_nodes[i] |= sub_nodes[child.index()];
+        sub_ifaces[i] |= sub_ifaces[child.index()];
+        sub_units[i] |= sub_units[child.index()];
+        sub_dev[i] |= sub_dev[child.index()];
+      }
+    }
+  };
+  for (std::size_t i = 0; i < np; ++i) close_node(NodeId{i});
+
+  ReferenceDecomposition ref;
+  ref.groups.resize(nc);
+  for (std::size_t ci = 0; ci < nc; ++ci) {
+    const Cluster& cluster = problem.cluster(ClusterId{ci});
+    const std::size_t k = cluster.nodes.size();
+    std::vector<std::size_t> parent(k);
+    for (std::size_t i = 0; i < k; ++i) parent[i] = i;
+    const std::function<std::size_t(std::size_t)> find =
+        [&](std::size_t x) -> std::size_t {
+      return parent[x] == x ? x : parent[x] = find(parent[x]);
+    };
+    std::map<NodeId, std::size_t> pos;
+    for (std::size_t i = 0; i < k; ++i) pos[cluster.nodes[i]] = i;
+    for (const EdgeId eid : cluster.edges) {
+      const Edge& e = problem.edge(eid);
+      const auto fa = pos.find(e.from);
+      const auto fb = pos.find(e.to);
+      if (fa != pos.end() && fb != pos.end())
+        parent[find(fa->second)] = find(fb->second);
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t ni = cluster.nodes[i].index();
+      for (std::size_t j = 0; j < i; ++j) {
+        const std::size_t nj = cluster.nodes[j].index();
+        if (sub_units[ni].intersects(sub_units[nj]) ||
+            sub_dev[ni].intersects(sub_dev[nj]))
+          parent[find(i)] = find(j);
+      }
+    }
+    std::map<std::size_t, std::size_t> group_of_root;
+    std::vector<ReferenceGroup>& groups = ref.groups[ci];
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto [it, inserted] =
+          group_of_root.emplace(find(i), groups.size());
+      if (inserted)
+        groups.push_back(ReferenceGroup{{}, DynBitset(np), DynBitset(np),
+                                        DynBitset(nu)});
+      ReferenceGroup& g = groups[it->second];
+      const NodeId item = cluster.nodes[i];
+      g.items.push_back(item);
+      g.subtree_nodes |= sub_nodes[item.index()];
+      g.subtree_interfaces |= sub_ifaces[item.index()];
+      g.subtree_units |= sub_units[item.index()];
+    }
+    for (ReferenceGroup& g : groups) {
+      g.single_interface =
+          g.items.size() == 1 && problem.node(g.items[0]).is_interface();
+      std::uint64_t h = 1469598103934665603ull;
+      const auto mix = [&h](std::uint64_t w) {
+        h ^= w;
+        h *= 1099511628211ull;
+      };
+      mix(g.items.size());
+      for (const NodeId item : g.items) {
+        const Node& n = problem.node(item);
+        mix(n.is_interface() ? 1 : 2);
+        if (!n.is_interface()) continue;
+        mix(n.ports.size());
+        for (const PortId pid : n.ports) {
+          mix(problem.port(pid).direction == PortDirection::kIn ? 3 : 4);
+          mix(problem.port(pid).mapping.size());
+        }
+        mix(n.clusters.size());
+      }
+      g.signature = h;
+    }
+  }
+
+  std::vector<std::uint8_t> state(nc, 0);
+  ref.useful.assign(nc, 0);
+  const std::function<bool(ClusterId)> useful = [&](ClusterId cid) -> bool {
+    const std::size_t c = cid.index();
+    if (state[c] != 0) return ref.useful[c] != 0;
+    state[c] = 1;
+    const std::vector<ReferenceGroup>& groups = ref.groups[c];
+    if (groups.size() > 1) {
+      ref.useful[c] = 1;
+    } else if (groups.size() == 1 && groups[0].single_interface) {
+      for (const ClusterId alt : problem.node(groups[0].items[0]).clusters)
+        if (useful(alt)) ref.useful[c] = 1;
+    }
+    return ref.useful[c] != 0;
+  };
+  for (std::size_t ci = 0; ci < nc; ++ci) useful(ClusterId{ci});
+  ref.hier_useful = useful(problem.root());
+  return ref;
+}
+
+/// `HierCache` keys of the terminal groups under `selection`, from the
+/// reference groups.
+void reference_keys(const ReferenceDecomposition& ref,
+                    const ClusterSelection& selection, ClusterId cluster,
+                    std::vector<std::vector<std::uint32_t>>& out) {
+  const std::vector<ReferenceGroup>& groups = ref.groups[cluster.index()];
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const ReferenceGroup& g = groups[gi];
+    if (g.single_interface) {
+      const ClusterId alt = selection.selected(g.items[0]);
+      if (alt.valid() && ref.useful[alt.index()] != 0) {
+        reference_keys(ref, selection, alt, out);
+        continue;
+      }
+    }
+    std::vector<std::uint32_t> key = {
+        static_cast<std::uint32_t>(cluster.index()),
+        static_cast<std::uint32_t>(gi),
+        static_cast<std::uint32_t>(g.signature),
+        static_cast<std::uint32_t>(g.signature >> 32), 0};
+    for (const auto& [iface, cl] : selection.key()) {
+      if (!g.subtree_interfaces.test(iface)) continue;
+      key.push_back(iface);
+      key.push_back(cl);
+      ++key[4];
+    }
+    out.push_back(std::move(key));
+  }
+}
+
+void expect_decomposition_matches_reference(const CompiledSpec& cs) {
+  const ReferenceDecomposition ref = reference_decomposition(cs);
+  const HierarchicalGraph& problem = cs.problem();
+  EXPECT_EQ(cs.hier_useful(), ref.hier_useful);
+  std::size_t membership_mismatches = 0;
+  for (std::size_t ci = 0; ci < problem.cluster_count(); ++ci) {
+    SCOPED_TRACE("cluster " + std::to_string(ci));
+    const ClusterDecomposition& d = cs.decomposition(ClusterId{ci});
+    EXPECT_EQ(d.useful, ref.useful[ci] != 0);
+    ASSERT_EQ(d.groups.size(), ref.groups[ci].size());
+    for (std::size_t gi = 0; gi < d.groups.size(); ++gi) {
+      const ClusterGroup& g = d.groups[gi];
+      const ReferenceGroup& r = ref.groups[ci][gi];
+      EXPECT_EQ(g.items, r.items);
+      EXPECT_EQ(g.single_interface, r.single_interface);
+      EXPECT_EQ(g.signature, r.signature);
+      EXPECT_EQ(g.subtree_units, r.subtree_units);
+      for (std::size_t n = 0; n < problem.node_count(); ++n) {
+        const bool in = cs.in_subtree(g, NodeId{n});
+        const bool iface = in && problem.node(NodeId{n}).is_interface();
+        if (in != r.subtree_nodes.test(n) ||
+            iface != r.subtree_interfaces.test(n))
+          ++membership_mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(membership_mismatches, 0u);
+
+  DynBitset all = problem.make_cluster_set();
+  for (std::size_t c = 0; c < problem.cluster_count(); ++c) all.set(c);
+  for (Eca& eca : enumerate_ecas(problem, all, 256)) {
+    const PreparedEca p = cs.prepare(std::move(eca));
+    if (p.flat == nullptr) continue;
+    std::vector<std::vector<std::uint32_t>> keys;
+    reference_keys(ref, p.eca.selection, problem.root(), keys);
+    ASSERT_EQ(p.groups.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      EXPECT_EQ(p.groups[i].key, keys[i]);
+  }
+}
+
+TEST_P(CompiledSweep, DecompositionMatchesClosureReference) {
+  const SpecificationGraph spec = make_spec(GetParam());
+  expect_decomposition_matches_reference(spec.compiled());
+}
+
+TEST(CompiledDecomposition, ExamplesAndNestedSpecsMatchClosureReference) {
+  std::vector<std::pair<std::string, SpecificationGraph>> specs;
+  for (const char* name : {"settop", "decoder", "nested"}) {
+    Result<SpecificationGraph> spec = spec_from_file(
+        std::string(SDF_EXAMPLES_DIR) + "/" + name + ".json");
+    ASSERT_TRUE(spec.ok()) << spec.error().message;
+    specs.emplace_back(name, std::move(spec).value());
+  }
+  specs.emplace_back("nested-s@1", generate_preset(PlatformPreset::kNestedS, 1));
+  specs.emplace_back("nested-m@1", generate_preset(PlatformPreset::kNestedM, 1));
+  // bench_e2e's enum_nested tile specs at workload seed 1: shared tile bus.
+  const auto tiles = [](std::size_t count, std::size_t depth,
+                        std::uint64_t seed) {
+    GeneratorParams p;
+    p.seed = seed;
+    p.tiles = count;
+    p.max_depth = depth;
+    p.tile_processors = 2;
+    p.tile_bus = true;
+    return generate_spec(p);
+  };
+  for (const std::uint64_t seed : {16, 47, 68, 71, 78, 80, 117, 149})
+    specs.emplace_back("tiles-3x2x2b@" + std::to_string(seed),
+                       tiles(3, 2, seed));
+  for (const std::uint64_t seed : {11, 45, 68, 75, 96, 104, 108, 139})
+    specs.emplace_back("tiles-2x3x2b@" + std::to_string(seed),
+                       tiles(2, 3, seed));
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    expect_decomposition_matches_reference(spec.compiled());
+  }
+}
 
 // ---- pinned paper-example results (bit-identity guard) ----------------------
 

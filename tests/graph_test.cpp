@@ -2,12 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "gen/presets.hpp"
 #include "graph/dot.hpp"
 #include "graph/flatten.hpp"
 #include "graph/hierarchical_graph.hpp"
 #include "graph/traversal.hpp"
 #include "graph/validate.hpp"
+#include "spec/spec_io.hpp"
+#include "util/rng.hpp"
 
 namespace sdf {
 namespace {
@@ -274,6 +282,140 @@ TEST(Traversal, FlatSourcesAndSinks) {
   // Pa, Pc, Pd1 have no incoming flat edges; Pa, Pc, Pu1 no outgoing.
   EXPECT_EQ(sources.size(), 3u);
   EXPECT_EQ(sinks.size(), 3u);
+}
+
+// ---- topological order against the sort-per-push reference -----------------
+
+/// The algorithm the ready heap replaced: Kahn's algorithm that re-sorts
+/// its whole ready list after every push and takes the smallest id.
+std::optional<std::vector<NodeId>> reference_order(const HierarchicalGraph& g,
+                                                   ClusterId cluster) {
+  const Cluster& c = g.cluster(cluster);
+  std::unordered_map<NodeId, std::size_t> indegree;
+  for (NodeId n : c.nodes) indegree[n] = 0;
+  for (EdgeId eid : c.edges) ++indegree[g.edge(eid).to];
+  std::vector<NodeId> ready;
+  for (NodeId n : c.nodes)
+    if (indegree[n] == 0) ready.push_back(n);
+  std::sort(ready.begin(), ready.end(), std::greater<>());
+  std::vector<NodeId> order;
+  while (!ready.empty()) {
+    const NodeId n = ready.back();
+    ready.pop_back();
+    order.push_back(n);
+    for (EdgeId eid : g.node(n).out_edges) {
+      const Edge& e = g.edge(eid);
+      if (--indegree[e.to] == 0) {
+        ready.push_back(e.to);
+        std::sort(ready.begin(), ready.end(), std::greater<>());
+      }
+    }
+  }
+  if (order.size() != c.nodes.size()) return std::nullopt;
+  return order;
+}
+
+std::optional<std::vector<NodeId>> reference_order(const FlatGraph& flat) {
+  std::unordered_map<NodeId, std::size_t> indegree;
+  std::unordered_map<NodeId, std::vector<NodeId>> succ;
+  for (NodeId v : flat.vertices) indegree[v] = 0;
+  for (const auto& [from, to] : flat.edges) {
+    ++indegree[to];
+    succ[from].push_back(to);
+  }
+  std::vector<NodeId> ready;
+  for (NodeId v : flat.vertices)
+    if (indegree[v] == 0) ready.push_back(v);
+  std::sort(ready.begin(), ready.end(), std::greater<>());
+  std::vector<NodeId> order;
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    order.push_back(v);
+    for (NodeId w : succ[v]) {
+      if (--indegree[w] == 0) {
+        ready.push_back(w);
+        std::sort(ready.begin(), ready.end(), std::greater<>());
+      }
+    }
+  }
+  if (order.size() != flat.vertices.size()) return std::nullopt;
+  return order;
+}
+
+void expect_orders_match_reference(const HierarchicalGraph& g) {
+  for (const Cluster& c : g.clusters()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(topological_order(g, c.id), reference_order(g, c.id));
+  }
+  const Result<FlatGraph> flat =
+      flatten(g, ClusterSelection::first_of_each(g));
+  if (flat.ok()) {
+    EXPECT_EQ(topological_order(flat.value()), reference_order(flat.value()));
+  }
+}
+
+TEST(TopologicalReference, ExamplesAndNestedPresetsMatch) {
+  std::vector<std::pair<std::string, SpecificationGraph>> specs;
+  for (const char* name : {"settop.json", "decoder.json", "nested.json"}) {
+    Result<SpecificationGraph> spec =
+        spec_from_file(std::string(SDF_EXAMPLES_DIR) + "/" + name);
+    ASSERT_TRUE(spec.ok()) << spec.error().message;
+    specs.emplace_back(name, std::move(spec).value());
+  }
+  for (const PlatformPreset preset :
+       {PlatformPreset::kNestedS, PlatformPreset::kNestedM,
+        PlatformPreset::kNestedXl})
+    specs.emplace_back(preset_name(preset), generate_preset(preset, 1));
+  for (const auto& [name, spec] : specs) {
+    SCOPED_TRACE(name);
+    expect_orders_match_reference(spec.problem());
+    expect_orders_match_reference(spec.architecture());
+  }
+}
+
+TEST(TopologicalReference, RandomWideClustersMatch) {
+  Rng rng(28);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    // Nodes created in a shuffled rank order, edges only from lower to
+    // higher rank: many nodes are ready at once, in no id order.  Every
+    // fourth trial adds one edge back, which may close a cycle.
+    HierarchicalGraph g("wide");
+    const std::size_t n = 20 + rng.uniform(300);
+    std::vector<NodeId> by_rank;
+    for (std::size_t i = 0; i < n; ++i)
+      by_rank.push_back(g.add_vertex(g.root(), "v" + std::to_string(i)));
+    rng.shuffle(by_rank);
+    FlatGraph flat;
+    flat.vertices = g.cluster(g.root()).nodes;
+    const std::size_t edges = rng.uniform(2 * n);
+    for (std::size_t k = 0; k < edges; ++k) {
+      std::size_t a = rng.uniform(n), b = rng.uniform(n);
+      if (a == b) continue;
+      if (a > b) std::swap(a, b);
+      if (trial % 4 == 3 && k + 1 == edges) std::swap(a, b);
+      g.add_edge(by_rank[a], by_rank[b]);
+      flat.edges.emplace_back(by_rank[a], by_rank[b]);
+    }
+    EXPECT_EQ(topological_order(g, g.root()), reference_order(g, g.root()));
+    EXPECT_EQ(topological_order(flat), reference_order(flat));
+  }
+}
+
+TEST(TopologicalReference, ForeignEndpointsCountAsBefore) {
+  // An edge into another cluster (SDF006) and a flat edge to a vertex the
+  // graph does not list keep their old effect on the order.
+  HierarchicalGraph g = make_fig1();
+  const NodeId pa = g.find_node("Pa");
+  g.add_edge(pa, g.find_node("Pd1"));
+  for (const Cluster& c : g.clusters())
+    EXPECT_EQ(topological_order(g, c.id), reference_order(g, c.id));
+  FlatGraph flat;
+  flat.vertices = {NodeId{std::size_t{1}}, NodeId{std::size_t{2}}};
+  flat.edges = {{NodeId{std::size_t{1}}, NodeId{std::size_t{7}}},
+                {NodeId{std::size_t{7}}, NodeId{std::size_t{2}}}};
+  EXPECT_EQ(topological_order(flat), reference_order(flat));
 }
 
 // ---- validate -----------------------------------------------------------------

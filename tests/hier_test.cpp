@@ -109,12 +109,13 @@ TEST(Decomposition, GroupsAreDisjointAndCoverEveryCluster) {
       EXPECT_FALSE(g.items.empty());
       if (g.single_interface) EXPECT_EQ(g.items.size(), 1u);
       // Items are covered by the group's own subtree closure.
-      for (const NodeId item : g.items)
-        EXPECT_TRUE(g.subtree_nodes.test(item.index()));
+      for (const NodeId item : g.items) EXPECT_TRUE(cs.in_subtree(g, item));
       // Pairwise disjoint: no node and no mappable unit is shared between
       // two groups of one cluster (the soundness precondition).
       for (std::size_t j = i + 1; j < dec.groups.size(); ++j) {
-        EXPECT_FALSE(g.subtree_nodes.intersects(dec.groups[j].subtree_nodes));
+        for (std::size_t n = 0; n < cs.problem().node_count(); ++n)
+          EXPECT_FALSE(cs.in_subtree(g, NodeId{n}) &&
+                       cs.in_subtree(dec.groups[j], NodeId{n}));
         EXPECT_FALSE(g.subtree_units.intersects(dec.groups[j].subtree_units));
       }
     }

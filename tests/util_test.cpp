@@ -13,6 +13,7 @@
 #include "util/status.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/word_hash.hpp"
 
 namespace sdf {
 namespace {
@@ -387,6 +388,51 @@ TEST(Table, CountsRows) {
   t.add_row({"2"});
   EXPECT_EQ(t.rows(), 2u);
   EXPECT_EQ(t.columns(), 1u);
+}
+
+// ---- WordHash64 ----------------------------------------------------------------
+
+TEST(WordHash64, ChunkingDoesNotChangeTheValue) {
+  // Not a multiple of the 8-byte word or the 32-byte stripe.
+  std::string text;
+  for (std::uint32_t i = 0; i < 200 * 1024 + 13; ++i)
+    text.push_back(static_cast<char>((i * 2654435761u) >> 13));
+  const std::uint64_t one_shot = word_hash64(text);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64 * 1024}}) {
+    WordHash64 h;
+    for (std::size_t i = 0; i < text.size(); i += chunk)
+      h.update(std::string_view(text).substr(i, chunk));
+    EXPECT_EQ(h.finish(), one_shot) << chunk << "-byte chunks";
+  }
+  // Every tail length, fed byte by byte.
+  for (std::size_t n = 0; n <= 70; ++n) {
+    WordHash64 h;
+    for (std::size_t i = 0; i < n; ++i) h.update(std::string_view(text).substr(i, 1));
+    EXPECT_EQ(h.finish(), word_hash64(std::string_view(text).substr(0, n)))
+        << n << " bytes";
+  }
+}
+
+TEST(WordHash64, LengthAndEveryByteCount) {
+  const std::string text(100, 'a');
+  // The last word is zero-padded; the folded-in length tells the padding
+  // from a zero byte.
+  EXPECT_NE(word_hash64(""), word_hash64(std::string(1, '\0')));
+  WordHash64 empty_feeds;
+  empty_feeds.update(std::string_view());
+  empty_feeds.update("a");
+  empty_feeds.update(std::string_view());
+  EXPECT_EQ(empty_feeds.finish(), word_hash64("a"));
+  EXPECT_NE(word_hash64(text), word_hash64(text + '\0'));
+  std::set<std::uint64_t> values;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    std::string flipped = text;
+    flipped[i] = 'b';
+    values.insert(word_hash64(flipped));
+  }
+  EXPECT_EQ(values.size(), text.size());
+  EXPECT_EQ(values.count(word_hash64(text)), 0u);
 }
 
 }  // namespace
