@@ -27,9 +27,8 @@
 // The implementation-overhead case times one-thread `build_implementation`
 // with default options over the same loop's allocations on those anchors
 // and settop-box seeds 320 and 321, and splits its time per call: the
-// activatable set's prepared ECA list, the analyzer's relaxation, the
-// binding cache's probe, revalidation and insert, and the kernel searches
-// of the cache's misses.  Each phase is one pass over all calls on a cold
+// activatable set's prepared ECA list, the binding cache's probe,
+// revalidation and insert, and the kernel searches of the cache's misses.  Each phase is one pass over all calls on a cold
 // spec, as the run would make them; the rest of the total assembles the
 // implementation.
 //
@@ -62,7 +61,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "analysis/analysis.hpp"
 #include "bench_common.hpp"
 #include "bind/bind_cache.hpp"
 #include "bind/implementation.hpp"
@@ -399,7 +397,7 @@ struct KernelQuery {
 
 /// Every (allocation, ECA) query EXPLORE's one-thread candidate loop sends
 /// the solver on `cs`, with default filters and the raw kernel answering
-/// (no binding cache, no hierarchical path, no analyzer): the same
+/// (no binding cache, no hierarchical path): the same
 /// `solver_calls` as `sdf explore --threads 1`.
 struct KernelWorkload {
   std::vector<AllocSet> allocs;
@@ -526,7 +524,6 @@ struct OverheadRow {
   std::size_t misses;   ///< queries the binding cache sent to the kernel
   double total_s;       ///< build_implementation itself
   double prepare_s;     ///< activatability and the prepared ECA list
-  double relax_s;       ///< the analyzer's relaxation, every query
   double cache_s;       ///< cache probe, revalidation and insert
   double search_s;      ///< kernel searches of the cache's misses
 };
@@ -541,8 +538,8 @@ struct CacheQuery {
 };
 
 /// Times the phases of `build_implementation` over `attempts` on a cold
-/// spec, each one pass over every call in order: `prepare_s`, `relax_s`,
-/// `search_s` (the kernel on the binding cache's misses alone) and
+/// spec, each one pass over every call in order: `prepare_s`, `search_s`
+/// (the kernel on the binding cache's misses alone) and
 /// `cache_s` (the frontier work of `BindCache::solve` without its
 /// searches: probe, revalidation of a stored witness, insert of the
 /// verdict, replayed on a fresh frontier with the verdicts the cache's
@@ -551,7 +548,6 @@ struct CacheQuery {
 void time_phases(OverheadRow& row, const std::vector<AllocSet>& attempts) {
   const SpecificationGraph spec = generate_preset(row.preset, row.seed);
   const CompiledSpec& cs = spec.compiled();
-  const SpecAnalysis analysis(cs);
   const std::size_t limit = ImplementationOptions{}.eca_limit;
   row.misses = 0;
 
@@ -563,21 +559,11 @@ void time_phases(OverheadRow& row, const std::vector<AllocSet>& attempts) {
   }
   row.prepare_s = seconds_since(t0);
 
-  t0 = Clock::now();
-  std::vector<std::uint8_t> pruned;
-  for (std::size_t i = 0; i < attempts.size(); ++i)
-    for (const PreparedEca& eca : *lists[i])
-      pruned.push_back(analysis.eca_infeasible(attempts[i], eca) ? 1 : 0);
-  row.relax_s = seconds_since(t0);
-  row.queries = pruned.size();
-
   // Untimed: which queries the cache answers, and the misses' verdicts.
   BindCache cache;
   std::vector<CacheQuery> asked;
-  std::size_t q = 0;
   for (std::size_t i = 0; i < attempts.size(); ++i) {
     for (const PreparedEca& eca : *lists[i]) {
-      if (pruned[q++] != 0) continue;
       SolverStats stats;
       std::optional<Binding> verdict =
           cache.solve(cs, attempts[i], eca, {}, &stats);
@@ -588,6 +574,7 @@ void time_phases(OverheadRow& row, const std::vector<AllocSet>& attempts) {
                                  miss ? std::move(verdict) : std::nullopt});
     }
   }
+  row.queries = asked.size();
 
   std::vector<std::pair<const AllocSet*, const CompiledFlat*>> searches;
   for (const CacheQuery& query : asked)
@@ -789,18 +776,16 @@ std::vector<OverheadRow> run_implementation_overhead() {
       const SpecificationGraph spec = generate_preset(preset, seed);
       attempts = implementation_attempts(spec.compiled());
     }
-    std::vector<double> total, prepare, relax, cache, search;
-    OverheadRow row{preset, seed, attempts.size(), 0, 0, 0, 0, 0, 0, 0};
+    std::vector<double> total, prepare, cache, search;
+    OverheadRow row{preset, seed, attempts.size(), 0, 0, 0, 0, 0, 0};
     for (int rep = 0; rep < kReps; ++rep) {
       {
-        // The engine's run-local caches and analyzer, on a cold spec.
+        // The engine's run-local caches, on a cold spec.
         const SpecificationGraph spec = generate_preset(preset, seed);
         const CompiledSpec& cs = spec.compiled();
-        const SpecAnalysis analysis(cs);
         BindCache bind_cache;
         HierCache hier_cache;
         ImplementationOptions options;
-        options.analysis = &analysis;
         options.bind_cache = &bind_cache;
         options.hier_cache = &hier_cache;
         const auto t0 = Clock::now();
@@ -810,13 +795,11 @@ std::vector<OverheadRow> run_implementation_overhead() {
       }
       time_phases(row, attempts);
       prepare.push_back(row.prepare_s);
-      relax.push_back(row.relax_s);
       cache.push_back(row.cache_s);
       search.push_back(row.search_s);
     }
     row.total_s = median_of(total);
     row.prepare_s = median_of(prepare);
-    row.relax_s = median_of(relax);
     row.cache_s = median_of(cache);
     row.search_s = median_of(search);
     rows.push_back(row);
@@ -912,7 +895,7 @@ void print_and_write(const std::vector<FrontDoorRow>& front_door_rows,
   bench::section("build_implementation per call, one thread, default "
                  "options: median of 3 cold passes, microseconds");
   Table overhead_table({"preset", "seed", "calls", "queries", "total",
-                        "prepare", "relaxation", "cache", "search"});
+                        "prepare", "cache", "search"});
   JsonArray overhead_runs;
   for (const OverheadRow& r : overhead_rows) {
     const double per_call =
@@ -922,7 +905,6 @@ void print_and_write(const std::vector<FrontDoorRow>& front_door_rows,
          std::to_string(r.calls), std::to_string(r.queries),
          format_double(r.total_s * per_call, 1),
          format_double(r.prepare_s * per_call, 1),
-         format_double(r.relax_s * per_call, 1),
          format_double(r.cache_s * per_call, 1),
          format_double(r.search_s * per_call, 1)});
     JsonObject run{
@@ -933,12 +915,10 @@ void print_and_write(const std::vector<FrontDoorRow>& front_door_rows,
         {"cache_misses", Json(static_cast<double>(r.misses))},
         {"total_s", Json(r.total_s)},
         {"prepare_s", Json(r.prepare_s)},
-        {"relaxation_s", Json(r.relax_s)},
         {"cache_probe_s", Json(r.cache_s)},
         {"search_s", Json(r.search_s)},
         {"us_per_call_total", Json(r.total_s * per_call)},
         {"us_per_call_prepare", Json(r.prepare_s * per_call)},
-        {"us_per_call_relaxation", Json(r.relax_s * per_call)},
         {"us_per_call_cache_probe", Json(r.cache_s * per_call)},
         {"us_per_call_search", Json(r.search_s * per_call)},
     };

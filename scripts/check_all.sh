@@ -143,10 +143,10 @@ echo "============ binding kernel: search trees on the deep-solve anchors ======
 # bench_e2e's solve_presets anchors: 1-2M solver nodes each on the
 # baseband seeds, 12-15k mostly cached queries on the settop-box seeds.  A
 # kernel or cache change may make a node or a query cheaper, never change
-# which nodes are searched or which queries a cache or the analyzer
-# answers: each one-thread run must print its front and exactly these
-# solver, cache and analyzer counters.  About 1 s per baseband anchor in
-# Release, too slow for ctest under the sanitizers.
+# which nodes are searched or which queries a cache answers: each
+# one-thread run must print its front and exactly these solver and cache
+# counters.  About 1 s per baseband anchor in Release, too slow for ctest
+# under the sanitizers.
 for anchor in baseband-dsp:3 baseband-dsp:47 baseband-dsp:213 \
               settop-box:320 settop-box:321; do
   preset=${anchor%:*}
@@ -168,14 +168,14 @@ FRONTS = {
                        (812, 17), (990, 18)],
 }
 KEYS = ("solver_calls", "solver_nodes", "cache_hits_feasible",
-        "cache_hits_infeasible", "cache_revalidations", "analysis_pruned",
-        "hier_subsolves", "cache_entries", "flat_cache_entries")
+        "cache_hits_infeasible", "cache_revalidations", "hier_subsolves",
+        "cache_entries", "flat_cache_entries")
 COUNTERS = {
-    "baseband-dsp:3": (48014, 2337694, 8578, 0, 8578, 9439, 0, 7451, 185),
-    "baseband-dsp:47": (70307, 1136220, 5978, 0, 5978, 10412, 0, 4844, 42),
-    "baseband-dsp:213": (100116, 1186518, 70431, 0, 70431, 6055, 0, 3049, 162),
-    "settop-box:320": (14688, 1894, 14178, 0, 14178, 185, 0, 72, 36),
-    "settop-box:321": (12672, 20111, 10364, 0, 10364, 795, 0, 280, 48),
+    "baseband-dsp:3": (48014, 2416964, 8578, 0, 8578, 0, 8570, 185),
+    "baseband-dsp:47": (70307, 1167316, 5978, 0, 5978, 0, 5095, 42),
+    "baseband-dsp:213": (100116, 1224150, 70431, 0, 70431, 0, 3221, 162),
+    "settop-box:320": (14688, 2209, 14178, 0, 14178, 0, 72, 36),
+    "settop-box:321": (12672, 25494, 10364, 0, 10364, 0, 300, 48),
 }
 doc = json.load(open(sys.argv[1]))
 anchor = sys.argv[2]
@@ -241,7 +241,32 @@ print(f"  wall {stats['wall_seconds']:.3f} s, peak RSS {rss_mib:.0f} MiB, "
       f"exact below {stats['exact_up_to_cost']:g}")
 PY
 done
-rm -f /tmp/sdf_nested.$$
+# With --checkpoint the stop path also writes the file.  At 2 s nested-s
+# seed 1 leaves a frontier that stands for about 10M states, past what a
+# resume reads: the writer counts that from the chain heads and refuses
+# before writing any out, so the process returns within the same slack,
+# exits 1 naming the cap, and leaves no file.  It returned after 2.03 s
+# (4-core x86-64 Xeon, GCC 12, RelWithDebInfo); writing the chains out
+# first took 12.7 s and 319 MiB.
+"$SDF" generate --preset=nested-s --seed=1 > /tmp/sdf_nested.$$
+echo "deadline gate nested-s seed 1 with --checkpoint"
+python3 - "$SDF" /tmp/sdf_nested.$$ /tmp/sdf_nested_ck.$$ <<'PY'
+import os, subprocess, sys, time
+sdf, spec, ck = sys.argv[1:4]
+DEADLINE_S = 2.0
+limit = DEADLINE_S + max(0.1, 0.1 * DEADLINE_S)
+start = time.perf_counter()
+run = subprocess.run([sdf, "explore", "--deadline-ms=2000", "--no-stats",
+                      "--checkpoint=" + ck, spec], capture_output=True,
+                     text=True)
+wall = time.perf_counter() - start
+assert run.returncode == 1, f"exit {run.returncode}, expected 1: {run.stderr}"
+assert "max_nodes (8388608)" in run.stderr, run.stderr
+assert not os.path.exists(ck), "a refused checkpoint was left behind"
+assert wall <= limit, f"returned after {wall:.3f} s, limit {limit:.3f} s"
+print(f"  returned after {wall:.3f} s: {run.stderr.strip()}")
+PY
+rm -f /tmp/sdf_nested.$$ /tmp/sdf_nested_ck.$$
 
 echo "============ checkpoint round trip: written files resume, unreadable ones are refused ============"
 # The checkpoint file is streamed through JsonWriter, so writing it needs
@@ -374,31 +399,15 @@ assert stats["raw_design_points"] is None, stats["raw_design_points"]
 PY
 rm -f /tmp/sdf_nested_m.$$ /tmp/sdf_nested_xl.$$
 
-echo "============ static analyzer: sound bounds, identical fronts ============"
-# Two contracts, asserted per example spec:
-#   1. The solved front lies inside the analyzer's whole-spec cost interval
-#      (every front point costs at least the root lower bound — the bound
-#      is a theorem, so a violation is a bug, not noise).
-#   2. The analyzer may only remove solver work, never change results: the
-#      JSON front with --no-analysis and with --analysis-bound must be
-#      byte-identical to the default run.
+echo "============ static analyzer: sound bounds ============"
+# Asserted per example spec: the solved front lies inside the analyzer's
+# whole-spec cost interval (every front point costs at least the root lower
+# bound — the bound is a theorem, so a violation is a bug, not noise).
 for spec in examples/specs/*.json; do
   echo "analyze gate $spec"
   "$SDF" analyze --json "$spec" > /tmp/sdf_analysis.$$
   "$SDF" explore --json --no-stats "$spec" \
     | extract_front > /tmp/sdf_front_default.$$
-  "$SDF" explore --json --no-stats --no-analysis "$spec" \
-    | extract_front > /tmp/sdf_front_noanalysis.$$
-  "$SDF" explore --json --no-stats --analysis-bound "$spec" \
-    | extract_front > /tmp/sdf_front_abound.$$
-  diff -u /tmp/sdf_front_default.$$ /tmp/sdf_front_noanalysis.$$ || {
-    echo "check_all: --no-analysis changed the front for $spec" >&2
-    exit 1
-  }
-  diff -u /tmp/sdf_front_default.$$ /tmp/sdf_front_abound.$$ || {
-    echo "check_all: --analysis-bound changed the front for $spec" >&2
-    exit 1
-  }
   python3 - /tmp/sdf_analysis.$$ /tmp/sdf_front_default.$$ <<'PY'
 import json, sys
 analysis = json.load(open(sys.argv[1]))
@@ -413,7 +422,6 @@ if front:
     assert roots[0]["reachable"], "nonempty front but root declared dead"
 PY
 done
-rm -f /tmp/sdf_analysis.$$ /tmp/sdf_front_default.$$ \
-      /tmp/sdf_front_noanalysis.$$ /tmp/sdf_front_abound.$$
+rm -f /tmp/sdf_analysis.$$ /tmp/sdf_front_default.$$
 
 echo "ALL GATES PASSED"

@@ -27,53 +27,6 @@ Json bound_json(double v) {
   return std::isinf(v) ? Json() : Json(v);
 }
 
-/// Scratch of one relaxation, kept per thread so that the steady state
-/// allocates nothing.  Between calls `live` is empty and `forced_fp` /
-/// `forced_util` hold 0 at every unit: a call resets the units it forced
-/// (`forced`) and clears `live` instead of refilling the unit universe.
-struct RelaxationScratch {
-  DynBitset live;                   ///< union of the live candidates' units
-  std::vector<double> forced_fp;    ///< by unit: summed forced footprint
-  std::vector<double> forced_util;  ///< by unit: summed forced utilization
-  std::vector<std::size_t> forced;  ///< units with a forced process
-  /// One forced configuration cluster per device top.
-  std::vector<std::pair<NodeId, ClusterId>> forced_configs;
-};
-
-/// The calling thread's relaxation scratch, sized to `unit_count` units and
-/// reset when the lease ends, whichever way the relaxation returns.
-class RelaxationLease {
- public:
-  explicit RelaxationLease(std::size_t unit_count) : s_(thread_scratch()) {
-    if (s_.live.size() != unit_count) s_.live = DynBitset(unit_count);
-    if (s_.forced_fp.size() < unit_count) {
-      s_.forced_fp.resize(unit_count, 0.0);
-      s_.forced_util.resize(unit_count, 0.0);
-    }
-  }
-  ~RelaxationLease() {
-    s_.live.clear();
-    for (const std::size_t u : s_.forced) {
-      s_.forced_fp[u] = 0.0;
-      s_.forced_util[u] = 0.0;
-    }
-    s_.forced.clear();
-    s_.forced_configs.clear();
-  }
-  RelaxationLease(const RelaxationLease&) = delete;
-  RelaxationLease& operator=(const RelaxationLease&) = delete;
-
-  [[nodiscard]] RelaxationScratch& operator*() const { return s_; }
-
- private:
-  static RelaxationScratch& thread_scratch() {
-    thread_local RelaxationScratch scratch;
-    return scratch;
-  }
-
-  RelaxationScratch& s_;
-};
-
 }  // namespace
 
 SpecAnalysis::SpecAnalysis(const CompiledSpec& cs,
@@ -81,6 +34,9 @@ SpecAnalysis::SpecAnalysis(const CompiledSpec& cs,
     : cs_(cs), options_(options) {
   full_alloc_ = cs_.make_alloc_set();
   for (std::size_t i = 0; i < cs_.unit_count(); ++i) full_alloc_.set(i);
+  scratch_.live = cs_.make_alloc_set();
+  scratch_.forced_fp.assign(cs_.unit_count(), 0.0);
+  scratch_.forced_util.assign(cs_.unit_count(), 0.0);
   bounds_.resize(cs_.problem().cluster_count());
   compute_bounds(cs_.problem().root());
   compute_mandatory_core();
@@ -187,28 +143,39 @@ void SpecAnalysis::compute_bounds(ClusterId cid) {
   bounds_[cid.index()] = std::move(b);
 }
 
-double SpecAnalysis::cover_cost_excluding(ClusterId skip) const {
+std::vector<double> SpecAnalysis::cover_costs_excluding() const {
   const HierarchicalGraph& p = cs_.problem();
-  AllocSet cover = cs_.make_alloc_set();
-  // Recursive union of per-cluster cover witnesses, skipping `skip`'s
-  // subtree; false = the remainder has an unreachable part.
-  const auto visit = [&](const auto& self, ClusterId cid) -> bool {
-    if (cid == skip) return true;
-    const Cluster& c = p.cluster(cid);
-    for (NodeId nid : c.nodes) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // Preorder positions of the nodes the root's walk reaches: a cluster's
+  // subtree is the interval [begin, end), [0, 0) for one it never reaches.
+  // Each vertex chooses its cheapest unit, and a node that makes every
+  // cover holding it infinite (an unmappable vertex, an interface without
+  // refinements) chooses the pseudo-unit `none`.  A unit is in a cluster's
+  // cover iff the first or the last position choosing it lies outside.
+  const std::size_t none = cs_.unit_count();
+  std::vector<std::size_t> begin(p.cluster_count(), 0);
+  std::vector<std::size_t> end(p.cluster_count(), 0);
+  std::vector<std::size_t> first(none + 1, kNone);
+  std::vector<std::size_t> last(none + 1, 0);
+  std::size_t pos = 0;
+  const auto place = [&](std::size_t unit) {
+    if (unit != kNone) {
+      if (first[unit] == kNone) first[unit] = pos;
+      last[unit] = pos;
+    }
+    ++pos;
+  };
+  const auto visit = [&](const auto& self, ClusterId cid) -> void {
+    begin[cid.index()] = pos;
+    for (NodeId nid : p.cluster(cid).nodes) {
       const Node& n = p.node(nid);
       if (n.is_interface()) {
-        bool any_child = false;
-        for (ClusterId child : n.clusters) {
-          if (child == skip) continue;
-          any_child = true;
-          if (!self(self, child)) return false;
-        }
-        if (!any_child) return false;  // `skip` was the only refinement
+        place(n.clusters.empty() ? none : kNone);
+        for (ClusterId child : n.clusters) self(self, child);
         continue;
       }
       double best_cost = kInf;
-      std::size_t best = 0;
+      std::size_t best = none;
       for (AllocUnitId u : cs_.reachable_unit_list(nid)) {
         const double cost = clamped_cost(cs_.unit(u));
         if (cost < best_cost) {
@@ -216,13 +183,29 @@ double SpecAnalysis::cover_cost_excluding(ClusterId skip) const {
           best = u.index();
         }
       }
-      if (best_cost == kInf) return false;  // unmappable vertex
-      cover.set(best);
+      place(best);
     }
-    return true;
+    end[cid.index()] = pos;
   };
-  if (!visit(visit, p.root())) return kInf;
-  return cs_.allocation_cost(cover);
+  visit(visit, p.root());
+
+  std::vector<double> out(p.cluster_count(), kInf);
+  for (const Cluster& c : p.clusters()) {
+    const std::size_t lo = begin[c.id.index()];
+    const std::size_t hi = end[c.id.index()];
+    const auto outside = [&](std::size_t u) {
+      return first[u] != kNone && (first[u] < lo || last[u] >= hi);
+    };
+    if (outside(none)) continue;
+    // A reached cluster's parent interface may lose its only refinement.
+    if (!c.is_root() && hi != 0 && p.node(c.parent).clusters.size() == 1)
+      continue;
+    AllocSet cover = cs_.make_alloc_set();
+    for (std::size_t u = 0; u < none; ++u)
+      if (outside(u)) cover.set(u);
+    out[c.id.index()] = cs_.allocation_cost(cover);
+  }
+  return out;
 }
 
 bool SpecAnalysis::comm_possible(AllocUnitId a, AllocUnitId b) const {
@@ -278,17 +261,23 @@ bool SpecAnalysis::relaxation_infeasible(
     return true;
   };
 
-  const RelaxationLease lease(cs_.unit_count());
-  RelaxationScratch& scratch = *lease;
-  DynBitset& live_union = scratch.live;
-  std::vector<double>& forced_fp = scratch.forced_fp;
-  std::vector<double>& forced_util = scratch.forced_util;
+  // The last call's sums stand only at the units it forced.
+  scratch_.live.clear();
+  for (const std::size_t u : scratch_.forced) {
+    scratch_.forced_fp[u] = 0.0;
+    scratch_.forced_util[u] = 0.0;
+  }
+  scratch_.forced.clear();
+  scratch_.forced_configs.clear();
+  DynBitset& live_union = scratch_.live;
+  std::vector<double>& forced_fp = scratch_.forced_fp;
+  std::vector<double>& forced_util = scratch_.forced_util;
   double total_fp = 0.0;
   double total_util = 0.0;
   // One forced configuration cluster per device top; a second distinct one
   // proves an exclusive-configuration conflict.
   std::vector<std::pair<NodeId, ClusterId>>& forced_configs =
-      scratch.forced_configs;
+      scratch_.forced_configs;
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::span<const CompiledMapping> maps = cs_.mappings_of(procs[i]);
@@ -313,7 +302,7 @@ bool SpecAnalysis::relaxation_infeasible(
     if (multiple) continue;
     // Forced assignment: every feasible binding puts `procs[i]` on `single`.
     const std::size_t u = single.index();
-    scratch.forced.push_back(u);
+    scratch_.forced.push_back(u);
     forced_fp[u] += footprint[i];
     forced_util[u] += min_util;
     if (check_cap) {

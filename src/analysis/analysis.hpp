@@ -34,10 +34,10 @@
 // attributes (negative costs are an SDF012 lint error); negative costs are
 // clamped to zero, which keeps `lo` sound but may loosen it.
 //
-// Consumers: lint rules SDF017-SDF021, the ECA prefilter in
-// `build_implementation` (skips provably-infeasible solver queries without
-// changing fronts, solver_calls or any checkpointed counter), the opt-in
-// `use_analysis_bound` stream bound, and the `sdf analyze` CLI subcommand.
+// Consumers: lint rules SDF017-SDF021, the whole-allocation preflight of
+// `sdf explore`, and the `sdf analyze` CLI subcommand.  Each asks a
+// whole-spec question once; the exploration engines do not consult the
+// analyzer.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +46,8 @@
 #include <vector>
 
 // Header-only use: SolverOptions (option vocabulary shared with the
-// solver).  sdf_analysis does NOT link sdf_bind — the prefilter call sites
-// live in sdf_bind, which links this library.
+// solver).  sdf_analysis does not link sdf_bind, and neither sdf_bind nor
+// sdf_explore links sdf_analysis; sdf_lint and sdf_cli do.
 #include "bind/solver.hpp"
 #include "graph/eca.hpp"
 #include "spec/compiled.hpp"
@@ -59,9 +59,8 @@ namespace sdf {
 struct AnalysisOptions {
   /// The solver option set the relaxation must under-approximate: comm
   /// model, utilization bound, exclusive configurations, capacities.  A
-  /// prefilter is only sound against solver queries issued with the *same*
-  /// options; engines build their run-local analysis from the options they
-  /// solve with.
+  /// verdict is only sound against solver queries issued with the *same*
+  /// options.
   SolverOptions solver;
 };
 
@@ -88,9 +87,10 @@ struct ClusterBounds {
   }
 };
 
-/// Whole-spec static analysis; immutable after construction, safe to share
-/// across threads (all queries are const; the relaxation's scratch is
-/// per thread).
+/// Whole-spec static analysis, immutable after construction.  The
+/// relaxation queries reuse one scratch, so one thread at a time may query
+/// an instance; its callers (lint, the CLI preflight, `sdf analyze`) each
+/// run on one thread.
 class SpecAnalysis {
  public:
   /// Builds every summary in one pass over the hierarchy.  `cs` must
@@ -110,11 +110,12 @@ class SpecAnalysis {
     return bounds_[cs_.problem().root().index()];
   }
 
-  /// Cost of covering every alternative of the whole problem graph except
-  /// the subtree rooted at `skip` (lint SDF017 compares an alternative's
-  /// `lo` against the rest of the spec); +inf when the remainder itself has
-  /// an unreachable alternative.
-  [[nodiscard]] double cover_cost_excluding(ClusterId skip) const;
+  /// By cluster c: the cost of covering every alternative of the whole
+  /// problem graph except c's subtree, with each vertex on its cheapest
+  /// reachable unit (lint SDF017 compares an alternative's `lo` against the
+  /// rest of the spec); +inf when the remainder itself has an unreachable
+  /// alternative.  One pass over the hierarchy for all clusters.
+  [[nodiscard]] std::vector<double> cover_costs_excluding() const;
 
   // ---- communication closure ------------------------------------------------
 
@@ -128,20 +129,21 @@ class SpecAnalysis {
   /// proof that every binding activating both endpoints violates rule 3.
   [[nodiscard]] bool edge_comm_satisfiable(NodeId p, NodeId q) const;
 
-  // ---- relaxation (the pruning oracle) --------------------------------------
+  // ---- relaxation (infeasibility proofs) ------------------------------------
 
   /// Proof attempt for one solver query: true means the solver would return
-  /// kInfeasible for (alloc, eca) under `options().solver` — the caller may
-  /// skip the search.  False proves nothing.  Runs on `eca.flat`; `eca`
-  /// must have been prepared by `compiled()` (`CompiledSpec::prepare`).
+  /// kInfeasible for (alloc, eca) under `options().solver`.  False proves
+  /// nothing.  The whole-allocation checks below run the same kernel; this
+  /// per-ECA form lets a test hold it against solver witnesses.  Runs on
+  /// `eca.flat`; `eca` must have been prepared by `compiled()`
+  /// (`CompiledSpec::prepare`).
   [[nodiscard]] bool eca_infeasible(const AllocSet& alloc,
                                     const PreparedEca& eca) const;
 
   /// ECA-independent form over the mandatory core (processes active in
   /// *every* elementary activation): true proves no activation of the
   /// problem graph has a feasible binding under `alloc` — and, by
-  /// monotonicity, under any subset of `alloc`.  Valid as a
-  /// `CostOrderedAllocations` branch bound on optimistic completions.
+  /// monotonicity, under any subset of `alloc`.
   [[nodiscard]] bool allocation_infeasible(const AllocSet& alloc) const;
 
   /// Relaxation over the mandatory core of `cluster`'s own subtree (its
@@ -191,8 +193,21 @@ class SpecAnalysis {
       const std::vector<double>& demand, const std::vector<double>& footprint,
       const std::vector<std::pair<std::size_t, std::size_t>>& edges) const;
 
+  /// Scratch of the relaxation, so that the steady state allocates
+  /// nothing.  A call leaves `live` set and sums at the units in `forced`;
+  /// the next call clears just those instead of refilling the universe.
+  struct Scratch {
+    DynBitset live;                   ///< union of the live candidates' units
+    std::vector<double> forced_fp;    ///< by unit: summed forced footprint
+    std::vector<double> forced_util;  ///< by unit: summed forced utilization
+    std::vector<std::size_t> forced;  ///< units with a forced process
+    /// One forced configuration cluster per device top.
+    std::vector<std::pair<NodeId, ClusterId>> forced_configs;
+  };
+
   const CompiledSpec& cs_;
   AnalysisOptions options_;
+  mutable Scratch scratch_;
   std::vector<ClusterBounds> bounds_;  // by problem ClusterId
   AllocSet full_alloc_;                // every unit set
   std::vector<NodeId> mandatory_procs_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/analysis.hpp"
 #include "bind/bind_cache.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
@@ -50,8 +49,6 @@ std::optional<Implementation> build_implementation(
   impl.cost = cs.allocation_cost(alloc);
   impl.implemented_clusters = cs.problem().make_cluster_set();
 
-  const SpecAnalysis* analysis =
-      options.use_analysis ? options.analysis : nullptr;
   // The hierarchical path engages only when the spec actually decomposes;
   // otherwise the flat path runs unchanged (bit-identical stats).
   HierCache* hier = options.use_hier && cs.hier_useful()
@@ -64,16 +61,9 @@ std::optional<Implementation> build_implementation(
     const PreparedEca& prepared =
         listed.prepared() ? listed : (spare = cs.prepare(listed.eca));
     SolverStats ss;
-    // `solver_calls` counts *queries*, not searches — it stays invariant
-    // under the cache and under this prefilter, so checkpointed counters
-    // and pinned test expectations are unaffected.
+    // `solver_calls` counts *queries*, not searches: it stays invariant
+    // under the caches.
     ++st.solver_calls;
-    if (analysis != nullptr && analysis->eca_infeasible(alloc, prepared)) {
-      // Sound proof: the solver would return kInfeasible.  Same verdict,
-      // zero nodes searched.
-      ++st.analysis_pruned;
-      continue;
-    }
     std::optional<Binding> binding =
         hier != nullptr
             ? hier->solve(cs, alloc, prepared, options.solver, &ss)

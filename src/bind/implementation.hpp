@@ -70,17 +70,9 @@ struct ImplementationOptions {
   /// that decomposes still takes the hierarchical path and its cache
   /// unless `use_hier` is cleared too.
   bool use_bind_cache = true;
-  /// Static analyzer (not owned; may be null).  When set and `use_analysis`
-  /// is true, each ECA query runs the sound infeasibility relaxation first
-  /// and skips the solver search on a proof.  The verdict — and thus the
-  /// implementation, `solver_calls` and every checkpointed counter — is
-  /// identical either way; only `solver_nodes` (work actually searched)
-  /// shrinks.  Must have been built from this spec with these solver
-  /// options.
+  /// No effect; goes with bench_e2e's `replay_explore` (ROADMAP item 6).
   const SpecAnalysis* analysis = nullptr;
-  /// Engine-level default, mirroring `use_bind_cache`: the explore engines
-  /// attach a run-local analyzer when this is true and `analysis` is null.
-  /// `--no-analysis` clears it.
+  /// No effect; goes with bench_e2e's `replay_explore` (ROADMAP item 6).
   bool use_analysis = true;
   /// Hierarchical sub-solve cache (not owned; may be null).  When set, and
   /// `use_hier` holds, and the spec decomposes (`cs.hier_useful()`), every
@@ -107,8 +99,8 @@ struct ImplementationStats {
   std::uint64_t cache_hits_feasible = 0;
   std::uint64_t cache_hits_infeasible = 0;
   std::uint64_t cache_revalidations = 0;
-  /// ECA queries answered "infeasible" by the static relaxation without
-  /// searching.  Informational (like the cache counters): not checkpointed.
+  /// No effect, always 0; goes with bench_e2e's `replay_explore` (ROADMAP
+  /// item 6).
   std::uint64_t analysis_pruned = 0;
   /// Hierarchical path: per-cluster-group sub-solves run / group verdicts
   /// answered from the `HierCache` frontier.  Informational, not

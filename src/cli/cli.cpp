@@ -295,23 +295,16 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
                     "path (--no-bind-cache turns it off; specs that "
                     "decompose still use the hierarchical path's cache "
                     "unless --no-hier is also given)");
-  flags.define_bool("analysis", true,
-                    "static-analyzer ECA prefilter: skip solver searches the "
-                    "relaxation proves infeasible (--no-analysis solves "
-                    "every ECA; the front and all checkpointed counters are "
-                    "identical either way)");
   flags.define_bool("hier", true,
                     "hierarchical solve path: per-cluster-group sub-solve "
                     "memoization on specs that decompose (--no-hier always "
                     "uses the flat kernel; the front is identical either "
                     "way, only solver_nodes differs)");
-  flags.define_bool("analysis-bound", false,
-                    "also prune candidate allocations and stream subtrees "
-                    "via the analyzer's relaxation (sound — same front — "
-                    "but work counters differ from a default run)");
   flags.define_bool("preflight", true,
                     "error-severity lint gate before exploring");
-  flags.define_bool("evolutionary", false, "use the heuristic EA explorer");
+  flags.define_bool("evolutionary", false,
+                    "use the heuristic EA explorer (not with --budget, "
+                    "--target-f, --json, --checkpoint or --resume)");
   flags.define_int("seed", "1", "EA seed");
   flags.define_count("threads", "1",
                      "evaluation threads; 0 auto-detects one per hardware "
@@ -335,6 +328,21 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     err << "explore: missing <spec.json>\n";
     return 2;
   }
+  if (flags.get_bool("evolutionary")) {
+    // The EA answers no query over an exact front, prints no JSON and
+    // writes no checkpoint: refuse each rather than answer it from another
+    // engine or drop it.
+    std::string exact_only;
+    for (const char* name : {"budget", "target-f", "checkpoint"})
+      if (exact_only.empty() && !flags.get(name).empty()) exact_only = name;
+    for (const char* name : {"json", "resume"})
+      if (exact_only.empty() && flags.get_bool(name)) exact_only = name;
+    if (!exact_only.empty()) {
+      err << "explore: --evolutionary cannot be combined with --"
+          << exact_only << '\n';
+      return 2;
+    }
+  }
   Result<SpecificationGraph> spec = load_spec(flags.positional()[0]);
   if (!spec.ok()) {
     err << spec.error().message << '\n';
@@ -349,9 +357,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     return rc;
   options.prune_dominated_allocations = flags.get_bool("dominance-filter");
   options.implementation.use_bind_cache = flags.get_bool("bind-cache");
-  options.implementation.use_analysis = flags.get_bool("analysis");
   options.implementation.use_hier = flags.get_bool("hier");
-  options.use_analysis_bound = flags.get_bool("analysis-bound");
 
   // Second preflight stage, now that the solver options are known: the
   // analyzer's relaxation can prove the whole front empty in milliseconds,
@@ -445,7 +451,7 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     return 3;
   };
 
-  if (flags.get_bool("json") && !flags.get_bool("evolutionary")) {
+  if (flags.get_bool("json")) {
     const ExploreResult result = explore(spec.value(), options);
     out << explore_result_to_json(spec.value(), result).dump(2) << '\n';
     return finish(result);

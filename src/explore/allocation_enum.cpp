@@ -64,8 +64,8 @@ std::uint32_t floor_above(const std::uint32_t* words, std::uint32_t prefix) {
 
 }  // namespace
 
-std::size_t EnumFrontier::size() const {
-  std::size_t n = 0;
+EnumFrontier::Extent EnumFrontier::extent(std::uint64_t cap) const {
+  Extent e;
   const std::vector<std::uint32_t> pos = positions(order);
   // Units of `order` at or above each index.  A chain stands for those
   // above its run, less the ones placed before its head: a cost-ordered
@@ -74,16 +74,22 @@ std::size_t EnumFrontier::size() const {
   for (std::size_t k = pos.size(); k-- > 0;)
     at_or_above[k] = at_or_above[k + 1] + (pos[k] != kNoUnit ? 1 : 0);
   for (const State& s : states) {
+    if (cap != 0 && e.states + e.members > cap) break;
+    // Every state a run stands for holds the run plus its added unit.
+    const std::uint64_t members = words[s.prefix] + (s.last != kNoUnit ? 1 : 0);
     if (!is_head(*this, s)) {
-      ++n;
+      ++e.states;
+      e.members += members;
       continue;
     }
     const std::uint32_t floor = floor_above(words.data(), s.prefix);
-    n += at_or_above[floor];
+    std::size_t n = at_or_above[floor];
     for (std::uint32_t q = 0; q < pos[s.last & ~kChain]; ++q)
       n -= order[q] >= floor ? 1 : 0;
+    e.states += n;
+    e.members += n * members;
   }
-  return n;
+  return e;
 }
 
 void EnumFrontier::push_back(const std::vector<std::uint32_t>& members) {
@@ -210,8 +216,26 @@ CostOrderedAllocations::CostOrderedAllocations(const CompiledSpec& cs,
   // not a non-negative number.
   for (const AllocUnit& u : units)
     unit_cost_.push_back(base_.test(u.id.index()) ? -1.0 : u.cost);
-  for (std::uint32_t j = 0; j < n; ++j)
-    if (unit_cost_[j] >= 0.0) order_.push_back(j);
+  // A device the base holds a configuration of is paid for already.
+  for (std::size_t d = 0; d < cs.device_count(); ++d)
+    device_cost_.push_back(cs.device_cost(d));
+  for (const AllocUnit& u : units)
+    if (u.is_cluster_unit() && base_.test(u.id.index()))
+      device_cost_[cs.device_slot(u.id)] = 0.0;
+  charged_.assign(device_cost_.size(), 0);
+  device_of_.assign(n, kNoUnit);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    if (!(unit_cost_[j] >= 0.0)) continue;
+    if (units[j].is_cluster_unit()) {
+      const std::size_t d = cs.device_slot(units[j].id);
+      if (device_cost_[d] > 0.0) {
+        device_of_[j] = static_cast<std::uint32_t>(d);
+        priced_.push_back(j);
+        continue;
+      }
+    }
+    order_.push_back(j);
+  }
   std::sort(order_.begin(), order_.end(),
             [this](std::uint32_t a, std::uint32_t b) {
               return unit_cost_[a] != unit_cost_[b]
@@ -296,6 +320,16 @@ void CostOrderedAllocations::reserve_run() {
                              std::size_t{4096}}));
 }
 
+double CostOrderedAllocations::add_unit(double cost, std::uint32_t u) {
+  cost += unit_cost_[u];
+  const std::uint32_t d = device_of_[u];
+  if (d != kNoUnit && charged_[d] == 0) {
+    charged_[d] = 1;
+    cost += device_cost_[d];
+  }
+  return cost;
+}
+
 void CostOrderedAllocations::push(const Entry& e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), later());
@@ -355,9 +389,12 @@ bool CostOrderedAllocations::next(AllocSet& out) {
   double run_cost = 0.0;
   for (std::size_t i = from; i < from + run; ++i) {
     out.set(words_[i]);
-    run_cost += unit_cost_[words_[i]];
+    run_cost = add_unit(run_cost, words_[i]);
   }
-  if (added) out.set(unit);
+  if (added) {
+    out.set(unit);
+    if (device_of_[unit] != kNoUnit) charged_[device_of_[unit]] = 1;
+  }
 
   // A chain head hands its run on to its next sibling, if it has one; else
   // the popped state stops using the run, whose words stay readable until
@@ -387,7 +424,9 @@ bool CostOrderedAllocations::next(AllocSet& out) {
       ++pruned_;
     }
   }
-  if (expand && count_from_[begin] != 0) {
+  const auto priced_from =
+      std::lower_bound(priced_.begin(), priced_.end(), begin);
+  if (expand && (count_from_[begin] != 0 || priced_from != priced_.end())) {
     // The popped state's member list becomes the run its children share.
     const std::size_t at = words_.size();
     const std::uint32_t length = run + (added ? 1 : 0);
@@ -398,11 +437,23 @@ bool CostOrderedAllocations::next(AllocSet& out) {
     std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(from), run,
                 words_.begin() + static_cast<std::ptrdiff_t>(at + kHead));
     if (added) words_.back() = unit;
-    words_[at + 1] =
+    std::uint32_t users =
         push_siblings(static_cast<std::uint32_t>(at), top.cost, key,
                       digit_place(length), first_from_[begin], begin);
-    frontier_size_ += count_from_[begin];
+    // Priced configurations, each at what it adds to this state.
+    for (auto it = priced_from; it != priced_.end(); ++it, ++users) {
+      const std::uint32_t d = device_of_[*it];
+      const double cost = charged_[d] != 0
+                              ? top.cost + unit_cost_[*it]
+                              : top.cost + unit_cost_[*it] + device_cost_[d];
+      push(Entry{cost, static_cast<std::uint32_t>(at),
+                 key + (*it + 1u) * (digit_place(length) + 1u)});
+    }
+    words_[at + 1] = users;
+    frontier_size_ += count_from_[begin] +
+                      static_cast<std::size_t>(priced_.end() - priced_from);
   }
+  if (!priced_.empty()) std::fill(charged_.begin(), charged_.end(), 0);
 
   ++emitted_;
   return true;
@@ -468,15 +519,16 @@ void CostOrderedAllocations::restore(const EnumCursor& cursor) {
     double cost = 0.0;
     std::uint32_t tag = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
-      cost += unit_cost_[run[kHead + i]];
+      cost = add_unit(cost, run[kHead + i]);
       tag += (run[kHead + i] + 1u) * digit_place(i);
     }
     if (s.last != kNoUnit) {
       const std::uint32_t unit = s.last & ~kChain;
-      cost += unit_cost_[unit];
+      cost = add_unit(cost, unit);
       tag += (unit + 1u) * (digit_place(n) + 1u);
       if (unit != s.last) tag |= chain_bit_;
     }
+    if (!priced_.empty()) std::fill(charged_.begin(), charged_.end(), 0);
     heap_.push_back(Entry{cost, at, tag});
   }
   std::make_heap(heap_.begin(), heap_.end(), later());

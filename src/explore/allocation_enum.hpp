@@ -4,8 +4,10 @@
 // resource allocations [...] in order of increasing allocation costs".
 // `CostOrderedAllocations` is a lazy stream over all subsets of the
 // allocatable-unit universe, ascending by cost (ties broken by
-// lexicographic unit order, which makes runs deterministic).  A branch
-// bound supplied by the caller prunes whole subtrees whose optimistic
+// lexicographic unit order, which makes runs deterministic).  A subset's
+// cost is `CompiledSpec::allocation_cost`, summed in its order: a priced
+// configurable device is charged with its lowest-index configuration.  A
+// branch bound supplied by the caller prunes whole subtrees whose optimistic
 // flexibility can no longer beat the incumbent.  An expanded state's
 // children enter the heap one at a time, as a chain in (cost, index)
 // order: popping one pushes the next, so each emitted subset adds at most
@@ -59,7 +61,16 @@ struct EnumFrontier {
   std::vector<std::uint32_t> order;
 
   /// States stood for: each chain counted out without being written out.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return extent().states; }
+  /// The states stood for and their member lists' summed lengths, counted
+  /// the same way: what `written_out` would hold, known without building it.
+  /// With a nonzero `cap`, counting stops once states plus members exceed
+  /// it, so a frontier far past a cap costs only the heads counted so far.
+  struct Extent {
+    std::size_t states = 0;
+    std::uint64_t members = 0;
+  };
+  [[nodiscard]] Extent extent(std::uint64_t cap = 0) const;
   /// Appends a plain state with the given ascending member list.
   void push_back(const std::vector<std::uint32_t>& members);
   /// State `i`'s own member list, ascending.
@@ -188,10 +199,26 @@ class CostOrderedAllocations {
   std::uint32_t push_siblings(std::uint32_t prefix, double run_cost,
                               std::uint32_t run_key, std::uint32_t place,
                               std::uint32_t p, std::uint32_t floor);
+  /// Adds unit `u` to a member list whose cost so far is `cost`: its own
+  /// price, then its device's the first time a configuration of a priced
+  /// device appears (marked in `charged_`, which the caller clears).
+  [[nodiscard]] double add_unit(double cost, std::uint32_t u);
 
   AllocSet base_;
   std::vector<double> unit_cost_;
-  /// Sibling order: the units the stream adds, ascending by (cost, index).
+  /// Configurations of devices with a positive price outside the base,
+  /// ascending.  What one adds depends on whether its device is charged
+  /// already, so they stay out of the sibling chains: every expansion
+  /// pushes them as plain states.
+  std::vector<std::uint32_t> priced_;
+  /// By unit: its device slot if the unit is in `priced_`, else kNoUnit;
+  /// by slot: the device's price and, while a member list is summed,
+  /// whether it is charged.
+  std::vector<std::uint32_t> device_of_;
+  std::vector<double> device_cost_;
+  std::vector<std::uint8_t> charged_;
+  /// Sibling order: the other units the stream adds, ascending by (cost,
+  /// index).
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> position_;  ///< unit → its place in `order_`
   /// Per place in `order_`: the first place of a higher unit cost.

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cmath>
+#include <iterator>
 
 #include "explore/explorer.hpp"
 #include "spec/compiled.hpp"
@@ -93,8 +94,9 @@ constexpr CounterField kCounterFields[] = {
 /// bytes than a reader with `limits` accepts.
 Status write_document(const ExploreCheckpoint& ck, JsonWriter& out,
                       const JsonLimits& limits, std::uint64_t trailing) {
-  const auto check = [&]() -> Status {
-    if (limits.max_nodes != 0 && out.values() > limits.max_nodes)
+  // `values`: what the document holds so far, or will hold.
+  const auto check = [&](std::uint64_t values) -> Status {
+    if (limits.max_nodes != 0 && values > limits.max_nodes)
       return Error{strprintf(
           "checkpoint would exceed max_nodes (%llu), the most values a "
           "resume reads",
@@ -130,20 +132,28 @@ Status write_document(const ExploreCheckpoint& ck, JsonWriter& out,
   out.key("pending").begin_array();
   for (const auto& units : ck.pending) {
     write_units(out, units);
-    if (Status s = check(); !s.ok()) return s;
+    if (Status s = check(out.values()); !s.ok()) return s;
   }
   out.end_array();
 
   out.key("cursor").begin_object();
   out.key("emitted").number(static_cast<double>(ck.emitted));
   out.key("pruned").number(static_cast<double>(ck.pruned));
+  // The values still to come follow from the chain heads: the frontier
+  // array, one array per state plus its members, and the counters object.
+  // A file past the cap is refused before any chain is written out.
+  const EnumFrontier::Extent extent = ck.frontier.extent(limits.max_nodes);
+  if (Status s = check(out.values() + 2 + std::size(kCounterFields) +
+                       extent.states + extent.members);
+      !s.ok())
+    return s;
   // Chains written out, in canonical order: equal frontiers serialize
   // identically, whatever order and form the stream's heap left them in.
   const EnumFrontier plain = ck.frontier.written_out();
   out.key("frontier").begin_array();
   for (const std::size_t i : plain.canonical_order()) {
     write_units(out, plain.members(i));
-    if (Status s = check(); !s.ok()) return s;
+    if (Status s = check(out.values()); !s.ok()) return s;
   }
   out.end_array();
   out.end_object();
@@ -153,7 +163,7 @@ Status write_document(const ExploreCheckpoint& ck, JsonWriter& out,
     out.key(f.key).number(static_cast<double>(ck.counters.*f.counters));
   out.end_object();
   out.end_object();
-  return check();
+  return check(out.values());
 }
 
 }  // namespace
@@ -316,13 +326,9 @@ std::string explore_options_digest(const ExploreOptions& options) {
   // Every field that can change the *front* (engine parallelism and the
   // run budget deliberately excluded: they change work accounting and
   // where a run stops, never which points the completed front contains).
-  // `abound` never changes the front either, but it changes the
-  // *checkpointed* work counters (candidates skipped before evaluation),
-  // so a resumed chain must keep the same setting to stay bit-identical
-  // to an uninterrupted run.
   const std::string canon = strprintf(
       "comm=%d ub=%.17g excl=%d cap=%d eca=%zu dom=%d "
-      "fbound=%d bbound=%d stopmax=%d equiv=%d maxcand=%" PRIu64 " abound=%d",
+      "fbound=%d bbound=%d stopmax=%d equiv=%d maxcand=%" PRIu64,
       static_cast<int>(s.comm_model), s.utilization_bound,
       static_cast<int>(s.exclusive_configurations),
       static_cast<int>(s.enforce_capacities),
@@ -331,8 +337,7 @@ std::string explore_options_digest(const ExploreOptions& options) {
       static_cast<int>(options.use_flexibility_bound),
       static_cast<int>(options.use_branch_bound),
       static_cast<int>(options.stop_at_max_flexibility),
-      static_cast<int>(options.collect_equivalents), options.max_candidates,
-      static_cast<int>(options.use_analysis_bound));
+      static_cast<int>(options.collect_equivalents), options.max_candidates);
   return hex64(word_hash64(canon));
 }
 

@@ -21,8 +21,9 @@
 // digest hashes every option that affects the resulting front (engine
 // parallelism is deliberately excluded — thread count changes work
 // accounting, never the front).  Both are `WordHash64` values
-// (util/word_hash.hpp).  Format version 1 carried byte-serial FNV-1a
-// digests instead; its files are refused by their version.
+// (util/word_hash.hpp).  Older files are refused by their version: format
+// version 1 carried byte-serial FNV-1a digests, and version 2's options
+// digest also hashed the since-removed analyzer stream bound.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ struct ExploreOptions;
 /// Serializable state of an interrupted EXPLORE run; see file comment.
 struct ExploreCheckpoint {
   /// Current checkpoint format version (`version` field in the JSON).
-  static constexpr int kVersion = 2;
+  static constexpr int kVersion = 3;
 
   std::string spec_digest;
   std::string options_digest;

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/analysis.hpp"
 #include "bind/bind_cache.hpp"
 #include "explore/allocation_enum.hpp"
 #include "explore/incremental.hpp"
@@ -54,12 +53,11 @@ class AtomicMax {
 /// counters, so a slot that is never merged (abandoned by the budget, or
 /// part of a failed band) charges nothing.
 enum class Verdict : std::uint8_t {
-  kAborted,         ///< budget tripped before/while evaluating: re-evaluate
-  kDominated,       ///< §5 "obviously not Pareto-optimal" filter
-  kAnalysisPruned,  ///< the analyzer's relaxation proves it infeasible
-  kImpossible,      ///< not root-activatable
-  kBoundSkipped,    ///< flexibility estimate cannot beat the incumbent
-  kAttempted,       ///< binding construction ran; `impl` set iff feasible
+  kAborted,       ///< budget tripped before/while evaluating: re-evaluate
+  kDominated,     ///< §5 "obviously not Pareto-optimal" filter
+  kImpossible,    ///< not root-activatable
+  kBoundSkipped,  ///< flexibility estimate cannot beat the incumbent
+  kAttempted,     ///< binding construction ran; `impl` set iff feasible
 };
 
 /// One band slot.  Slots are reused from band to band, and the stream
@@ -94,8 +92,6 @@ struct Evaluation {
   /// filter judges, since a deployed platform is a sunk cost and may hold
   /// units no upgrade uses.
   const AllocSet* dominance_scope;
-  /// Non-null iff the analyzer's relaxation also filters candidates.
-  const SpecAnalysis* analysis_bound;
   const IntervalArchive* interval;  ///< non-null iff costs are intervals
   BudgetTracker& tracker;
   /// Per-phase CPU timers; only worth their clock reads when a pool runs.
@@ -115,11 +111,6 @@ Verdict filter(const Evaluation& ev, double committed_f,
       obviously_dominated(ev.cs, ev.dominance, slot.alloc,
                           ev.dominance_scope))
     return Verdict::kDominated;
-  // Sound proof that no activation of this allocation can be bound; skip
-  // before even the activatability pass.
-  if (ev.analysis_bound != nullptr &&
-      ev.analysis_bound->allocation_infeasible(slot.alloc))
-    return Verdict::kAnalysisPruned;
   const Activatability act(ev.cs, slot.alloc);
   if (!act.root_activatable()) return Verdict::kImpossible;
   const std::optional<double> est = act.estimated_flexibility();
@@ -189,9 +180,6 @@ void account(const BandSlot& slot, ExploreStats& stats) {
     case Verdict::kDominated:
       ++stats.dominated_skipped;
       return;
-    case Verdict::kAnalysisPruned:
-      ++stats.analysis_pruned;
-      return;
     case Verdict::kBoundSkipped:
       ++stats.possible_allocations;
       ++stats.flexibility_estimations;
@@ -215,7 +203,6 @@ void ExploreStats::add(const ImplementationStats& work) {
   cache_hits_feasible += work.cache_hits_feasible;
   cache_hits_infeasible += work.cache_hits_infeasible;
   cache_revalidations += work.cache_revalidations;
-  analysis_pruned += work.analysis_pruned;
   hier_subsolves += work.hier_subsolves;
   hier_hits += work.hier_hits;
 }
@@ -270,16 +257,6 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   BindCache bind_cache;
   HierCache hier_cache;
   adopt_run_caches(eval_impl, bind_cache, hier_cache);
-  // Run-local static analyzer: sound infeasibility proofs skip solver
-  // searches without changing verdicts (see bind/implementation.hpp).  All
-  // its queries are const, so workers share it.
-  std::optional<SpecAnalysis> analysis_store;
-  if (eval_impl.use_analysis && eval_impl.analysis == nullptr) {
-    analysis_store.emplace(cs, AnalysisOptions{eval_impl.solver});
-    eval_impl.analysis = &*analysis_store;
-  }
-  const SpecAnalysis* analysis =
-      eval_impl.use_analysis ? eval_impl.analysis : nullptr;
 
   double f_cur = base_f;  // incumbent: merged candidates only
   // The walk ends at the first candidate whose cost times `stop_ratio`
@@ -319,23 +296,12 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
     result.stats.resumed = true;
   }
 
-  const bool analysis_bound = options.use_analysis_bound && analysis != nullptr;
-  const bool branch_bound = options.use_branch_bound && interval == nullptr;
-  if (branch_bound || analysis_bound) {
+  if (options.use_branch_bound && interval == nullptr) {
     // Runs during band assembly against the committed incumbent — a
     // (possibly stale) lower bound on the one-thread f_cur at the same
     // stream position, so it can only prune less, never wrongly.
-    stream.set_branch_bound([&, analysis_bound, branch_bound,
-                             collect = options.collect_equivalents](
+    stream.set_branch_bound([&, collect = options.collect_equivalents](
                                 const AllocSet& potential) {
-      // Relaxation bound (opt-in): infeasibility is monotone downward in
-      // the allocation, so a proof on the optimistic completion covers
-      // every descendant of this subtree.
-      if (analysis_bound && analysis->allocation_infeasible(potential)) {
-        ++result.stats.analysis_pruned;
-        return false;
-      }
-      if (!branch_bound) return true;
       if (f_cur <= 0.0) return true;  // nothing to beat yet
       const std::optional<double> est = estimate_flexibility(cs, potential);
       if (!est.has_value()) return false;
@@ -367,7 +333,6 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
                       eval_impl,
                       dominance,
                       base.none() ? nullptr : &outside_base,
-                      analysis_bound ? analysis : nullptr,
                       interval,
                       tracker,
                       pooled};

@@ -83,12 +83,7 @@ struct ExploreOptions {
   bool use_flexibility_bound = true;
   /// Prune stream subtrees via the optimistic-completion bound.
   bool use_branch_bound = true;
-  /// Also use the static analyzer's allocation-infeasibility relaxation as
-  /// a candidate filter and stream branch bound (`--analysis-bound`).  The
-  /// bound is sound, so the front is unchanged, but the *checkpointed* work
-  /// counters (candidates generated, implementation attempts) differ from a
-  /// default run — hence opt-in and part of the options digest, unlike the
-  /// always-on ECA prefilter which never changes any checkpointed counter.
+  /// No effect; goes with bench_e2e's `replay_explore` (ROADMAP item 6).
   bool use_analysis_bound = false;
   /// Stop as soon as the maximal flexibility has been implemented.
   bool stop_at_max_flexibility = true;
@@ -134,9 +129,8 @@ struct ExploreStats {
   std::uint64_t cache_revalidations = 0;
   std::uint64_t cache_entries = 0;
   std::uint64_t branches_pruned = 0;
-  /// ECA solver queries (and, under `use_analysis_bound`, candidates or
-  /// stream subtrees) answered by the static relaxation without searching.
-  /// Informational like the cache counters.
+  /// No effect, always 0; goes with bench_e2e's `replay_explore` (ROADMAP
+  /// item 6).
   std::uint64_t analysis_pruned = 0;
   // Hierarchical-path counters (informational, like the cache counters):
   // per-cluster-group sub-solves run, group verdicts answered from the

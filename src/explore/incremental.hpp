@@ -45,8 +45,8 @@ struct UpgradeResult {
 /// Explores upgrades of `existing` on `spec`: EXPLORE over the supersets
 /// of `existing`, cost-ordered by the added units, on the same engine as
 /// `explore()` with the baseline's flexibility as the first incumbent.  All
-/// of `options` applies — threads, equivalents, budgets and the analyzer
-/// prefilter — except `resume`: upgrade runs cannot be resumed, because the
+/// of `options` applies — threads, equivalents, budgets and the caches —
+/// except `resume`: upgrade runs cannot be resumed, because the
 /// checkpoint digests do not cover `existing`, so a set `resume` is
 /// rejected through `status`.  The baseline itself is not part of the
 /// front (its upgrade cost is 0 and it improves nothing); every front

@@ -51,7 +51,6 @@ Json explore_stats_to_json(const ExploreStats& s) {
   stats.emplace_back("cache_hits_infeasible", count(s.cache_hits_infeasible));
   stats.emplace_back("cache_revalidations", count(s.cache_revalidations));
   stats.emplace_back("cache_entries", count(s.cache_entries));
-  stats.emplace_back("analysis_pruned", count(s.analysis_pruned));
   stats.emplace_back("hier_subsolves", count(s.hier_subsolves));
   stats.emplace_back("hier_hits", count(s.hier_hits));
   stats.emplace_back("flat_cache_entries", count(s.flat_cache_entries));

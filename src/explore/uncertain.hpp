@@ -72,7 +72,7 @@ class IntervalCostModel {
 /// Runs the uncertain-cost exploration on the `explore()` engine with
 /// default `ExploreOptions`: the §5 dominance filter, a flexibility bound
 /// against the interval archive, and the run-local binding/hierarchy
-/// caches and analyzer prefilter.
+/// caches.
 [[nodiscard]] UncertainExploreResult explore_uncertain(
     const SpecificationGraph& spec, const UncertainExploreOptions& options = {});
 

@@ -158,9 +158,10 @@ LintReport lint(const SpecificationGraph& spec, const LintOptions& options) {
       });
   if (any_semantic) {
     const CompiledSpec& cs = spec.compiled();
+    std::optional<SpecAnalysis> analyzer;
     for (const RuleDef& def : rule_defs()) {
       if (def.check == nullptr || !rule_selected(def, options)) continue;
-      LintContext ctx{spec, cs, def, report.diagnostics};
+      LintContext ctx{spec, cs, def, report.diagnostics, analyzer};
       def.check(ctx);
     }
   }

@@ -212,21 +212,22 @@ void check_utilization_impossible(LintContext& ctx) {
 
 // ---- SDF017-SDF021: abstract-interpretation rules ----------------------------
 //
-// These five rules share one static analyzer (analysis/analysis.hpp) built
-// with the default solver options — the same configuration `sdf explore`
-// solves with unless overridden.  Every verdict they report is a *proof*
-// under those options, not a heuristic.
+// These five rules share one static analyzer per lint run
+// (`LintContext::analysis()`), built with the default solver options — the
+// same configuration `sdf explore` solves with unless overridden.  Every
+// verdict they report is a *proof* under those options, not a heuristic.
 
 // ---- SDF017: alternative costs more than covering the whole rest -------------
 
 void check_cost_unreachable(LintContext& ctx) {
-  const SpecAnalysis analysis(ctx.compiled);
+  const SpecAnalysis& analysis = ctx.analysis();
   const HierarchicalGraph& p = ctx.spec.problem();
+  const std::vector<double> rests = analysis.cover_costs_excluding();
   for (const Cluster& c : p.clusters()) {
     if (c.is_root()) continue;
     const ClusterBounds& b = analysis.bounds(c.id);
     if (std::isinf(b.lo)) continue;  // dead alternative: SDF015's business
-    const double rest = analysis.cover_cost_excluding(c.id);
+    const double rest = rests[c.id.index()];
     if (std::isinf(rest) || b.lo <= rest) continue;
     ctx.report(
         "problem:" + cluster_path(p, c.id),
@@ -243,7 +244,7 @@ void check_cost_unreachable(LintContext& ctx) {
 // ---- SDF018: capacity packing proves a selection impossible ------------------
 
 void check_capacity_impossible(LintContext& ctx) {
-  const SpecAnalysis analysis(ctx.compiled);
+  const SpecAnalysis& analysis = ctx.analysis();
   const HierarchicalGraph& p = ctx.spec.problem();
   AllocSet all = ctx.compiled.make_alloc_set();
   for (std::size_t i = 0; i < ctx.compiled.unit_count(); ++i) all.set(i);
@@ -266,7 +267,7 @@ void check_capacity_impossible(LintContext& ctx) {
 // ---- SDF019: the whole Pareto front is provably empty ------------------------
 
 void check_bound_empty_front(LintContext& ctx) {
-  const SpecAnalysis analysis(ctx.compiled);
+  const SpecAnalysis& analysis = ctx.analysis();
   AllocSet all = ctx.compiled.make_alloc_set();
   for (std::size_t i = 0; i < ctx.compiled.unit_count(); ++i) all.set(i);
   // A root dead by plain reachability is SDF009/SDF015's diagnosis; this
@@ -292,7 +293,7 @@ void check_bound_empty_front(LintContext& ctx) {
 // the alternative's subtree at zero: then a sibling that delivers positive
 // flexibility for provably less cost dominates every selection through it.
 void check_dominated_alternative(LintContext& ctx) {
-  const SpecAnalysis analysis(ctx.compiled);
+  const SpecAnalysis& analysis = ctx.analysis();
   const HierarchicalGraph& p = ctx.spec.problem();
   const ActivationPredicate always = [](ClusterId) { return true; };
   for (const Node& n : p.nodes()) {
@@ -328,7 +329,7 @@ void check_dominated_alternative(LintContext& ctx) {
 // ---- SDF021: dependence edge with no communicating candidate pair ------------
 
 void check_comm_unsatisfiable(LintContext& ctx) {
-  const SpecAnalysis analysis(ctx.compiled);
+  const SpecAnalysis& analysis = ctx.analysis();
   const HierarchicalGraph& p = ctx.spec.problem();
   for (const Cluster& c : p.clusters()) {
     for (EdgeId eid : c.edges) {
@@ -378,6 +379,11 @@ void LintContext::report(std::string location, std::string message,
   sink.push_back(Diagnostic{rule.id, rule.name, rule.severity,
                             std::move(location), std::move(message),
                             std::move(hint)});
+}
+
+const SpecAnalysis& LintContext::analysis() {
+  if (!analyzer.has_value()) analyzer.emplace(compiled);
+  return *analyzer;
 }
 
 const std::vector<RuleDef>& rule_defs() {

@@ -6,9 +6,11 @@
 // `validate_or_error` and `lint` share one implementation.
 #pragma once
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
+#include "analysis/analysis.hpp"
 #include "lint/lint.hpp"
 
 namespace sdf::lint_internal {
@@ -17,15 +19,21 @@ struct RuleDef;
 
 /// Mutable state handed to a check function: the spec under analysis (raw
 /// and compiled — the engine builds the query index once for all semantic
-/// rules), the rule being run, and the diagnostic sink.
+/// rules), the rule being run, the diagnostic sink, and the run's static
+/// analyzer.
 struct LintContext {
   const SpecificationGraph& spec;
   const CompiledSpec& compiled;
   const RuleDef& rule;
   std::vector<Diagnostic>& sink;
+  /// Built by the first rule that calls `analysis()`, then shared by the
+  /// run's later rules.
+  std::optional<SpecAnalysis>& analyzer;
 
   void report(std::string location, std::string message,
               std::string hint = "");
+  /// The spec's analysis under the default solver options.
+  [[nodiscard]] const SpecAnalysis& analysis();
 };
 
 using CheckFn = void (*)(LintContext&);

@@ -236,6 +236,16 @@ class CompiledSpec {
   /// architecture interface with an allocated configuration, that
   /// interface's own cost (the price of the reconfigurable device itself).
   [[nodiscard]] double allocation_cost(const AllocSet& alloc) const;
+  /// Configurable devices: one dense slot per top interface with a
+  /// configuration unit.  `device_slot` takes a configuration unit
+  /// (`AllocUnit::is_cluster_unit`); `device_cost` is the device's own cost.
+  [[nodiscard]] std::size_t device_count() const { return iface_cost_.size(); }
+  [[nodiscard]] std::size_t device_slot(AllocUnitId id) const {
+    return unit_iface_slot_[id.index()];
+  }
+  [[nodiscard]] double device_cost(std::size_t slot) const {
+    return iface_cost_[slot];
+  }
 
   // ---- mapping edges --------------------------------------------------------
 

@@ -4,18 +4,24 @@
 // solver — on generator seeds kept small enough to enumerate completely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/analysis.hpp"
 #include "bind/implementation.hpp"
 #include "bind/solver.hpp"
 #include "flex/activatability.hpp"
+#include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
 #include "graph/eca.hpp"
+#include "graph/validate.hpp"
 #include "spec/attributes.hpp"
+#include "spec/builder.hpp"
+#include "spec/compiled.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/specification.hpp"
 
@@ -59,7 +65,6 @@ SpecificationGraph tiny_spec(std::uint64_t seed, bool with_capacities) {
 ImplementationOptions ground_truth_options() {
   ImplementationOptions opts;
   opts.use_bind_cache = false;
-  opts.use_analysis = false;  // ground truth must not consult the analyzer
   return opts;
 }
 
@@ -176,8 +181,8 @@ TEST_P(AnalysisSweep, WitnessesAreGenuine) {
 }
 
 // Monotonicity in the allocation lattice: an infeasibility verdict for A
-// must hold for every subset of A (this is what makes the verdict a valid
-// branch bound on optimistic completions of the allocation stream).
+// must hold for every subset of A (this is what lets the preflight's
+// verdict on the full allocation cover every allocation).
 TEST_P(AnalysisSweep, InfeasibilityIsMonotone) {
   const SpecificationGraph spec = tiny_spec(GetParam(), true);
   const CompiledSpec& cs = spec.compiled();
@@ -218,6 +223,99 @@ TEST(Analysis, PaperModelBoundsAreConsistent) {
     AllocSet all = cs.make_alloc_set();
     for (std::size_t i = 0; i < cs.unit_count(); ++i) all.set(i);
     EXPECT_FALSE(analysis.allocation_infeasible(all));
+  }
+}
+
+// ---- SDF017's exclusion covers -----------------------------------------------
+
+/// The cover of every alternative outside `skip`'s subtree, each vertex on
+/// its cheapest reachable unit, by one walk of the hierarchy per cluster:
+/// the reference for `cover_costs_excluding`.
+double reference_cover_cost_excluding(const CompiledSpec& cs, ClusterId skip) {
+  const HierarchicalGraph& p = cs.problem();
+  AllocSet cover = cs.make_alloc_set();
+  const auto visit = [&](const auto& self, ClusterId cid) -> bool {
+    if (cid == skip) return true;
+    for (NodeId nid : p.cluster(cid).nodes) {
+      const Node& n = p.node(nid);
+      if (n.is_interface()) {
+        bool any_child = false;
+        for (ClusterId child : n.clusters) {
+          if (child == skip) continue;
+          any_child = true;
+          if (!self(self, child)) return false;
+        }
+        if (!any_child) return false;  // `skip` was the only refinement
+        continue;
+      }
+      double best_cost = kInf;
+      std::size_t best = 0;
+      for (AllocUnitId u : cs.reachable_unit_list(nid)) {
+        const double cost = std::max(0.0, cs.unit(u).cost);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = u.index();
+        }
+      }
+      if (best_cost == kInf) return false;  // unmappable vertex
+      cover.set(best);
+    }
+    return true;
+  };
+  if (!visit(visit, p.root())) return kInf;
+  return cs.allocation_cost(cover);
+}
+
+void expect_cover_costs_match_reference(const SpecificationGraph& spec) {
+  const CompiledSpec& cs = spec.compiled();
+  const std::vector<double> got = SpecAnalysis(cs).cover_costs_excluding();
+  ASSERT_EQ(got.size(), spec.problem().cluster_count());
+  for (const Cluster& c : spec.problem().clusters())
+    EXPECT_EQ(got[c.id.index()], reference_cover_cost_excluding(cs, c.id))
+        << spec.name() << ": " << cluster_path(spec.problem(), c.id);
+}
+
+TEST(Analysis, CoverCostsMatchThePerClusterWalk) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed)
+    expect_cover_costs_match_reference(tiny_spec(seed, false));
+  expect_cover_costs_match_reference(models::make_settop_spec());
+  expect_cover_costs_match_reference(models::make_tv_decoder_spec());
+  expect_cover_costs_match_reference(
+      generate_preset(PlatformPreset::kNestedS, 1));
+  expect_cover_costs_match_reference(
+      generate_preset(PlatformPreset::kNestedM, 1));
+}
+
+// Defects each cover must see: an unmappable vertex, an interface without
+// refinements, one whose only refinement is the excluded cluster, units
+// chosen inside and outside a subtree, and a cluster outside the root's
+// hierarchy.
+TEST(Analysis, CoverCostsMatchThePerClusterWalkOnDefectiveSpecs) {
+  for (int defect = 0; defect < 4; ++defect) {
+    SpecBuilder b("defect" + std::to_string(defect));
+    const NodeId r = b.resource("R", 10);
+    const NodeId s = b.resource("S", 7);
+    const NodeId t = b.resource("T", 3);
+    b.map(b.process("P"), r, 1);
+    const NodeId i = b.interface("I");
+    const ClusterId a = b.alternative(i, "a");
+    b.map(b.process("A1", a), s, 1);
+    const NodeId inner = b.interface("Inner", a);
+    const ClusterId only = b.alternative(inner, "only");
+    b.map(b.process("O", only), t, 1);
+    b.map(b.process("O2", only), r, 1);
+    const ClusterId c = b.alternative(i, "c");
+    b.map(b.process("C1", c), s, 1);
+    if (defect == 1) b.process("Unmapped", c);
+    if (defect == 2) b.interface("Empty", c);
+    SpecificationGraph spec = b.spec();  // defective: not validated
+    if (defect == 3) {
+      // A cluster hung below a plain vertex: no walk from the root sees it.
+      HierarchicalGraph& g = spec.problem();
+      const ClusterId stray = g.add_cluster(g.find_node("P"), "stray");
+      g.add_vertex(stray, "Stray");
+    }
+    expect_cover_costs_match_reference(spec);
   }
 }
 

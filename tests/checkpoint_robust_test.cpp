@@ -103,6 +103,50 @@ TEST(CheckpointRobust, FileWriterRefusesExactlyWhatAReaderRefuses) {
   EXPECT_LT(cut.size(), full.size() / 2);
 }
 
+// A stream's frontier holds its unexpanded siblings as chains.  The writer
+// counts the values they take from the chain heads, so it refuses a file
+// past the value cap before writing any chain out, at exactly the count a
+// reader refuses.
+TEST(CheckpointRobust, ChainedFrontierIsRefusedByItsCount) {
+  const SpecificationGraph spec = models::make_settop_spec();
+  CostOrderedAllocations stream(spec.compiled());
+  AllocSet alloc;
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(stream.next(alloc));
+  ExploreCheckpoint ck = sample_checkpoint();
+  ck.frontier = stream.cursor().frontier;
+
+  const EnumFrontier plain = ck.frontier.written_out();
+  ASSERT_LT(ck.frontier.states.size(), plain.states.size());
+  std::uint64_t members = 0;
+  for (std::size_t i = 0; i < plain.states.size(); ++i)
+    members += plain.members(i).size();
+  const EnumFrontier::Extent extent = ck.frontier.extent();
+  EXPECT_EQ(extent.states, plain.states.size());
+  EXPECT_EQ(extent.members, members);
+
+  const auto into = [](std::string& text) {
+    return [&text](std::string_view chunk) { text.append(chunk); };
+  };
+  std::string file;
+  ASSERT_TRUE(ck.write(into(file)).ok());
+  Result<Json> doc = Json::parse(file);
+  ASSERT_TRUE(doc.ok()) << doc.error().message;
+  JsonWriter counter(2);
+  doc.value().write(counter);
+  JsonLimits limits;
+  limits.max_nodes = counter.values();
+  std::string again;
+  EXPECT_TRUE(ck.write(into(again), limits).ok());
+  limits.max_nodes -= 1;
+  std::string cut;
+  const Status s = ck.write(into(cut), limits);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error().message.find("max_nodes (" +
+                                   std::to_string(limits.max_nodes) + ")"),
+            std::string::npos)
+      << s.error().message;
+}
+
 TEST(CheckpointRobust, EveryTruncationFailsCleanly) {
   const std::string text = sample_checkpoint().to_string();
   for (std::size_t len = 0; len < text.size(); ++len) {
@@ -150,7 +194,7 @@ TEST(CheckpointRobust, HostileNumericsAreRejectedNotNarrowed) {
   // Each of these used to reach an unchecked double→integer cast; all of
   // them are outside the representable range or not integral.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":2,)"
+      R"({"format":"sdf-explore-checkpoint","version":3,)"
       R"("spec_digest":"a","options_digest":"b",)";
   const std::vector<std::string> bad = {
       // fractional / negative / oversized unit indices
@@ -201,7 +245,7 @@ TEST(CheckpointRobust, FrontierListsMustBeStrictlyAscending) {
   // The stream expands a restored state above its last member, so an
   // unsorted or repeated list would re-emit or skip subsets on resume.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":2,)"
+      R"({"format":"sdf-explore-checkpoint","version":3,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -225,7 +269,7 @@ TEST(CheckpointRobust, FrontierIndexWithTheChainFlagIsOutsideTheUniverse) {
   // loaded frontier holds plain states only: 2147483653 is 2^31 + 5, far
   // outside any universe, not unit 5 standing for its later siblings.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":2,)"
+      R"({"format":"sdf-explore-checkpoint","version":3,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -261,20 +305,23 @@ TEST(CheckpointRobust, VersionAndFormatAreChecked) {
   ExploreCheckpoint ck = sample_checkpoint();
   std::string text = ck.to_string();
 
-  // A version-1 file carries FNV-1a digests: refused by its version.
-  std::string wrong_version = text;
-  const std::size_t vat = wrong_version.find("\"version\": 2");
-  ASSERT_NE(vat, std::string::npos);
-  wrong_version.replace(vat, 12, "\"version\": 1");
-  Result<ExploreCheckpoint> v = ExploreCheckpoint::from_string(wrong_version);
-  ASSERT_FALSE(v.ok());
-  EXPECT_NE(v.error().message.find("unsupported version (expected 2)"),
-            std::string::npos)
-      << v.error().message;
+  // Versions 1 and 2 hashed other digests: each is refused by its version.
+  for (const char* old : {"\"version\": 1", "\"version\": 2"}) {
+    std::string wrong_version = text;
+    const std::size_t vat = wrong_version.find("\"version\": 3");
+    ASSERT_NE(vat, std::string::npos);
+    wrong_version.replace(vat, 12, old);
+    Result<ExploreCheckpoint> v =
+        ExploreCheckpoint::from_string(wrong_version);
+    ASSERT_FALSE(v.ok());
+    EXPECT_NE(v.error().message.find("unsupported version (expected 3)"),
+              std::string::npos)
+        << v.error().message;
+  }
 
   // A huge version number must be rejected, not truncated into range.
   std::string huge_version = text;
-  huge_version.replace(huge_version.find("\"version\": 2"), 12,
+  huge_version.replace(huge_version.find("\"version\": 3"), 12,
                        "\"version\": 1e99");
   EXPECT_FALSE(ExploreCheckpoint::from_string(huge_version).ok());
 

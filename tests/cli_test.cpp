@@ -458,11 +458,11 @@ TEST_F(CliTest, ExploreJsonStatsKeysArePinned) {
       "bound_skipped", "branches_pruned", "implementation_attempts",
       "solver_calls", "solver_nodes", "cache_hits_feasible",
       "cache_hits_infeasible", "cache_revalidations", "cache_entries",
-      "analysis_pruned", "hier_subsolves", "hier_hits", "flat_cache_entries",
+      "hier_subsolves", "hier_hits", "flat_cache_entries",
       "flat_cache_evictions", "wall_seconds", "index_build_seconds",
       "stop_reason", "budget_abandoned", "frontier_remaining", "resumed",
       "exhausted", "threads", "bands", "peak_band_size"};
-  EXPECT_EQ(expected.size(), 30u);
+  EXPECT_EQ(expected.size(), 29u);
   EXPECT_EQ(json_stats_keys(), expected);
 }
 
@@ -490,8 +490,8 @@ TEST_F(CliTest, ExploreJsonReportsEveryPruningCounter) {
   ASSERT_TRUE(doc.ok()) << doc.error().message;
   const Json* stats = doc.value().find("stats");
   ASSERT_NE(stats, nullptr);
-  for (const char* key : {"branches_pruned", "flexibility_estimations",
-                          "analysis_pruned", "exhausted"})
+  for (const char* key :
+       {"branches_pruned", "flexibility_estimations", "exhausted"})
     EXPECT_NE(stats->find(key), nullptr) << key;
   EXPECT_EQ(stats->number_or("flexibility_estimations", -1),
             stats->number_or("possible_allocations", -2));
@@ -584,6 +584,62 @@ TEST_F(CliTest, ExploreResumeRejectsMissingOrCorruptCheckpoint) {
 TEST_F(CliTest, ExploreEvolutionary) {
   EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--seed=3"}), 0);
   EXPECT_FALSE(out_.str().empty());
+}
+
+// The EA answers none of these flags: each is a usage error, where it once
+// printed an exact EXPLORE answer or was silently dropped.
+TEST_F(CliTest, ExploreEvolutionaryRejectsBudget) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--budget=300"}),
+            2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(err_.str().find("--evolutionary cannot be combined with --budget"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsTargetF) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--target-f=5"}),
+            2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(
+      err_.str().find("--evolutionary cannot be combined with --target-f"),
+      std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsJson) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--json"}), 2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(err_.str().find("--evolutionary cannot be combined with --json"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsCheckpoint) {
+  const std::string ck = tmp_path("ea_ck.json");
+  std::filesystem::remove(ck);
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary",
+                 "--max-allocations=4", "--checkpoint=" + ck}),
+            2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(
+      err_.str().find("--evolutionary cannot be combined with --checkpoint"),
+      std::string::npos)
+      << err_.str();
+  EXPECT_FALSE(std::filesystem::exists(ck));
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsResume) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--resume"}), 2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(err_.str().find("--evolutionary cannot be combined with --resume"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreRejectsRemovedAnalyzerFlags) {
+  for (const char* flag : {"--no-analysis", "--analysis", "--analysis-bound"})
+    EXPECT_EQ(run({"explore", settop_path(), flag}), 2) << flag;
 }
 
 TEST_F(CliTest, UpgradeFromDeployedPlatform) {
@@ -730,23 +786,6 @@ TEST_F(CliTest, AnalyzeUsageErrors) {
   EXPECT_EQ(run({"analyze"}), 2);
   EXPECT_EQ(run({"analyze", "/tmp/definitely_missing_file.json"}), 1);
   EXPECT_EQ(run({"analyze", settop_path(), "--comm=wat"}), 2);
-}
-
-TEST_F(CliTest, ExploreAnalysisModesAgreeOnFront) {
-  // The ECA prefilter and the allocation-level bound are sound: all three
-  // modes print the identical Pareto front.
-  // (--no-stats: the node/pruning counters legitimately differ.)
-  EXPECT_EQ(run({"explore", settop_path(), "--csv", "--no-stats"}), 0);
-  const std::string base = out_.str();
-  EXPECT_NE(base.find("cost"), std::string::npos);
-  EXPECT_EQ(
-      run({"explore", settop_path(), "--csv", "--no-stats", "--no-analysis"}),
-      0);
-  EXPECT_EQ(out_.str(), base);
-  EXPECT_EQ(run({"explore", settop_path(), "--csv", "--no-stats",
-                 "--analysis-bound"}),
-            0);
-  EXPECT_EQ(out_.str(), base);
 }
 
 TEST_F(CliTest, ExploreAnalysisPreflightProvesFrontEmpty) {

@@ -13,6 +13,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "explore/allocation_enum.hpp"
 #include "explore/evolutionary.hpp"
@@ -828,6 +830,74 @@ TEST_P(ExploreSeedSweep, FrontIsValidAndMatchesExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExploreSeedSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// ---- priced configurable devices ------------------------------------------
+
+/// `spec` with its FPGA device priced `price`: `allocation_cost` charges it
+/// once, with the first configuration an allocation holds.
+SpecificationGraph with_fpga_price(SpecificationGraph spec, double price) {
+  HierarchicalGraph& arch = spec.architecture();
+  arch.set_attr(arch.find_node("FPGA"), attr::kCost, price);
+  return spec;
+}
+
+std::vector<std::pair<double, double>> cost_flex(
+    const std::vector<Implementation>& front) {
+  std::vector<std::pair<double, double>> out;
+  for (const Implementation& impl : front)
+    out.emplace_back(impl.cost, impl.flexibility);
+  return out;
+}
+
+class PricedDevice : public ::testing::TestWithParam<double> {};
+
+// The stream emits every subset once, in allocation-cost order, whatever
+// the device costs; EXPLORE's front then equals the brute-force one.
+TEST_P(PricedDevice, StreamIsCostOrderedAndFrontMatchesExhaustive) {
+  for (const SpecificationGraph& paper :
+       {models::make_settop_spec(), models::make_tv_decoder_spec()}) {
+    const SpecificationGraph spec = with_fpga_price(paper, GetParam());
+    const CompiledSpec& cs = spec.compiled();
+    CostOrderedAllocations stream(cs);
+    AllocSet alloc;
+    double last = 0.0;
+    std::uint64_t emitted = 0;
+    while (stream.next(alloc)) {
+      const double cost = cs.allocation_cost(alloc);
+      EXPECT_LE(last, cost) << spec.allocation_names(alloc);
+      last = cost;
+      ++emitted;
+    }
+    EXPECT_EQ(emitted, std::uint64_t{1} << cs.unit_count()) << spec.name();
+    EXPECT_EQ(cost_flex(explore(spec).front),
+              cost_flex(explore_exhaustive(spec).front))
+        << spec.name() << " with the FPGA priced " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Prices, PricedDevice,
+                         ::testing::Values(0.0, 100.0, 300.0, 1000.0));
+
+// A stream cut anywhere restores to the same continuation: the restored
+// costs, device charges included, are the ones the live stream summed.
+TEST(PricedDevice, RestoredStreamContinuesIdentically) {
+  const SpecificationGraph spec =
+      with_fpga_price(models::make_settop_spec(), 300.0);
+  const CompiledSpec& cs = spec.compiled();
+  for (const std::uint64_t cut : {1, 7, 50, 400}) {
+    CostOrderedAllocations live(cs);
+    AllocSet a;
+    for (std::uint64_t i = 0; i < cut; ++i) ASSERT_TRUE(live.next(a));
+    CostOrderedAllocations restored(cs);
+    restored.restore(live.cursor());
+    AllocSet b;
+    while (live.next(a)) {
+      ASSERT_TRUE(restored.next(b));
+      ASSERT_EQ(a, b) << "cut " << cut;
+    }
+    EXPECT_FALSE(restored.next(b));
+  }
+}
 
 }  // namespace
 }  // namespace sdf

@@ -196,46 +196,45 @@ INSTANTIATE_TEST_SUITE_P(
     Examples, OneThreadPins,
     ::testing::Values(
         Pin{"settop", 0, 0, kSetTopFront,
-            {883, 799, 75, 75, 51, 24, 148, 87, 0},
+            {883, 799, 75, 75, 51, 24, 148, 192, 0},
             StopReason::kCompleted, 0.0},
         Pin{"settop", 200, 0, {{100, 2}, {120, 3}},
-            {200, 189, 5, 5, 1, 4, 14, 17, 0},
+            {200, 189, 5, 5, 1, 4, 14, 29, 0},
             StopReason::kAllocations, 170.0},
-        Pin{"settop", 0, 40, {{100, 2}, {120, 3}, {230, 4}, {290, 5}},
-            {753, 696, 48, 48, 32, 16, 72, 34, 1},
-            StopReason::kSolverNodes, 350.0},
+        Pin{"settop", 0, 40, {{100, 2}, {120, 3}},
+            {203, 190, 7, 7, 2, 5, 18, 35, 1},
+            StopReason::kSolverNodes, 170.0},
         Pin{"decoder", 0, 0, kDecoderFront,
-            {74, 40, 27, 27, 20, 7, 25, 28, 0},
+            {74, 40, 27, 27, 20, 7, 25, 52, 0},
             StopReason::kCompleted, 0.0},
         Pin{"decoder", 40, 0, {{50, 1}, {80, 2}},
-            {40, 27, 6, 6, 3, 3, 5, 8, 0},
+            {40, 27, 6, 6, 3, 3, 5, 11, 0},
             StopReason::kAllocations, 85.0},
-        Pin{"decoder", 0, 12, {{50, 1}, {80, 2}, {110, 3}},
-            {71, 40, 24, 24, 19, 5, 13, 12, 1},
-            StopReason::kSolverNodes, 160.0},
+        Pin{"decoder", 0, 12, {{50, 1}, {80, 2}},
+            {51, 33, 11, 11, 8, 3, 5, 11, 1},
+            StopReason::kSolverNodes, 105.0},
         Pin{"nested", 0, 0, {{950, 11}, {952, 13}, {1255, 15}},
-            {187183, 179794, 436, 436, 0, 436, 27904, 106, 0},
+            {187183, 179794, 436, 436, 0, 436, 27904, 145, 0},
             StopReason::kCompleted, 0.0},
         Pin{"nested", 150000, 0, {{950, 11}, {952, 13}},
-            {150000, 145001, 8, 8, 0, 8, 512, 74, 0},
+            {150000, 145001, 8, 8, 0, 8, 512, 80, 0},
             StopReason::kAllocations, 968.0},
         Pin{"nested", 0, 50, {{950, 11}},
-            {144944, 140178, 1, 1, 0, 1, 64, 44, 1},
+            {144944, 140178, 1, 1, 0, 1, 64, 46, 1},
             StopReason::kSolverNodes, 952.0}));
 
 /// Pinned one-thread front and work on generated presets whose searches
 /// drive the utilization and capacity flags hard, and on the nested-tile
 /// example, which takes the hierarchical path: the binding kernel must keep
-/// the same search tree, node for node, and every cache and analyzer
-/// counter its value.  `raw` turns off the binding cache, the hierarchical
-/// path and the analyzer prefilter, so every query is a real search.
+/// the same search tree, node for node, and every cache counter its value.
+/// `raw` turns off the binding cache and the hierarchical path, so every
+/// query is a real search.
 struct KernelCounters {
   std::uint64_t solver_calls;
   std::uint64_t solver_nodes;
   std::uint64_t cache_hits_feasible;
   std::uint64_t cache_hits_infeasible;
   std::uint64_t cache_revalidations;
-  std::uint64_t analysis_pruned;
   std::uint64_t hier_subsolves;
   std::uint64_t hier_hits;
   std::uint64_t cache_entries;
@@ -270,7 +269,6 @@ TEST_P(KernelPins, MatchPinnedSearchWork) {
   if (pin.raw) {
     options.implementation.use_bind_cache = false;
     options.implementation.use_hier = false;
-    options.implementation.use_analysis = false;
   }
   const ExploreResult result = explore(spec, options);
   ASSERT_TRUE(result.status.ok()) << result.status.error().message;
@@ -282,7 +280,6 @@ TEST_P(KernelPins, MatchPinnedSearchWork) {
   EXPECT_EQ(got.cache_hits_feasible, want.cache_hits_feasible);
   EXPECT_EQ(got.cache_hits_infeasible, want.cache_hits_infeasible);
   EXPECT_EQ(got.cache_revalidations, want.cache_revalidations);
-  EXPECT_EQ(got.analysis_pruned, want.analysis_pruned);
   EXPECT_EQ(got.hier_subsolves, want.hier_subsolves);
   EXPECT_EQ(got.hier_hits, want.hier_hits);
   EXPECT_EQ(got.cache_entries, want.cache_entries);
@@ -294,25 +291,25 @@ const CostFlex kBaseband114Front = {{101, 1}, {347, 3}, {389, 5}, {481, 7},
 const CostFlex kSettopBox64Front = {{63, 1}, {177, 2}, {559, 6}, {691, 7}};
 
 // Counters: solver_calls, solver_nodes, cache_hits_feasible,
-// cache_hits_infeasible, cache_revalidations, analysis_pruned,
-// hier_subsolves, hier_hits, cache_entries, flat_cache_entries.
+// cache_hits_infeasible, cache_revalidations, hier_subsolves, hier_hits,
+// cache_entries, flat_cache_entries.
 INSTANTIATE_TEST_SUITE_P(
     Presets, KernelPins,
     ::testing::Values(
         KernelPin{PlatformPreset::kBasebandDsp, 108, false, {{141, 26}},
-                  {565, 19868, 0, 0, 0, 0, 0, 0, 565, 565}},
+                  {565, 19868, 0, 0, 0, 0, 0, 565, 565}},
         KernelPin{PlatformPreset::kBasebandDsp, 108, true, {{141, 26}},
-                  {565, 19868, 0, 0, 0, 0, 0, 0, 0, 565}},
+                  {565, 19868, 0, 0, 0, 0, 0, 0, 565}},
         KernelPin{PlatformPreset::kBasebandDsp, 114, false, kBaseband114Front,
-                  {1804, 30788, 155, 0, 155, 907, 0, 0, 242, 31}},
+                  {1804, 37382, 155, 0, 155, 0, 0, 458, 31}},
         KernelPin{PlatformPreset::kBasebandDsp, 114, true, kBaseband114Front,
-                  {1804, 39821, 0, 0, 0, 0, 0, 0, 0, 31}},
+                  {1804, 39821, 0, 0, 0, 0, 0, 0, 31}},
         KernelPin{PlatformPreset::kSetTopBox, 64, false, kSettopBox64Front,
-                  {6192, 37210, 1015, 0, 1015, 1978, 0, 0, 40, 16}},
+                  {6192, 44570, 1015, 0, 1015, 0, 0, 40, 16}},
         KernelPin{PlatformPreset::kSetTopBox, 64, true, kSettopBox64Front,
-                  {6192, 63649, 0, 0, 0, 0, 0, 0, 0, 16}},
+                  {6192, 63649, 0, 0, 0, 0, 0, 0, 16}},
         KernelPin{std::nullopt, 0, false, {{950, 11}, {952, 13}, {1255, 15}},
-                  {27904, 106, 0, 0, 104412, 10480, 53, 104427, 53, 64}}));
+                  {27904, 145, 0, 0, 114892, 92, 125348, 74, 64}}));
 
 // ---- prepared activations under concurrent callers ------------------------
 

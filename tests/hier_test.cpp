@@ -219,7 +219,6 @@ TEST(HierExplore, SettopPinnedFrontAndStats) {
   EXPECT_EQ(a.stats.solver_calls, b.stats.solver_calls);
   EXPECT_EQ(a.stats.solver_nodes, b.stats.solver_nodes);
   EXPECT_EQ(a.stats.implementation_attempts, b.stats.implementation_attempts);
-  EXPECT_EQ(a.stats.analysis_pruned, b.stats.analysis_pruned);
   EXPECT_EQ(a.stats.hier_subsolves, 0u);
   EXPECT_EQ(a.stats.hier_hits, 0u);
   ASSERT_FALSE(a.front.empty());

@@ -1,7 +1,10 @@
 // Tests for the incremental (platform-upgrade) explorer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/explorer.hpp"
@@ -51,6 +54,55 @@ AllocSet alloc_of(const SpecificationGraph& spec,
   AllocSet a = spec.make_alloc_set();
   for (const char* n : names) a.set(spec.find_unit(n).index());
   return a;
+}
+
+/// The upgrade front by brute force: every superset of `base`, Pareto-
+/// filtered on (cost, flexibility) above the base's own flexibility.
+std::vector<std::pair<double, double>> brute_force_upgrades(
+    const SpecificationGraph& spec, const AllocSet& base) {
+  const CompiledSpec& cs = spec.compiled();
+  std::vector<std::size_t> free_units;
+  for (std::size_t i = 0; i < cs.unit_count(); ++i)
+    if (!base.test(i)) free_units.push_back(i);
+  double base_f = 0.0;
+  if (const auto impl = build_implementation(cs, base))
+    base_f = impl->flexibility;
+  std::vector<std::pair<double, double>> points;
+  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << free_units.size());
+       ++mask) {
+    AllocSet alloc = base;
+    for (std::size_t k = 0; k < free_units.size(); ++k)
+      if ((mask >> k) & 1u) alloc.set(free_units[k]);
+    const auto impl = build_implementation(cs, alloc);
+    if (impl.has_value() && impl->flexibility > base_f)
+      points.emplace_back(impl->cost, impl->flexibility);
+  }
+  std::sort(points.begin(), points.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  std::vector<std::pair<double, double>> front;
+  for (const auto& p : points)
+    if (front.empty() || p.second > front.back().second) front.push_back(p);
+  return front;
+}
+
+// A priced FPGA is charged once, with the first configuration added; a base
+// that holds a configuration has paid for it already.  Either way the
+// upgrade front equals the brute force over the base's supersets.
+TEST(Incremental, PricedDeviceUpgradesMatchBruteForce) {
+  SpecificationGraph spec = models::make_settop_spec();
+  spec.architecture().set_attr(spec.architecture().find_node("FPGA"),
+                               attr::kCost, 300.0);
+  for (const AllocSet& base :
+       {alloc_of(spec, {"uP2"}), alloc_of(spec, {"uP2", "C1", "G1"})}) {
+    const UpgradeResult r = explore_upgrades(spec, base);
+    ASSERT_TRUE(r.status.ok()) << r.status.error().message;
+    std::vector<std::pair<double, double>> got;
+    for (const Upgrade& u : r.front)
+      got.emplace_back(u.implementation.cost, u.implementation.flexibility);
+    EXPECT_EQ(got, brute_force_upgrades(spec, base))
+        << spec.allocation_names(base);
+  }
 }
 
 TEST(Incremental, BaselineFlexibilityReported) {

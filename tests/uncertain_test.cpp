@@ -289,7 +289,7 @@ TEST(UncertainExplore, ShrinkingUncertaintyConvergesToCrisp) {
 //
 // Fronts and work counters of uncertain runs, pinned bit for bit.
 // `solver_nodes` and the cache counters depend on the engine's binding
-// caches and analyzer, so they are not pinned.
+// caches, so they are not pinned.
 
 /// Deterministic work counters of one run, in `ExploreStats` order, and
 /// how it ended.
