@@ -435,10 +435,10 @@ std::vector<AllocSet> implementation_attempts(const CompiledSpec& cs) {
 KernelWorkload explore_queries(const CompiledSpec& cs) {
   KernelWorkload w;
   w.allocs = implementation_attempts(cs);
-  const std::size_t limit = ImplementationOptions{}.eca_limit;
   for (const AllocSet& a : w.allocs) {
     const Activatability act(cs, a);
-    for (const Eca& eca : enumerate_ecas(cs.problem(), act.clusters(), limit))
+    for (const Eca& eca :
+         enumerate_ecas(cs.problem(), act.clusters(), kEcaLimit))
       w.queries.push_back(KernelQuery{&a, cs.flat(eca.selection)});
   }
   return w;
@@ -548,14 +548,13 @@ struct CacheQuery {
 void time_phases(OverheadRow& row, const std::vector<AllocSet>& attempts) {
   const SpecificationGraph spec = generate_preset(row.preset, row.seed);
   const CompiledSpec& cs = spec.compiled();
-  const std::size_t limit = ImplementationOptions{}.eca_limit;
   row.misses = 0;
 
   auto t0 = Clock::now();
   std::vector<std::shared_ptr<const PreparedEcas>> lists;
   for (const AllocSet& a : attempts) {
     const Activatability act(cs, a);
-    lists.push_back(cs.prepared_ecas(act.clusters(), limit));
+    lists.push_back(cs.prepared_ecas(act.clusters()));
   }
   row.prepare_s = seconds_since(t0);
 

@@ -355,6 +355,27 @@ PY
 done
 rm -f /tmp/sdf_preset.$$
 
+echo "============ activation limit: an allocation past it is refused at once ============"
+# A construction enumerates at most 4,096 elementary cluster activations
+# (kEcaLimit) and refuses an allocation that admits more, counting them
+# arithmetically first.  nested-s seed 1's full allocation admits
+# 1,048,576: `sdf sensitivity` must exit 1 within 1 s, naming the count and
+# the limit.  Judging the first 4,096 instead printed f = 46 after 18.6 s,
+# where 65,536 activations reach 61 (4-core host, Release).
+"$SDF" generate --preset=nested-s --seed=1 > /tmp/sdf_limit.$$
+python3 - "$SDF" /tmp/sdf_limit.$$ <<'PY'
+import subprocess, sys, time
+start = time.perf_counter()
+run = subprocess.run([sys.argv[1], "sensitivity", sys.argv[2]],
+                     capture_output=True, text=True)
+wall = time.perf_counter() - start
+assert run.returncode == 1, f"exit {run.returncode}, expected 1: {run.stderr}"
+assert "1048576" in run.stderr and "4096" in run.stderr, run.stderr
+assert wall <= 1.0, f"refused after {wall:.3f} s, limit 1 s"
+print(f"  refused after {wall:.3f} s: {run.stderr.strip()}")
+PY
+rm -f /tmp/sdf_limit.$$
+
 echo "============ front door: load time linear in the spec's bytes ============"
 # nested-xl has 8.9x the bytes of nested-m.  `sdf validate` (load, compile,
 # lint) on it may take at most 15x as long, best of 3 each: a ratio needs

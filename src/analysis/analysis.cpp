@@ -243,7 +243,6 @@ bool SpecAnalysis::relaxation_infeasible(
     const std::vector<std::pair<std::size_t, std::size_t>>& edges) const {
   const SolverOptions& so = options_.solver;
   const bool check_util = so.utilization_bound > 0.0;
-  const bool check_cap = so.enforce_capacities;
   const std::size_t n = procs.size();
 
   // Mirrors the solver's domain construction: a candidate is live iff its
@@ -254,11 +253,8 @@ bool SpecAnalysis::relaxation_infeasible(
     if (!m.unit.valid() || !alloc.test(m.unit.index())) return false;
     if (check_util && demand[i] * m.latency > so.utilization_bound + kEps)
       return false;
-    if (check_cap) {
-      const double cap = cs_.unit_capacity(m.unit);
-      if (cap > 0.0 && footprint[i] > cap + kEps) return false;
-    }
-    return true;
+    const double cap = cs_.unit_capacity(m.unit);
+    return !(cap > 0.0 && footprint[i] > cap + kEps);
   };
 
   // The last call's sums stand only at the units it forced.
@@ -305,12 +301,10 @@ bool SpecAnalysis::relaxation_infeasible(
     scratch_.forced.push_back(u);
     forced_fp[u] += footprint[i];
     forced_util[u] += min_util;
-    if (check_cap) {
-      const double cap = cs_.unit_capacity(single);
-      if (cap > 0.0 && forced_fp[u] > cap + kEps) return true;
-    }
+    const double cap = cs_.unit_capacity(single);
+    if (cap > 0.0 && forced_fp[u] > cap + kEps) return true;
     if (check_util && forced_util[u] > so.utilization_bound + kEps) return true;
-    if (so.exclusive_configurations && cs_.unit(single).is_cluster_unit()) {
+    if (cs_.unit(single).is_cluster_unit()) {
       const AllocUnit& unit = cs_.unit(single);
       bool conflict = false;
       bool seen = false;
@@ -326,17 +320,15 @@ bool SpecAnalysis::relaxation_infeasible(
 
   // Aggregate packing: every feasible binding places all footprints inside
   // the union of live units, whose per-unit loads respect cap + eps.
-  if (check_cap) {
-    double total_cap = 0.0;
-    bool all_capped = true;
-    live_union.for_each([&](std::size_t u) {
-      const double cap = cs_.unit_capacity(AllocUnitId{u});
-      if (cap <= 0.0) all_capped = false;  // an unlimited unit absorbs all
-      total_cap += cap;
-    });
-    const double slack = static_cast<double>(live_union.count()) * kEps + kEps;
-    if (all_capped && total_fp > total_cap + slack) return true;
-  }
+  double total_cap = 0.0;
+  bool all_capped = true;
+  live_union.for_each([&](std::size_t u) {
+    const double cap = cs_.unit_capacity(AllocUnitId{u});
+    if (cap <= 0.0) all_capped = false;  // an unlimited unit absorbs all
+    total_cap += cap;
+  });
+  const double slack = static_cast<double>(live_union.count()) * kEps + kEps;
+  if (all_capped && total_fp > total_cap + slack) return true;
   // Aggregate utilization: per-unit load <= bound + eps over at most
   // |live_union| units.
   if (check_util) {

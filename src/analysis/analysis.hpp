@@ -58,9 +58,9 @@ namespace sdf {
 
 struct AnalysisOptions {
   /// The solver option set the relaxation must under-approximate: comm
-  /// model, utilization bound, exclusive configurations, capacities.  A
-  /// verdict is only sound against solver queries issued with the *same*
-  /// options.
+  /// model and utilization bound (exclusive configurations and capacities
+  /// always hold).  A verdict is only sound against solver queries issued
+  /// with the *same* options.
   SolverOptions solver;
 };
 

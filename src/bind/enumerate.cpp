@@ -13,16 +13,14 @@ bool feasible_binding(const CompiledSpec& cs, const AllocSet& alloc,
   if (!check_binding(cs, alloc, flat, binding, options.comm_model).ok())
     return false;
 
-  if (options.exclusive_configurations) {
-    // At most one configuration per device across the whole binding.
-    std::vector<std::pair<NodeId, ClusterId>> devices;
-    for (const BindingAssignment& a : binding.assignments()) {
-      const AllocUnit& u = cs.unit(a.unit);
-      if (!u.is_cluster_unit()) continue;
-      for (const auto& [dev, cfg] : devices)
-        if (dev == u.top && cfg != u.cluster) return false;
-      devices.emplace_back(u.top, u.cluster);
-    }
+  // At most one configuration per device across the whole binding.
+  std::vector<std::pair<NodeId, ClusterId>> devices;
+  for (const BindingAssignment& a : binding.assignments()) {
+    const AllocUnit& u = cs.unit(a.unit);
+    if (!u.is_cluster_unit()) continue;
+    for (const auto& [dev, cfg] : devices)
+      if (dev == u.top && cfg != u.cluster) return false;
+    devices.emplace_back(u.top, u.cluster);
   }
 
   if (options.utilization_bound > 0.0) {
@@ -31,12 +29,10 @@ bool feasible_binding(const CompiledSpec& cs, const AllocSet& alloc,
       if (u > options.utilization_bound + 1e-9) return false;
   }
 
-  if (options.enforce_capacities) {
-    const std::vector<double> used = unit_footprints(cs, binding);
-    for (std::size_t i = 0; i < used.size(); ++i) {
-      const double capacity = cs.unit_capacity(AllocUnitId{i});
-      if (capacity > 0.0 && used[i] > capacity + 1e-9) return false;
-    }
+  const std::vector<double> used = unit_footprints(cs, binding);
+  for (std::size_t i = 0; i < used.size(); ++i) {
+    const double capacity = cs.unit_capacity(AllocUnitId{i});
+    if (capacity > 0.0 && used[i] > capacity + 1e-9) return false;
   }
   return true;
 }

@@ -41,7 +41,7 @@ std::optional<Implementation> build_implementation(
 
   // The activatable set's ECAs, flattened and keyed once per spec.
   const std::shared_ptr<const PreparedEcas> ecas =
-      cs.prepared_ecas(act.clusters(), options.eca_limit);
+      cs.prepared_ecas(act.clusters());
   if (ecas->empty()) return std::nullopt;
 
   Implementation impl;

@@ -57,8 +57,6 @@ class SpecAnalysis;
 
 struct ImplementationOptions {
   SolverOptions solver;
-  /// Cap on enumerated elementary activations (0 = unlimited).
-  std::size_t eca_limit = 4096;
   /// Cross-allocation binding cache (not owned; may be null).  When set,
   /// every ECA feasibility query routes through it; verdicts — and thus the
   /// resulting implementation, flexibility and cost — are identical to the
@@ -122,8 +120,10 @@ struct ImplementationStats {
 /// clusters (prepared once per activatable set,
 /// `CompiledSpec::prepared_ecas`), solves the binding problem for each, and
 /// aggregates the feasible ones.  Returns nullopt when no elementary
-/// activation is feasible (the allocation implements nothing).  The hot
-/// path of EXPLORE's inner loop.
+/// activation is feasible (the allocation implements nothing).  Throws
+/// `std::length_error`, naming the count, when the activatable clusters
+/// admit more than `kEcaLimit` activations (`prepared_ecas` counts them
+/// before it enumerates any).  The hot path of EXPLORE's inner loop.
 [[nodiscard]] std::optional<Implementation> build_implementation(
     const CompiledSpec& cs, const AllocSet& alloc,
     const ImplementationOptions& options = {},

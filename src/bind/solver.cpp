@@ -232,18 +232,16 @@ class BindingSearch {
 
     any_excl_ = false;
     ws_.excl_bad.assign(slot_count_ * slot_count_, 0);
-    if (options_.exclusive_configurations) {
-      for (std::size_t a = 0; a < slot_count_; ++a) {
-        if (!ws_.slot_is_cluster_unit[a]) continue;
-        const AllocUnit& ua = units[ws_.slot_units[a].index()];
-        for (std::size_t b = 0; b < a; ++b) {
-          if (!ws_.slot_is_cluster_unit[b]) continue;
-          const AllocUnit& ub = units[ws_.slot_units[b].index()];
-          if (ua.top == ub.top && ua.cluster != ub.cluster) {
-            ws_.excl_bad[a * slot_count_ + b] = 1;
-            ws_.excl_bad[b * slot_count_ + a] = 1;
-            any_excl_ = true;
-          }
+    for (std::size_t a = 0; a < slot_count_; ++a) {
+      if (!ws_.slot_is_cluster_unit[a]) continue;
+      const AllocUnit& ua = units[ws_.slot_units[a].index()];
+      for (std::size_t b = 0; b < a; ++b) {
+        if (!ws_.slot_is_cluster_unit[b]) continue;
+        const AllocUnit& ub = units[ws_.slot_units[b].index()];
+        if (ua.top == ub.top && ua.cluster != ub.cluster) {
+          ws_.excl_bad[a * slot_count_ + b] = 1;
+          ws_.excl_bad[b * slot_count_ + a] = 1;
+          any_excl_ = true;
         }
       }
     }
@@ -286,7 +284,7 @@ class BindingSearch {
       }
     }
 
-    cap_on_ = options_.enforce_capacities && !flat_.footprint_order.empty();
+    cap_on_ = !flat_.footprint_order.empty();
     if (cap_on_) {
       const std::vector<double>& caps = cs_.unit_capacities();
       ws_.cap_limit.resize(slot_count_);
@@ -530,52 +528,45 @@ bool binding_feasible_flat(const CompiledSpec& cs, const AllocSet& alloc,
   }
 
   // Exclusive configurations.
-  if (options.exclusive_configurations) {
-    const std::vector<AllocUnit>& units = cs.units();
-    for (std::size_t i = 0; i < n; ++i) {
-      const AllocUnit& ui = units[at[i]->unit.index()];
-      if (!ui.is_cluster_unit()) continue;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const AllocUnit& uj = units[at[j]->unit.index()];
-        if (uj.is_cluster_unit() && uj.top == ui.top &&
-            uj.cluster != ui.cluster)
-          return false;
-      }
+  const std::vector<AllocUnit>& units = cs.units();
+  for (std::size_t i = 0; i < n; ++i) {
+    const AllocUnit& ui = units[at[i]->unit.index()];
+    if (!ui.is_cluster_unit()) continue;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const AllocUnit& uj = units[at[j]->unit.index()];
+      if (uj.is_cluster_unit() && uj.top == ui.top &&
+          uj.cluster != ui.cluster)
+        return false;
     }
   }
 
   // Utilization bound and capacities against the summed loads.  Only the
   // units the binding uses carry load, so only they are summed, checked
   // and reset to zero afterwards.
-  if (options.utilization_bound > 0.0 || options.enforce_capacities) {
-    std::vector<double>& load = ws.unit_load;
-    std::vector<double>& used = ws.unit_used;
-    if (load.size() < cs.unit_count()) {
-      load.resize(cs.unit_count(), 0.0);
-      used.resize(cs.unit_count(), 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      load[at[i]->unit.index()] += flat.demand[i] * at[i]->latency;
-      used[at[i]->unit.index()] += flat.footprint[i];
-    }
-    const std::vector<double>& caps = cs.unit_capacities();
-    bool feasible = true;
-    for (std::size_t i = 0; i < n && feasible; ++i) {
-      const std::size_t u = at[i]->unit.index();
-      if (options.utilization_bound > 0.0 &&
-          load[u] > options.utilization_bound + 1e-9)
-        feasible = false;
-      if (options.enforce_capacities && caps[u] > 0.0 &&
-          used[u] > caps[u] + 1e-9)
-        feasible = false;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      load[at[i]->unit.index()] = 0.0;
-      used[at[i]->unit.index()] = 0.0;
-    }
-    return feasible;
+  std::vector<double>& load = ws.unit_load;
+  std::vector<double>& used = ws.unit_used;
+  if (load.size() < cs.unit_count()) {
+    load.resize(cs.unit_count(), 0.0);
+    used.resize(cs.unit_count(), 0.0);
   }
-  return true;
+  for (std::size_t i = 0; i < n; ++i) {
+    load[at[i]->unit.index()] += flat.demand[i] * at[i]->latency;
+    used[at[i]->unit.index()] += flat.footprint[i];
+  }
+  const std::vector<double>& caps = cs.unit_capacities();
+  bool feasible = true;
+  for (std::size_t i = 0; i < n && feasible; ++i) {
+    const std::size_t u = at[i]->unit.index();
+    if (options.utilization_bound > 0.0 &&
+        load[u] > options.utilization_bound + 1e-9)
+      feasible = false;
+    if (caps[u] > 0.0 && used[u] > caps[u] + 1e-9) feasible = false;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    load[at[i]->unit.index()] = 0.0;
+    used[at[i]->unit.index()] = 0.0;
+  }
+  return feasible;
 }
 
 std::vector<double> unit_footprints(const CompiledSpec& cs,

@@ -35,10 +35,6 @@ struct SolverOptions {
   /// Maximum utilization per resource unit (Liu/Layland); <= 0 disables the
   /// timing check inside the solver.
   double utilization_bound = 0.69;
-  /// Enforce at most one configuration per reconfigurable device.
-  bool exclusive_configurations = true;
-  /// Enforce kCapacity/kFootprint annotations.
-  bool enforce_capacities = true;
   /// Optional shared run budget: every decision node is charged to it and
   /// the search aborts cooperatively once it is exhausted (outcome
   /// `kBudgetExceeded` / `kCancelled`).  Not owned; may be null.

@@ -37,10 +37,13 @@ Result<SpecificationGraph> load_spec(const std::string& path,
 }
 
 /// Error-severity lint rules as a gate before a potentially long
-/// exploration.  Cheap (no solver calls), catches defects the structural
-/// load-time validation cannot (unmappable leaves, impossible timing, ...).
-bool preflight_ok(const SpecificationGraph& spec, std::ostream& err) {
-  const LintReport report = lint_errors(spec);
+/// exploration, judged under the solver options the run will use.  Cheap
+/// (no solver calls), catches defects the structural load-time validation
+/// cannot (unmappable leaves, impossible timing, a relaxation that proves
+/// the front empty, ...).
+bool preflight_ok(const SpecificationGraph& spec, const SolverOptions& solver,
+                  std::ostream& err) {
+  const LintReport report = lint_errors(spec, solver);
   if (!report.has_errors()) return true;
   err << "preflight: specification cannot yield a feasible implementation ("
       << report.errors()
@@ -304,8 +307,9 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
                     "error-severity lint gate before exploring");
   flags.define_bool("evolutionary", false,
                     "use the heuristic EA explorer (not with --budget, "
-                    "--target-f, --json, --checkpoint or --resume)");
-  flags.define_int("seed", "1", "EA seed");
+                    "--target-f, --json, --checkpoint, --resume, "
+                    "--equivalents, --threads or a --no-* pruning switch)");
+  flags.define_int("seed", "1", "EA seed (only with --evolutionary)");
   flags.define_count("threads", "1",
                      "evaluation threads; 0 auto-detects one per hardware "
                      "thread (std::thread::hardware_concurrency, floor 1); "
@@ -329,53 +333,45 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     return 2;
   }
   if (flags.get_bool("evolutionary")) {
-    // The EA answers no query over an exact front, prints no JSON and
-    // writes no checkpoint: refuse each rather than answer it from another
-    // engine or drop it.
+    // The EA answers no query over an exact front, prints no JSON, writes
+    // no checkpoint and has none of the exact engine's switches: refuse
+    // each rather than answer it from another engine or drop it.  A flag
+    // counts as given when its value is not its default.
     std::string exact_only;
     for (const char* name : {"budget", "target-f", "checkpoint"})
       if (exact_only.empty() && !flags.get(name).empty()) exact_only = name;
-    for (const char* name : {"json", "resume"})
+    for (const char* name : {"json", "resume", "equivalents"})
       if (exact_only.empty() && flags.get_bool(name)) exact_only = name;
+    for (const char* name : {"dominance-filter", "flex-bound", "branch-bound"})
+      if (exact_only.empty() && !flags.get_bool(name))
+        exact_only = std::string("no-") + name;
+    if (exact_only.empty() && flags.get_int("threads") != 1)
+      exact_only = "threads";
     if (!exact_only.empty()) {
       err << "explore: --evolutionary cannot be combined with --"
           << exact_only << '\n';
       return 2;
     }
+  } else if (flags.get_int("seed") != 1) {
+    err << "explore: --seed applies only to --evolutionary\n";
+    return 2;
   }
   Result<SpecificationGraph> spec = load_spec(flags.positional()[0]);
   if (!spec.ok()) {
     err << spec.error().message << '\n';
     return 1;
   }
-  if (flags.get_bool("preflight") && !preflight_ok(spec.value(), err))
-    return 2;
 
   ExploreOptions options;
   if (int rc = parse_solver_flags(flags, options.implementation.solver, err);
       rc != 0)
     return rc;
+  if (flags.get_bool("preflight") &&
+      !preflight_ok(spec.value(), options.implementation.solver, err))
+    return 2;
   options.prune_dominated_allocations = flags.get_bool("dominance-filter");
   options.implementation.use_bind_cache = flags.get_bool("bind-cache");
   options.implementation.use_hier = flags.get_bool("hier");
-
-  // Second preflight stage, now that the solver options are known: the
-  // analyzer's relaxation can prove the whole front empty in milliseconds,
-  // where the exploration below would only confirm it by exhausting the
-  // stream.  Sound, so failing here is definitive, not a heuristic.
-  if (flags.get_bool("preflight")) {
-    const CompiledSpec& pcs = spec.value().compiled();
-    const SpecAnalysis preflight_analysis(
-        pcs, AnalysisOptions{options.implementation.solver});
-    AllocSet all = pcs.make_alloc_set();
-    for (std::size_t i = 0; i < pcs.unit_count(); ++i) all.set(i);
-    if (preflight_analysis.allocation_infeasible(all)) {
-      err << "preflight: the static relaxation proves the Pareto front "
-             "empty under every allocation ('sdf analyze' shows the bounds, "
-             "--no-preflight explores anyway)\n";
-      return 2;
-    }
-  }
   options.use_flexibility_bound = flags.get_bool("flex-bound");
   options.use_branch_bound = flags.get_bool("branch-bound");
   options.collect_equivalents = flags.get_bool("equivalents");
@@ -415,7 +411,8 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     static_cast<void>(spec.value().compiled().digest());
 
   // Saves the resume checkpoint (if requested) and picks the exit code:
-  // 0 = complete front, 3 = partial result because the budget ran out.
+  // 0 = complete front, 3 = partial result because the budget ran out,
+  // 1 = failed run; a failed evaluation still leaves a partial result.
   const auto finish = [&checkpoint_path, &err](const ExploreResult& result) {
     if (!checkpoint_path.empty() && result.checkpoint.has_value()) {
       // Checked after the flush: a full disk fails the write, not the
@@ -440,6 +437,9 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     }
     if (!result.status.ok()) {
       err << result.status.error().message << '\n';
+      if (result.stats.stop_reason == StopReason::kWorkerError)
+        err << "partial result: front exact below cost "
+            << format_double(result.stats.exact_up_to_cost) << '\n';
       return 1;
     }
     if (result.stats.stop_reason == StopReason::kCompleted) return 0;
@@ -511,7 +511,8 @@ int cmd_explore(const std::vector<std::string>& raw, std::ostream& out,
     stats = result.stats;
     f_max = result.max_flexibility;
     exit_code = finish(result);
-    if (exit_code == 1) return exit_code;  // failed run: nothing to print
+    if (exit_code == 1 && result.stats.stop_reason != StopReason::kWorkerError)
+      return exit_code;  // failed run: nothing to print
   }
 
   Table table({"cost", "flexibility", "resources", "clusters"});
@@ -556,7 +557,7 @@ int cmd_upgrade(const std::vector<std::string>& raw, std::ostream& out,
     err << spec.error().message << '\n';
     return 1;
   }
-  if (flags.get_bool("preflight") && !preflight_ok(spec.value(), err))
+  if (flags.get_bool("preflight") && !preflight_ok(spec.value(), {}, err))
     return 2;
   AllocSet existing = spec.value().make_alloc_set();
   for (const std::string& raw_name : split(flags.get("existing"), ',')) {
@@ -626,7 +627,7 @@ int cmd_sensitivity(const std::vector<std::string>& raw, std::ostream& out,
     err << spec.error().message << '\n';
     return 1;
   }
-  if (flags.get_bool("preflight") && !preflight_ok(spec.value(), err))
+  if (flags.get_bool("preflight") && !preflight_ok(spec.value(), {}, err))
     return 2;
   Result<AllocSet> alloc = parse_alloc(spec.value(), flags.get("alloc"));
   if (!alloc.ok()) {
@@ -823,17 +824,24 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   if (args.empty()) return usage(err);
   const std::string& command = args[0];
   const std::vector<std::string> rest(args.begin() + 1, args.end());
-  if (command == "validate") return cmd_validate(rest, out, err);
-  if (command == "lint") return cmd_lint(rest, out, err);
-  if (command == "flexibility") return cmd_flexibility(rest, out, err);
-  if (command == "analyze") return cmd_analyze(rest, out, err);
-  if (command == "explore") return cmd_explore(rest, out, err);
-  if (command == "upgrade") return cmd_upgrade(rest, out, err);
-  if (command == "sensitivity") return cmd_sensitivity(rest, out, err);
-  if (command == "reduce") return cmd_reduce(rest, out, err);
-  if (command == "dot") return cmd_dot(rest, out, err);
-  if (command == "generate") return cmd_generate(rest, out, err);
-  if (command == "demo") return cmd_demo(rest, out, err);
+  // A refusal deep in a command (an allocation past the activation limit,
+  // say) fails the command, not the process.
+  try {
+    if (command == "validate") return cmd_validate(rest, out, err);
+    if (command == "lint") return cmd_lint(rest, out, err);
+    if (command == "flexibility") return cmd_flexibility(rest, out, err);
+    if (command == "analyze") return cmd_analyze(rest, out, err);
+    if (command == "explore") return cmd_explore(rest, out, err);
+    if (command == "upgrade") return cmd_upgrade(rest, out, err);
+    if (command == "sensitivity") return cmd_sensitivity(rest, out, err);
+    if (command == "reduce") return cmd_reduce(rest, out, err);
+    if (command == "dot") return cmd_dot(rest, out, err);
+    if (command == "generate") return cmd_generate(rest, out, err);
+    if (command == "demo") return cmd_demo(rest, out, err);
+  } catch (const std::exception& e) {
+    err << command << ": " << e.what() << '\n';
+    return 1;
+  }
   err << "unknown command '" << command << "'\n";
   return usage(err);
 }

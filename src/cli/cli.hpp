@@ -22,7 +22,8 @@
 namespace sdf {
 
 /// Runs one CLI invocation.  `args` excludes the program name.  Returns the
-/// process exit code (0 = success).
+/// process exit code (0 = success); a command that throws prints the
+/// exception's message and returns 1.
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err);
 

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <iterator>
+#include <stdexcept>
 
 #include "explore/explorer.hpp"
 #include "spec/compiled.hpp"
@@ -327,17 +328,13 @@ std::string explore_options_digest(const ExploreOptions& options) {
   // run budget deliberately excluded: they change work accounting and
   // where a run stops, never which points the completed front contains).
   const std::string canon = strprintf(
-      "comm=%d ub=%.17g excl=%d cap=%d eca=%zu dom=%d "
-      "fbound=%d bbound=%d stopmax=%d equiv=%d maxcand=%" PRIu64,
+      "comm=%d ub=%.17g dom=%d fbound=%d bbound=%d stopmax=%d equiv=%d",
       static_cast<int>(s.comm_model), s.utilization_bound,
-      static_cast<int>(s.exclusive_configurations),
-      static_cast<int>(s.enforce_capacities),
-      options.implementation.eca_limit,
       static_cast<int>(options.prune_dominated_allocations),
       static_cast<int>(options.use_flexibility_bound),
       static_cast<int>(options.use_branch_bound),
       static_cast<int>(options.stop_at_max_flexibility),
-      static_cast<int>(options.collect_equivalents), options.max_candidates);
+      static_cast<int>(options.collect_equivalents));
   return hex64(word_hash64(canon));
 }
 
@@ -390,28 +387,37 @@ Result<ExploreResumeState> restore_explore_checkpoint(
   ImplementationOptions rebuild = options.implementation;
   rebuild.solver.budget = nullptr;
 
+  // A forged allocation past the activation limit is refused like any
+  // other corrupt entry.
+  const auto rebuild_point =
+      [&](const std::vector<std::uint32_t>& units,
+          const char* what) -> Result<Implementation> {
+    Result<AllocSet> alloc = checkpoint_alloc(units, cs);
+    if (!alloc.ok()) return alloc.error();
+    std::optional<Implementation> impl;
+    try {
+      impl = build_implementation(cs, alloc.value(), rebuild, nullptr);
+    } catch (const std::length_error& e) {
+      return Error{strprintf("resume: checkpointed %s: %s", what, e.what())};
+    }
+    if (!impl.has_value())
+      return Error{strprintf(
+          "resume: checkpointed %s is not implementable (corrupt "
+          "checkpoint?)",
+          what)};
+    return std::move(*impl);
+  };
+
   ExploreResumeState state;
   for (const ExploreCheckpoint::FrontEntry& fe : ck.front) {
-    Result<AllocSet> alloc = checkpoint_alloc(fe.units, cs);
-    if (!alloc.ok()) return alloc.error();
-    std::optional<Implementation> impl =
-        build_implementation(cs, alloc.value(), rebuild, nullptr);
-    if (!impl.has_value())
-      return Error{
-          "resume: checkpointed front point is not implementable (corrupt "
-          "checkpoint?)"};
+    Result<Implementation> impl = rebuild_point(fe.units, "front point");
+    if (!impl.ok()) return impl.error();
     for (const std::vector<std::uint32_t>& eq_units : fe.equivalents) {
-      Result<AllocSet> eq_alloc = checkpoint_alloc(eq_units, cs);
-      if (!eq_alloc.ok()) return eq_alloc.error();
-      std::optional<Implementation> eq =
-          build_implementation(cs, eq_alloc.value(), rebuild, nullptr);
-      if (!eq.has_value())
-        return Error{
-            "resume: checkpointed equivalent is not implementable (corrupt "
-            "checkpoint?)"};
-      impl->equivalents.push_back(std::move(*eq));
+      Result<Implementation> eq = rebuild_point(eq_units, "equivalent");
+      if (!eq.ok()) return eq.error();
+      impl.value().equivalents.push_back(std::move(eq).value());
     }
-    state.front.push_back(std::move(*impl));
+    state.front.push_back(std::move(impl).value());
   }
   for (const std::vector<std::uint32_t>& units : ck.pending) {
     Result<AllocSet> alloc = checkpoint_alloc(units, cs);

@@ -22,8 +22,9 @@
 // parallelism is deliberately excluded — thread count changes work
 // accounting, never the front).  Both are `WordHash64` values
 // (util/word_hash.hpp).  Older files are refused by their version: format
-// version 1 carried byte-serial FNV-1a digests, and version 2's options
-// digest also hashed the since-removed analyzer stream bound.
+// version 1 carried byte-serial FNV-1a digests, version 2's options digest
+// also hashed the since-removed analyzer stream bound, and version 3's the
+// since-removed solver switches, activation limit and candidate cap.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,7 @@ struct ExploreOptions;
 /// Serializable state of an interrupted EXPLORE run; see file comment.
 struct ExploreCheckpoint {
   /// Current checkpoint format version (`version` field in the JSON).
-  static constexpr int kVersion = 3;
+  static constexpr int kVersion = 4;
 
   std::string spec_digest;
   std::string options_digest;

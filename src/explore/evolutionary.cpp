@@ -13,6 +13,9 @@
 namespace sdf {
 namespace {
 
+/// Chance that a child mixes its parents bit by bit, not copies the first.
+constexpr double kCrossoverRate = 0.9;
+
 struct Evaluated {
   AllocSet genome;
   bool feasible = false;
@@ -41,10 +44,9 @@ EaResult explore_evolutionary(const SpecificationGraph& spec,
   const CompiledSpec& cs = spec.compiled();
   const std::size_t n = cs.unit_count();
   Rng rng(options.seed);
+  // One flipped bit per child on average.
   const double mutation =
-      options.mutation_rate > 0.0
-          ? options.mutation_rate
-          : 1.0 / static_cast<double>(std::max<std::size_t>(n, 1));
+      1.0 / static_cast<double>(std::max<std::size_t>(n, 1));
 
   EaResult result;
   std::vector<Implementation> archive_impls;
@@ -114,7 +116,7 @@ EaResult explore_evolutionary(const SpecificationGraph& spec,
       const Evaluated& p1 = tournament();
       const Evaluated& p2 = tournament();
       AllocSet child = cs.make_alloc_set();
-      if (rng.chance(options.crossover_rate)) {
+      if (rng.chance(kCrossoverRate)) {
         for (std::size_t b = 0; b < n; ++b) {
           const bool bit =
               rng.chance(0.5) ? p1.genome.test(b) : p2.genome.test(b);

@@ -21,9 +21,6 @@ namespace sdf {
 struct EaOptions {
   std::size_t population = 32;
   std::size_t generations = 40;
-  double crossover_rate = 0.9;
-  /// Per-bit mutation probability; <= 0 uses 1/universe.
-  double mutation_rate = -1.0;
   std::uint64_t seed = 1;
   ImplementationOptions implementation;
   /// Anytime limits (`max_allocations` bounds genome evaluations); the
@@ -48,7 +45,8 @@ struct EaResult {
   EaStats stats;
 };
 
-/// Runs the evolutionary explorer on `spec`.
+/// Runs the evolutionary explorer on `spec`.  Throws `std::length_error`
+/// at a genome past `kEcaLimit`.
 [[nodiscard]] EaResult explore_evolutionary(const SpecificationGraph& spec,
                                             const EaOptions& options = {});
 

@@ -37,7 +37,8 @@ struct ExhaustiveResult {
 
 /// Brute force over all 2^n allocations; refuses universes beyond
 /// `max_universe` units (runtime doubles per unit).  `budget` interrupts
-/// the sweep cooperatively (the default never does).
+/// the sweep cooperatively (the default never does).  Throws
+/// `std::length_error` at an allocation past `kEcaLimit`.
 [[nodiscard]] ExhaustiveResult explore_exhaustive(
     const SpecificationGraph& spec, const ImplementationOptions& options = {},
     std::size_t max_universe = 20, const RunBudget& budget = {});

@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "bind/bind_cache.hpp"
@@ -15,6 +16,7 @@
 #include "explore/uncertain.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
+#include "graph/eca.hpp"
 #include "spec/compiled.hpp"
 #include "util/fault_injection.hpp"
 #include "util/log.hpp"
@@ -58,6 +60,7 @@ enum class Verdict : std::uint8_t {
   kImpossible,    ///< not root-activatable
   kBoundSkipped,  ///< flexibility estimate cannot beat the incumbent
   kAttempted,     ///< binding construction ran; `impl` set iff feasible
+  kRefused,       ///< past the activation limit; `refusal` says why
 };
 
 /// One band slot.  Slots are reused from band to band, and the stream
@@ -68,7 +71,9 @@ struct BandSlot {
   double cost = 0.0;
   std::size_t level = 0;  ///< contiguous equal-cost group within the band
   Verdict verdict = Verdict::kAborted;
+  double estimate = 0.0;  ///< flexibility estimate, once root-activatable
   std::optional<Implementation> impl;
+  std::string refusal;
   ImplementationStats work;
   double filter_seconds = 0.0;     ///< measured only when timed
   double implement_seconds = 0.0;  ///< measured only when timed
@@ -98,14 +103,28 @@ struct Evaluation {
   bool timed;
 };
 
+/// The one-thread flexibility bound: whether the slot's estimate cannot
+/// beat the incumbent `f`, or, under interval costs, whether the archive
+/// dominates even its optimistic point.
+bool beaten(const Evaluation& ev, const BandSlot& slot, double f) {
+  if (!ev.options.use_flexibility_bound) return false;
+  if (ev.interval != nullptr) {
+    if (slot.estimate <= 0.0) return false;
+    const IntervalPoint optimistic{ev.interval->model.cost(slot.alloc),
+                                   1.0 / slot.estimate, 0};
+    return ev.interval->front.certainly_dominated(optimistic);
+  }
+  return ev.options.collect_equivalents ? slot.estimate < f
+                                        : slot.estimate <= f;
+}
+
 /// The cheap filters, in §4/§5 order.  `committed_f` is the incumbent after
 /// the last merged band; `level_best` holds the flexibilities implemented
 /// so far in this band, per cost level (see the file comment in
 /// explorer.hpp for why both bounds are safe).  Under interval costs the
 /// bound asks the archive instead.
 Verdict filter(const Evaluation& ev, double committed_f,
-               const std::vector<AtomicMax>& level_best,
-               const BandSlot& slot) {
+               const std::vector<AtomicMax>& level_best, BandSlot& slot) {
   const ExploreOptions& options = ev.options;
   if (options.prune_dominated_allocations &&
       obviously_dominated(ev.cs, ev.dominance, slot.alloc,
@@ -115,28 +134,26 @@ Verdict filter(const Evaluation& ev, double committed_f,
   if (!act.root_activatable()) return Verdict::kImpossible;
   const std::optional<double> est = act.estimated_flexibility();
   SDF_CHECK(est.has_value(), "possible allocation without estimate");
-  if (!options.use_flexibility_bound) return Verdict::kAttempted;
-  if (ev.interval != nullptr) {  // is even the optimistic point dominated?
-    if (*est <= 0.0) return Verdict::kAttempted;
-    const IntervalPoint optimistic{ev.interval->model.cost(slot.alloc),
-                                   1.0 / *est, 0};
-    return ev.interval->front.certainly_dominated(optimistic)
-               ? Verdict::kBoundSkipped
-               : Verdict::kAttempted;
-  }
+  slot.estimate = *est;
+  if (ev.interval != nullptr)
+    return beaten(ev, slot, 0.0) ? Verdict::kBoundSkipped : Verdict::kAttempted;
 
   // Everything that precedes this candidate's cost level in stream order
   // bounds it the way the one-thread incumbent would.
   double preceding = committed_f;
   for (std::size_t l = 0; l < slot.level; ++l)
     preceding = std::max(preceding, level_best[l].get());
-  const bool below_preceding =
-      options.collect_equivalents ? *est < preceding : *est <= preceding;
+  if (beaten(ev, slot, preceding)) return Verdict::kBoundSkipped;
   // Within the own (equal-cost) level the comparison stays strict in both
-  // modes: a tie may be the winner or an equivalent.
-  const bool below_level = *est < level_best[slot.level].get();
-  return below_preceding || below_level ? Verdict::kBoundSkipped
-                                        : Verdict::kAttempted;
+  // modes: a tie may be the winner or an equivalent.  A later candidate of
+  // the level may have set it, where the one-thread run attempts this one:
+  // the skip must not hide a refusal that run meets.
+  if (options.use_flexibility_bound &&
+      *est < level_best[slot.level].get() &&
+      count_ecas(ev.cs.problem(), act.clusters()) <=
+          static_cast<double>(kEcaLimit))
+    return Verdict::kBoundSkipped;
+  return Verdict::kAttempted;
 }
 
 /// The per-candidate work of EXPLORE minus every front/incumbent mutation
@@ -159,8 +176,16 @@ void evaluate(const Evaluation& ev, double committed_f,
 
   const Clock::time_point t1 = ev.timed ? Clock::now() : Clock::time_point{};
   slot.work = ImplementationStats{};
-  std::optional<Implementation> impl =
-      build_implementation(ev.cs, slot.alloc, ev.implementation, &slot.work);
+  std::optional<Implementation> impl;
+  try {
+    impl =
+        build_implementation(ev.cs, slot.alloc, ev.implementation, &slot.work);
+  } catch (const std::length_error& e) {
+    // The merge decides whether the one-thread run would meet it.
+    slot.verdict = Verdict::kRefused;
+    slot.refusal = e.what();
+    return;
+  }
   if (ev.timed) slot.implement_seconds = seconds_since(t1);
   // Abandoned mid-evaluation: unknown, never infeasible.
   if (slot.work.budget_exceeded()) return;
@@ -181,6 +206,7 @@ void account(const BandSlot& slot, ExploreStats& stats) {
       ++stats.dominated_skipped;
       return;
     case Verdict::kBoundSkipped:
+    case Verdict::kRefused:  // merged only where the bound skips it
       ++stats.possible_allocations;
       ++stats.flexibility_estimations;
       ++stats.bound_skipped;
@@ -344,7 +370,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   // allocation charge was refused.  First entry bounds the certificate.
   std::vector<AllocSet> unprocessed;
   bool done = false;           // merge decided the search is over
-  bool last_band = false;      // stream dry / candidate cap / walk limit
+  bool last_band = false;      // stream dry / walk limit
   bool ran_dry = false;        // the stream returned nothing
   bool interrupted = false;    // run budget tripped or an evaluation failed
   bool alloc_cap_hit = false;  // cap detected pre-trip during assembly
@@ -380,11 +406,6 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
         break;
       }
       ++result.stats.candidates_generated;
-      if (options.max_candidates != 0 &&
-          result.stats.candidates_generated > options.max_candidates) {
-        last_band = true;
-        break;
-      }
       // Costs group a band into levels and end the walk; a band of one
       // needs them only for the latter.
       const double cost = capacity > 1 || std::isfinite(stop_cost)
@@ -442,16 +463,28 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
         }
       }
     }
-    if (cutoff < size) interrupted = true;
 
     // ---- merge: stream order, the §4 acceptance rules --------------------
-    // Only the band prefix up to the first abandoned candidate is merged;
-    // the suffix (abandoned or not) keeps the merge gap-free in stream
-    // order and is queued for re-evaluation, its work never charged.
+    // Only the band prefix up to the first abandoned or refused candidate
+    // is merged; the suffix (abandoned or not) keeps the merge gap-free in
+    // stream order and is queued for re-evaluation, its work never charged.
     const Clock::time_point tm = pooled ? Clock::now() : Clock::time_point{};
     std::uint64_t attempted = 0;
     for (std::size_t i = 0; i < cutoff; ++i) {
       BandSlot& slot = band[i];
+      // A worker may have attempted a candidate against a staler incumbent
+      // than the one-thread run's.  That run meets it with the incumbent
+      // merged so far, and stops at the refusal unless the walk is over or
+      // the bound skips it; so does every thread count.
+      if (slot.verdict == Verdict::kRefused && !done &&
+          slot.cost * stop_ratio <= stop_cost && !beaten(ev, slot, f_cur)) {
+        tracker.note_worker_error();
+        result.status = Error{"candidate {" +
+                              spec.allocation_names(slot.alloc) +
+                              "}: " + slot.refusal};
+        cutoff = i;
+        break;
+      }
       account(slot, result.stats);
       if (slot.verdict == Verdict::kAttempted) ++attempted;
       if (done) continue;
@@ -506,6 +539,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
       }
     }
     if (pooled) result.stats.merge_seconds += seconds_since(tm);
+    if (cutoff < size) interrupted = true;
 
     // ---- adapt: steer the next band's capacity by this band's yield ------
     if (pooled && cutoff == size) {
@@ -537,7 +571,7 @@ ExploreResult explore_supersets(const SpecificationGraph& spec,
   // over, leftover pending work is irrelevant.
   interrupted = interrupted && !done;
   // Only a dry stream exhausts the run: not the maximal-flexibility stop,
-  // the walk limit, the candidate cap or a budget.
+  // the walk limit or a budget.
   result.stats.exhausted = ran_dry && !done && !interrupted;
   result.stats.branches_pruned = stream.pruned();
   result.stats.frontier_remaining = stream.frontier_size();
@@ -609,8 +643,13 @@ UpgradeResult explore_upgrades(const SpecificationGraph& spec,
   adopt_run_caches(run_options.implementation, bind_cache, hier_cache);
   ImplementationOptions base_impl = run_options.implementation;
   base_impl.solver.budget = nullptr;  // the baseline costs no run budget
-  if (const auto deployed = build_implementation(cs, existing, base_impl))
-    result.baseline_flexibility = deployed->flexibility;
+  try {
+    if (const auto deployed = build_implementation(cs, existing, base_impl))
+      result.baseline_flexibility = deployed->flexibility;
+  } catch (const std::length_error& e) {
+    result.status = Error{std::string("deployed platform: ") + e.what()};
+    return result;
+  }
 
   ExploreResult run = explore_supersets(spec, run_options, &existing,
                                         result.baseline_flexibility);

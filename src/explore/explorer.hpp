@@ -51,6 +51,12 @@
 // (attempts, bound skips) therefore depend on the thread count; at one
 // thread they are those of the sequential algorithm.
 //
+// A candidate past the activation limit (`kEcaLimit`) is refused, never
+// constructed, and the run stops before it (`StopReason::kWorkerError`),
+// exact below its cost.  The merge decides each refusal in stream order,
+// against the incumbent merged so far, so every thread count stops at the
+// same candidate.
+//
 // EXPLORE is an *anytime* algorithm: a `RunBudget` (deadline, solver-node
 // cap, allocation cap, cancel token) interrupts the run cooperatively, and
 // an interrupted run returns the partial front together with a
@@ -92,8 +98,8 @@ struct ExploreOptions {
   /// `equivalents`.  Costs extra implementation attempts (candidates whose
   /// estimate merely ties the incumbent must be tried too).
   bool collect_equivalents = false;
-  /// Safety cap on generated candidates (0 = unlimited).  Only non-empty
-  /// candidates count: the stream's empty base allocation is free.
+  /// No effect; goes with bench_e2e's `replay_explore` (ROADMAP item 6).
+  /// `budget.max_allocations` caps candidates, with a certificate.
   std::uint64_t max_candidates = 0;
   /// Evaluation threads (0 = one per hardware thread).  1 runs the
   /// sequential algorithm; any count yields the same front.
@@ -147,7 +153,8 @@ struct ExploreStats {
 
   // ---- anytime extras ------------------------------------------------------
   /// Why the run ended; `kCompleted` covers every non-budget ending (ran
-  /// dry, max flexibility reached, `max_candidates` cap).
+  /// dry, max flexibility reached, the walk past its cost tie), and
+  /// `kWorkerError` a failed evaluation or a refused candidate.
   StopReason stop_reason = StopReason::kCompleted;
   /// Allocations drained from the stream but abandoned unevaluated when
   /// the budget tripped; their work charges are rolled back so a resumed

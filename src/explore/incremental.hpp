@@ -36,7 +36,8 @@ struct UpgradeResult {
   /// `existing`, and an interrupted run's `exact_up_to_cost` is in
   /// upgrade-cost terms: the front is exact for every cheaper upgrade.
   ExploreStats stats;
-  /// Non-ok when the run failed: a `resume` request leaves the result
+  /// Non-ok when the run failed: a `resume` request, or a deployed
+  /// platform past the activation limit (`kEcaLimit`), leaves the result
   /// empty; a failed candidate evaluation stops the run with
   /// `stop_reason == kWorkerError` and keeps the front merged so far.
   Status status;

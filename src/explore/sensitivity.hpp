@@ -42,7 +42,8 @@ struct SensitivityReport {
 };
 
 /// Single-unit ablation of `alloc`.  Allocations that implement nothing
-/// yield a report with flexibility 0 and all-critical units.
+/// yield a report with flexibility 0 and all-critical units.  Throws
+/// `std::length_error` when `alloc` is past `kEcaLimit`.
 [[nodiscard]] SensitivityReport flexibility_sensitivity(
     const SpecificationGraph& spec, const AllocSet& alloc,
     const ImplementationOptions& options = {});

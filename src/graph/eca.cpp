@@ -1,6 +1,7 @@
 #include "graph/eca.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace sdf {
 namespace {
@@ -51,6 +52,30 @@ void expand_cluster(const HierarchicalGraph& p, const DynBitset& activatable,
   }
 }
 
+/// `expand_cluster`'s output size below `cluster`; nullopt where it would
+/// find a reached interface without an activatable alternative.
+std::optional<double> count_cluster(const HierarchicalGraph& p,
+                                    const DynBitset& activatable,
+                                    ClusterId cluster) {
+  double product = 1.0;
+  for (NodeId nid : p.cluster(cluster).nodes) {
+    const Node& n = p.node(nid);
+    if (!n.is_interface()) continue;
+    double sum = 0.0;
+    bool any = false;
+    for (ClusterId sub : n.clusters) {
+      if (!activatable.test(sub.index())) continue;
+      const std::optional<double> below = count_cluster(p, activatable, sub);
+      if (!below.has_value()) return std::nullopt;
+      sum += *below;
+      any = true;
+    }
+    if (!any) return std::nullopt;
+    product *= sum;
+  }
+  return product;
+}
+
 }  // namespace
 
 std::vector<Eca> enumerate_ecas(const HierarchicalGraph& problem,
@@ -63,6 +88,11 @@ std::vector<Eca> enumerate_ecas(const HierarchicalGraph& problem,
   if (incomplete) return {};
   for (Eca& e : partials) std::sort(e.clusters.begin(), e.clusters.end());
   return partials;
+}
+
+double count_ecas(const HierarchicalGraph& problem,
+                  const DynBitset& activatable) {
+  return count_cluster(problem, activatable, problem.root()).value_or(0.0);
 }
 
 std::vector<Eca> cover_ecas(const HierarchicalGraph& problem,

@@ -36,6 +36,13 @@ struct Eca {
                                               const DynBitset& activatable,
                                               std::size_t limit = 0);
 
+/// How many elementary activations `enumerate_ecas(problem, activatable)`
+/// returns, counted without building any: per reached cluster, the product
+/// over its interfaces of the sum over their activatable alternatives; 0
+/// when some reached interface has none.  Exact below 2^53.
+[[nodiscard]] double count_ecas(const HierarchicalGraph& problem,
+                                const DynBitset& activatable);
+
 /// Greedy coverage of all activatable clusters by elementary activations
 /// ("we have to determine a coverage of Gamma_act", §4): repeatedly picks
 /// the ECA covering the most not-yet-covered clusters.  Input ECAs are

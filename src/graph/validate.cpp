@@ -49,7 +49,7 @@ std::vector<ValidationIssue> validate(const HierarchicalGraph& g,
                   "' an interface");
       continue;
     }
-    if (options.require_refinements && n.clusters.empty())
+    if (n.clusters.empty())
       issue(kRuleEmptyInterface, Severity::kError, node_path(g, n.id),
             "interface '" + n.name + "' has no refinement cluster",
             "add at least one alternative cluster or demote '" + n.name +
@@ -110,14 +110,12 @@ std::vector<ValidationIssue> validate(const HierarchicalGraph& g,
             "attach the edge to a port declared by its own endpoint");
   }
 
-  if (options.require_acyclic) {
-    for_each_cluster(g, [&](ClusterId cid) {
-      if (!topological_order(g, cid).has_value())
-        issue(kRuleClusterCycle, Severity::kError, cluster_path(g, cid),
-              "cluster '" + g.cluster(cid).name + "' contains a cycle",
-              "dependence edges define a partial order; break the cycle");
-    });
-  }
+  for_each_cluster(g, [&](ClusterId cid) {
+    if (!topological_order(g, cid).has_value())
+      issue(kRuleClusterCycle, Severity::kError, cluster_path(g, cid),
+            "cluster '" + g.cluster(cid).name + "' contains a cycle",
+            "dependence edges define a partial order; break the cycle");
+  });
 
   return issues;
 }

@@ -36,13 +36,9 @@ inline constexpr const char* kRuleCrossHierarchyEdge = "SDF006";
 inline constexpr const char* kRulePortOwnerMismatch = "SDF007";
 inline constexpr const char* kRuleClusterCycle = "SDF008";
 
-/// Options controlling which structural rules `validate` enforces.
+/// Options controlling which structural rules `validate` enforces beyond
+/// the ones it always runs.
 struct ValidateOptions {
-  /// Every interface must have at least one refinement cluster (an interface
-  /// with no alternatives can never be activated under rule 1).  [SDF003]
-  bool require_refinements = true;
-  /// Every cluster of every graph level must be acyclic.  [SDF008]
-  bool require_acyclic = true;
   /// Every (port, refinement) pair must have a port mapping.  Off by
   /// default: the paper's examples use default-boundary resolution.
   /// [SDF005]

@@ -48,6 +48,52 @@ bool rule_selected(const RuleDef& def, const LintOptions& options) {
                      });
 }
 
+/// `lint` with the analyzer rules and SDF016 judged under `solver`.
+LintReport run_lint(const SpecificationGraph& spec, const LintOptions& options,
+                    const SolverOptions& solver) {
+  LintReport report;
+
+  // Structural pass: run validate() once per graph, then keep only the
+  // findings whose rules are selected.
+  const bool any_structural = std::any_of(
+      rule_defs().begin(), rule_defs().end(), [&](const RuleDef& d) {
+        return d.check == nullptr && rule_selected(d, options);
+      });
+  if (any_structural) {
+    std::vector<Diagnostic> structural;
+    fold_structural(spec.problem(), "problem", structural);
+    fold_structural(spec.architecture(), "architecture", structural);
+    for (Diagnostic& d : structural) {
+      const RuleDef* def = lint_internal::find_rule_def(d.rule);
+      if (def != nullptr && rule_selected(*def, options))
+        report.diagnostics.push_back(std::move(d));
+    }
+  }
+
+  // Semantic pass.  The compiled index is built once here and shared by all
+  // checks (it tolerates defective specs: mappings onto non-units are kept
+  // with an invalid unit id).
+  const bool any_semantic = std::any_of(
+      rule_defs().begin(), rule_defs().end(), [&](const RuleDef& d) {
+        return d.check != nullptr && rule_selected(d, options);
+      });
+  if (any_semantic) {
+    const CompiledSpec& cs = spec.compiled();
+    std::optional<SpecAnalysis> analyzer;
+    for (const RuleDef& def : rule_defs()) {
+      if (def.check == nullptr || !rule_selected(def, options)) continue;
+      LintContext ctx{spec, cs, def, report.diagnostics, solver, analyzer};
+      def.check(ctx);
+    }
+  }
+
+  std::stable_sort(report.diagnostics.begin(), report.diagnostics.end(),
+                   [](const Diagnostic& a, const Diagnostic& b) {
+                     return rule_order(a.rule) < rule_order(b.rule);
+                   });
+  return report;
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& lint_rule_catalog() {
@@ -130,53 +176,14 @@ Json LintReport::to_json() const {
 }
 
 LintReport lint(const SpecificationGraph& spec, const LintOptions& options) {
-  LintReport report;
-
-  // Structural pass: run validate() once per graph, then keep only the
-  // findings whose rules are selected.
-  const bool any_structural = std::any_of(
-      rule_defs().begin(), rule_defs().end(), [&](const RuleDef& d) {
-        return d.check == nullptr && rule_selected(d, options);
-      });
-  if (any_structural) {
-    std::vector<Diagnostic> structural;
-    fold_structural(spec.problem(), "problem", structural);
-    fold_structural(spec.architecture(), "architecture", structural);
-    for (Diagnostic& d : structural) {
-      const RuleDef* def = lint_internal::find_rule_def(d.rule);
-      if (def != nullptr && rule_selected(*def, options))
-        report.diagnostics.push_back(std::move(d));
-    }
-  }
-
-  // Semantic pass.  The compiled index is built once here and shared by all
-  // checks (it tolerates defective specs: mappings onto non-units are kept
-  // with an invalid unit id).
-  const bool any_semantic = std::any_of(
-      rule_defs().begin(), rule_defs().end(), [&](const RuleDef& d) {
-        return d.check != nullptr && rule_selected(d, options);
-      });
-  if (any_semantic) {
-    const CompiledSpec& cs = spec.compiled();
-    std::optional<SpecAnalysis> analyzer;
-    for (const RuleDef& def : rule_defs()) {
-      if (def.check == nullptr || !rule_selected(def, options)) continue;
-      LintContext ctx{spec, cs, def, report.diagnostics, analyzer};
-      def.check(ctx);
-    }
-  }
-
-  std::stable_sort(report.diagnostics.begin(), report.diagnostics.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) {
-                     return rule_order(a.rule) < rule_order(b.rule);
-                   });
-  return report;
+  return run_lint(spec, options, SolverOptions{});
 }
 
-LintReport lint_errors(const SpecificationGraph& spec) {
+LintReport lint_errors(const SpecificationGraph& spec,
+                       const SolverOptions& solver) {
   LintOptions options;
   options.min_severity = Severity::kError;
-  return lint(spec, options);
+  return run_lint(spec, options, solver);
 }
 
 }  // namespace sdf

@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bind/solver.hpp"
 #include "graph/validate.hpp"
 #include "spec/specification.hpp"
 #include "util/json.hpp"
@@ -114,7 +115,10 @@ struct LintReport {
                               const LintOptions& options = {});
 
 /// Error-severity rules only: the fast preflight EXPLORE and friends run
-/// before a potentially multi-minute exploration.
-[[nodiscard]] LintReport lint_errors(const SpecificationGraph& spec);
+/// before a potentially multi-minute exploration.  SDF016 and the analyzer
+/// rules judge the spec under `solver`, the options the run will solve
+/// with; `lint` uses the defaults.
+[[nodiscard]] LintReport lint_errors(const SpecificationGraph& spec,
+                                     const SolverOptions& solver = {});
 
 }  // namespace sdf

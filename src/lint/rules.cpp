@@ -7,7 +7,6 @@
 #include "analysis/analysis.hpp"
 #include "flex/activatability.hpp"
 #include "flex/flexibility.hpp"
-#include "sched/utilization.hpp"
 #include "spec/compiled.hpp"
 #include "spec/spec_io.hpp"
 #include "util/strings.hpp"
@@ -186,6 +185,8 @@ void check_dead_cluster(LintContext& ctx) {
 // ---- SDF016: no mapping fits the Liu/Layland bound ---------------------------
 
 void check_utilization_impossible(LintContext& ctx) {
+  const double bound = ctx.solver.utilization_bound;
+  if (bound <= 0.0) return;  // the solver's timing check is off
   const HierarchicalGraph& p = ctx.spec.problem();
   for (const Node& n : p.nodes()) {
     if (n.is_interface()) continue;
@@ -198,13 +199,13 @@ void check_utilization_impossible(LintContext& ctx) {
     double best = weight * maps.front().latency / period;
     for (const CompiledMapping& m : maps)
       best = std::min(best, weight * m.latency / period);
-    if (best <= kUtilizationBound69 + 1e-9) continue;
+    if (best <= bound + 1e-9) continue;
     ctx.report(problem_loc(ctx.spec, n.id),
                strprintf("process '%s' exceeds the Liu/Layland utilization "
                          "bound on every mapped resource (best %s > %s); the "
                          "timing filter rejects every binding",
                          n.name.c_str(), format_double(best, 3).c_str(),
-                         format_double(kUtilizationBound69).c_str()),
+                         format_double(bound).c_str()),
                "add a faster mapping, relax the period, or mark '" + n.name +
                    "' as negligible (timing_weight 0)");
   }
@@ -213,8 +214,8 @@ void check_utilization_impossible(LintContext& ctx) {
 // ---- SDF017-SDF021: abstract-interpretation rules ----------------------------
 //
 // These five rules share one static analyzer per lint run
-// (`LintContext::analysis()`), built with the default solver options — the
-// same configuration `sdf explore` solves with unless overridden.  Every
+// (`LintContext::analysis()`), built with the run's solver options: the
+// defaults for `sdf lint`, the explore run's own for its preflight.  Every
 // verdict they report is a *proof* under those options, not a heuristic.
 
 // ---- SDF017: alternative costs more than covering the whole rest -------------
@@ -382,7 +383,8 @@ void LintContext::report(std::string location, std::string message,
 }
 
 const SpecAnalysis& LintContext::analysis() {
-  if (!analyzer.has_value()) analyzer.emplace(compiled);
+  if (!analyzer.has_value())
+    analyzer.emplace(compiled, AnalysisOptions{solver});
   return *analyzer;
 }
 

@@ -19,20 +19,21 @@ struct RuleDef;
 
 /// Mutable state handed to a check function: the spec under analysis (raw
 /// and compiled — the engine builds the query index once for all semantic
-/// rules), the rule being run, the diagnostic sink, and the run's static
-/// analyzer.
+/// rules), the rule being run, the diagnostic sink, the solver options the
+/// verdicts hold under, and the run's static analyzer.
 struct LintContext {
   const SpecificationGraph& spec;
   const CompiledSpec& compiled;
   const RuleDef& rule;
   std::vector<Diagnostic>& sink;
+  const SolverOptions& solver;
   /// Built by the first rule that calls `analysis()`, then shared by the
   /// run's later rules.
   std::optional<SpecAnalysis>& analyzer;
 
   void report(std::string location, std::string message,
               std::string hint = "");
-  /// The spec's analysis under the default solver options.
+  /// The spec's analysis under `solver`.
   [[nodiscard]] const SpecAnalysis& analysis();
 };
 

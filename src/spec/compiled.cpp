@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <iterator>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -638,7 +639,7 @@ void CompiledSpec::evict_prepared_locked() const {
   while (prep_cache_.size() > 1 &&
          ((flat_max_entries_ != 0 && prep_cache_.size() > flat_max_entries_) ||
           (flat_max_bytes_ != 0 && prep_bytes_ > flat_max_bytes_))) {
-    const PreparedKey* victim = prep_lru_.back();
+    const DynBitset* victim = prep_lru_.back();
     const auto it = prep_cache_.find(*victim);
     SDF_CHECK(it != prep_cache_.end(), "prepared-memo LRU key without entry");
     prep_bytes_ -= it->second.bytes;
@@ -648,17 +649,26 @@ void CompiledSpec::evict_prepared_locked() const {
 }
 
 std::shared_ptr<const PreparedEcas> CompiledSpec::prepared_ecas(
-    const DynBitset& activatable, std::size_t eca_limit) const {
-  PreparedKey key{activatable, eca_limit};
+    const DynBitset& activatable) const {
   std::size_t max_bytes = 0;
   {
     const std::lock_guard<std::mutex> lock(prep_mutex_);
-    if (const auto it = prep_cache_.find(key); it != prep_cache_.end()) {
+    if (const auto it = prep_cache_.find(activatable);
+        it != prep_cache_.end()) {
       prep_lru_.splice(prep_lru_.begin(), prep_lru_, it->second.lru);
       return it->second.ecas;
     }
     max_bytes = flat_max_bytes_;
   }
+
+  // Counted arithmetically, so a set past the limit costs no enumeration
+  // before it is refused.
+  const double count = count_ecas(problem(), activatable);
+  if (count > static_cast<double>(kEcaLimit))
+    throw std::length_error(strprintf(
+        "allocation activates %s elementary cluster activations, more than "
+        "the %zu a construction enumerates",
+        format_double(count, 0).c_str(), kEcaLimit));
 
   // Build outside the lock, like `flat()`: a concurrent duplicate build is
   // cheaper than serializing every miss, and the first publish wins.  A
@@ -667,7 +677,7 @@ std::shared_ptr<const PreparedEcas> CompiledSpec::prepared_ecas(
   // ECAs, each flattening with an index over the whole problem graph.
   auto ecas = std::make_shared<PreparedEcas>();
   std::size_t held_bytes = 0;
-  for (Eca& eca : enumerate_ecas(problem(), activatable, eca_limit)) {
+  for (Eca& eca : enumerate_ecas(problem(), activatable)) {
     PreparedEca& entry = ecas->emplace_back();
     if (max_bytes != 0 && held_bytes > max_bytes) {
       entry.eca = std::move(eca);
@@ -678,7 +688,7 @@ std::shared_ptr<const PreparedEcas> CompiledSpec::prepared_ecas(
   }
 
   const std::lock_guard<std::mutex> lock(prep_mutex_);
-  const auto [it, inserted] = prep_cache_.try_emplace(std::move(key));
+  const auto [it, inserted] = prep_cache_.try_emplace(activatable);
   if (!inserted) {
     prep_lru_.splice(prep_lru_.begin(), prep_lru_, it->second.lru);
     return it->second.ecas;

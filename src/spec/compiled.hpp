@@ -178,6 +178,11 @@ struct PreparedEca {
 /// An activatable-cluster set's prepared ECAs, in `enumerate_ecas` order.
 using PreparedEcas = std::vector<PreparedEca>;
 
+/// Most elementary cluster activations `CompiledSpec::prepared_ecas` lists.
+/// A set whose activations number more is refused, never listed in part:
+/// judged on a prefix, an allocation's flexibility is under-counted.
+inline constexpr std::size_t kEcaLimit = 4096;
+
 class CompiledSpec {
  public:
   /// Builds the full index; `spec` must outlive the instance and stay
@@ -341,15 +346,17 @@ class CompiledSpec {
   // ---- prepared activations ------------------------------------------------
 
   /// The elementary cluster activations of `activatable` (a bitset over
-  /// problem clusters), exactly `enumerate_ecas(problem(), activatable,
-  /// eca_limit)` in order, each prepared (`prepare`) while the list's
-  /// flattenings fit the flatten cache's byte budget; the entries past it
-  /// hold their ECA alone, for the caller to prepare per query.  Memoized
-  /// per (activatable, eca_limit) under the flatten cache's entry/byte
-  /// budget, counted separately; the returned list is immutable and stays
-  /// valid across its eviction.  Thread-safe: one lock per call on a hit.
+  /// problem clusters), exactly `enumerate_ecas(problem(), activatable)` in
+  /// order, each prepared (`prepare`) while the list's flattenings fit the
+  /// flatten cache's byte budget; the entries past it hold their ECA alone,
+  /// for the caller to prepare per query.  A miss counts the activations
+  /// first (`count_ecas`) and throws `std::length_error`, naming the count,
+  /// past `kEcaLimit`; a refused set is not memoized.  Memoized per
+  /// activatable set under the flatten cache's entry/byte budget, counted
+  /// separately; the returned list is immutable and stays valid across its
+  /// eviction.  Thread-safe: one lock per call on a hit.
   [[nodiscard]] std::shared_ptr<const PreparedEcas> prepared_ecas(
-      const DynBitset& activatable, std::size_t eca_limit) const;
+      const DynBitset& activatable) const;
   /// Prepares one ECA: flattens its selection (`flat()`) and builds its
   /// cache keys and terminal groups.  Not memoized itself.
   [[nodiscard]] PreparedEca prepare(Eca eca) const;
@@ -393,20 +400,10 @@ class CompiledSpec {
     std::list<const FlatKey*>::iterator lru;   ///< position in lru_
   };
 
-  struct PreparedKey {
-    DynBitset activatable;
-    std::size_t eca_limit = 0;
-    bool operator==(const PreparedKey&) const = default;
-  };
-  struct PreparedKeyHash {
-    std::size_t operator()(const PreparedKey& key) const {
-      return key.activatable.hash() ^ (key.eca_limit * 0x9e3779b97f4a7c15ull);
-    }
-  };
   struct PreparedEntry {
     std::shared_ptr<const PreparedEcas> ecas;
     std::size_t bytes = 0;
-    std::list<const PreparedKey*>::iterator lru;  ///< position in prep_lru_
+    std::list<const DynBitset*>::iterator lru;  ///< position in prep_lru_
   };
 
   void build_decomposition();
@@ -473,9 +470,8 @@ class CompiledSpec {
   // `set_flat_cache_budget` writes under both locks).  A list holds its
   // flattenings, so its bytes count them too.
   mutable std::mutex prep_mutex_;
-  mutable std::unordered_map<PreparedKey, PreparedEntry, PreparedKeyHash>
-      prep_cache_;
-  mutable std::list<const PreparedKey*> prep_lru_;
+  mutable std::unordered_map<DynBitset, PreparedEntry> prep_cache_;
+  mutable std::list<const DynBitset*> prep_lru_;
   mutable std::size_t prep_bytes_ = 0;
 
   mutable std::once_flag digest_once_;

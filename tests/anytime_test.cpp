@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "explore/checkpoint.hpp"
@@ -543,6 +546,56 @@ TEST(ExploreCheckpoint, ResumeValidatesFrontAffectingOptions) {
   const ExploreResult result = explore(settop(), options);
   EXPECT_FALSE(result.status.ok());
   EXPECT_TRUE(result.front.empty());
+}
+
+TEST(ExploreCheckpoint, OptionsDigestCoversExactlyTheFrontAffectingOptions) {
+  using Change = std::pair<const char*, std::function<void(ExploreOptions&)>>;
+  const std::string base = explore_options_digest(ExploreOptions{});
+  const std::vector<Change> affecting = {
+      {"comm_model",
+       [](ExploreOptions& o) {
+         o.implementation.solver.comm_model = CommModel::kAnyPath;
+       }},
+      {"utilization_bound",
+       [](ExploreOptions& o) { o.implementation.solver.utilization_bound = 0.9; }},
+      {"prune_dominated_allocations",
+       [](ExploreOptions& o) { o.prune_dominated_allocations = false; }},
+      {"use_flexibility_bound",
+       [](ExploreOptions& o) { o.use_flexibility_bound = false; }},
+      {"use_branch_bound",
+       [](ExploreOptions& o) { o.use_branch_bound = false; }},
+      {"stop_at_max_flexibility",
+       [](ExploreOptions& o) { o.stop_at_max_flexibility = false; }},
+      {"collect_equivalents",
+       [](ExploreOptions& o) { o.collect_equivalents = true; }},
+  };
+  std::set<std::string> digests = {base};
+  for (const auto& [name, change] : affecting) {
+    ExploreOptions options;
+    change(options);
+    EXPECT_TRUE(digests.insert(explore_options_digest(options)).second)
+        << name << " does not move the digest";
+  }
+  // Parallelism, budgets and the caches decide how a run gets to its
+  // front, never which front it is.
+  const std::vector<Change> neutral = {
+      {"num_threads", [](ExploreOptions& o) { o.num_threads = 4; }},
+      {"deadline_seconds",
+       [](ExploreOptions& o) { o.budget.deadline_seconds = 1.0; }},
+      {"max_solver_nodes",
+       [](ExploreOptions& o) { o.budget.max_solver_nodes = 100; }},
+      {"max_allocations",
+       [](ExploreOptions& o) { o.budget.max_allocations = 100; }},
+      {"use_bind_cache",
+       [](ExploreOptions& o) { o.implementation.use_bind_cache = false; }},
+      {"use_hier", [](ExploreOptions& o) { o.implementation.use_hier = false; }},
+      {"max_candidates", [](ExploreOptions& o) { o.max_candidates = 10; }},
+  };
+  for (const auto& [name, change] : neutral) {
+    ExploreOptions options;
+    change(options);
+    EXPECT_EQ(explore_options_digest(options), base) << name;
+  }
 }
 
 // ---- budget-abandoned is not infeasible ------------------------------------

@@ -183,6 +183,7 @@ TEST(Eca, DecoderEnumeratesSixCombinations) {
   for (std::size_t i = 0; i < all.size(); ++i) all.set(i);
   const auto ecas = enumerate_ecas(spec.problem(), all);
   EXPECT_EQ(ecas.size(), 6u);  // 3 decryptors x 2 uncompressors
+  EXPECT_EQ(count_ecas(spec.problem(), all), 6.0);
   for (const Eca& e : ecas) EXPECT_EQ(e.clusters.size(), 2u);
 }
 
@@ -194,6 +195,7 @@ TEST(Eca, SettopEnumeratesTenAcrossApplications) {
   for (std::size_t i = 0; i < all.size(); ++i) all.set(i);
   const auto ecas = enumerate_ecas(spec.problem(), all);
   EXPECT_EQ(ecas.size(), 10u);
+  EXPECT_EQ(count_ecas(spec.problem(), all), 10.0);
 }
 
 TEST(Eca, RestrictedActivatabilityShrinksSet) {
@@ -202,12 +204,25 @@ TEST(Eca, RestrictedActivatabilityShrinksSet) {
   const auto ecas = enumerate_ecas(spec.problem(), act.clusters());
   // gI; gG+gG1; gD+(gD1 x gU1) = 3 activations.
   EXPECT_EQ(ecas.size(), 3u);
+  EXPECT_EQ(count_ecas(spec.problem(), act.clusters()), 3.0);
 }
 
 TEST(Eca, MissingAlternativeYieldsEmpty) {
   const SpecificationGraph& spec = decoder();
   DynBitset none(spec.problem().cluster_count());
   EXPECT_TRUE(enumerate_ecas(spec.problem(), none).empty());
+  EXPECT_EQ(count_ecas(spec.problem(), none), 0.0);
+
+  // One reached interface without an alternative empties the whole
+  // enumeration, the other applications' activations too; so does the
+  // count.
+  const HierarchicalGraph& p = settop().problem();
+  DynBitset no_decryptor(p.cluster_count());
+  for (std::size_t i = 0; i < no_decryptor.size(); ++i) no_decryptor.set(i);
+  for (const char* name : {"gD1", "gD2", "gD3"})
+    no_decryptor.reset(p.find_cluster(name).index());
+  EXPECT_TRUE(enumerate_ecas(p, no_decryptor).empty());
+  EXPECT_EQ(count_ecas(p, no_decryptor), 0.0);
 }
 
 TEST(Eca, LimitCapsEnumeration) {
@@ -298,15 +313,23 @@ TEST(Solver, ExclusiveConfigurationsBlockDoubleUse) {
   const SpecificationGraph& spec = settop();
   const CompiledSpec& cs = spec.compiled();
   const Eca eca = eca_of(spec.problem(), {"gD", "gD3", "gU2"});
-  EXPECT_FALSE(
-      solve_binding(cs, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca)
+  const AllocSet both = alloc_of(spec, {"uP2", "D3", "U2", "C1"});
+  SolverOptions multihop;
+  multihop.comm_model = CommModel::kAnyPath;
+  EXPECT_FALSE(solve_binding(cs, both, eca).has_value());
+  EXPECT_FALSE(solve_binding(cs, both, eca, multihop).has_value());
+  // Each configuration serves its process on the same allocation while the
+  // other alternative runs on uP2: only their simultaneous use fails.
+  EXPECT_TRUE(
+      solve_binding(cs, both, eca_of(spec.problem(), {"gD", "gD3", "gU1"}))
+          .has_value());
+  EXPECT_TRUE(
+      solve_binding(cs, both, eca_of(spec.problem(), {"gD", "gD1", "gU2"}))
           .has_value());
 
   // With an ASIC for Pu2 the conflict disappears, but one-hop communication
   // still finds no single bus joining FPGA and A1 — only multi-hop routing
   // (FPGA - C1 - uP2 - C2 - A1) makes this activation bindable.
-  SolverOptions multihop;
-  multihop.comm_model = CommModel::kAnyPath;
   EXPECT_FALSE(solve_binding(cs,
                              alloc_of(spec, {"uP2", "D3", "A1", "C1", "C2"}),
                              eca)
@@ -315,13 +338,6 @@ TEST(Solver, ExclusiveConfigurationsBlockDoubleUse) {
                             alloc_of(spec, {"uP2", "D3", "A1", "C1", "C2"}),
                             eca, multihop)
                   .has_value());
-
-  // Disabling the exclusivity constraint (ablation) admits the double use.
-  SolverOptions lax;
-  lax.exclusive_configurations = false;
-  EXPECT_TRUE(
-      solve_binding(cs, alloc_of(spec, {"uP2", "D3", "U2", "C1"}), eca, lax)
-          .has_value());
 }
 
 TEST(Solver, CommunicationConstraintForcesFailure) {
@@ -481,7 +497,7 @@ bool binding_at_a_limit(const CompiledSpec& cs, const Binding& binding,
   for (std::size_t u = 0; u < cs.unit_count(); ++u) {
     if (options.utilization_bound > 0.0 && util[u] == 0.5) return true;
     const double cap = cs.unit_capacity(AllocUnitId{u});
-    if (options.enforce_capacities && cap > 0.0 && used[u] == std::round(cap))
+    if (cap > 0.0 && used[u] == std::round(cap))
       return true;
   }
   return false;
@@ -503,7 +519,6 @@ TEST(SolverDifferential, VerdictMatchesExhaustiveEnumeration) {
     const CompiledSpec& cs = spec.compiled();
     SolverOptions options;
     options.utilization_bound = seed % 5 == 0 ? 0.0 : 0.5 - slack;
-    options.enforce_capacities = seed % 7 != 0;
     const Eca root;  // no interfaces: the root activation is the only ECA
     for (const AllocSet& alloc : random_kernel_allocs(spec, seed)) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " alloc " +

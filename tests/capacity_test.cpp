@@ -11,9 +11,10 @@ namespace sdf {
 namespace {
 
 /// Two parallel processes, each with footprint 60, on a platform with one
-/// big CPU (capacity 150), one small CPU (capacity 100), and a bus.
+/// big CPU (capacity 150), one small CPU (capacity 100), and a bus.  With
+/// `capacities` false the CPUs carry no capacity annotation: unlimited.
 struct CapacityFixture {
-  CapacityFixture() {
+  explicit CapacityFixture(bool capacities = true) {
     SpecBuilder b("capacity");
     a = b.process("a");
     c = b.process("c");
@@ -21,8 +22,10 @@ struct CapacityFixture {
     big = b.resource("big", 100.0);
     small = b.resource("small", 60.0);
     b.bus("bus", 5.0, {big, small});
-    b.spec().architecture().set_attr(big, attr::kCapacity, 150.0);
-    b.spec().architecture().set_attr(small, attr::kCapacity, 100.0);
+    if (capacities) {
+      b.spec().architecture().set_attr(big, attr::kCapacity, 150.0);
+      b.spec().architecture().set_attr(small, attr::kCapacity, 100.0);
+    }
     b.spec().problem().set_attr(a, attr::kFootprint, 60.0);
     b.spec().problem().set_attr(c, attr::kFootprint, 60.0);
     b.map(a, big, 10.0);
@@ -68,10 +71,11 @@ TEST(Capacity, SmallCpuAloneInfeasible) {
   // 60 + 60 = 120 > 100: no feasible binding.
   EXPECT_FALSE(solve_binding(cs, only_small, f.whole()).has_value());
 
-  // Disabling capacity enforcement restores feasibility.
-  SolverOptions lax;
-  lax.enforce_capacities = false;
-  EXPECT_TRUE(solve_binding(cs, only_small, f.whole(), lax).has_value());
+  // Without the capacity annotations the same allocation is feasible.
+  const CapacityFixture uncapped(false);
+  EXPECT_TRUE(solve_binding(uncapped.spec.compiled(), only_small,
+                            uncapped.whole())
+                  .has_value());
 }
 
 TEST(Capacity, BigCpuAloneFeasible) {
@@ -112,9 +116,8 @@ TEST(Capacity, ShapesTheParetoFront) {
   EXPECT_TRUE(constrained.front.front().units.test(
       f.spec.find_unit("big").index()));
 
-  ExploreOptions lax;
-  lax.implementation.solver.enforce_capacities = false;
-  const ExploreResult unconstrained = explore(f.spec, lax);
+  const CapacityFixture uncapped(false);
+  const ExploreResult unconstrained = explore(uncapped.spec);
   ASSERT_FALSE(unconstrained.front.empty());
   EXPECT_LT(unconstrained.front.front().cost,
             constrained.front.front().cost);

@@ -194,7 +194,7 @@ TEST(CheckpointRobust, HostileNumericsAreRejectedNotNarrowed) {
   // Each of these used to reach an unchecked double→integer cast; all of
   // them are outside the representable range or not integral.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":3,)"
+      R"({"format":"sdf-explore-checkpoint","version":4,)"
       R"("spec_digest":"a","options_digest":"b",)";
   const std::vector<std::string> bad = {
       // fractional / negative / oversized unit indices
@@ -245,7 +245,7 @@ TEST(CheckpointRobust, FrontierListsMustBeStrictlyAscending) {
   // The stream expands a restored state above its last member, so an
   // unsorted or repeated list would re-emit or skip subsets on resume.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":3,)"
+      R"({"format":"sdf-explore-checkpoint","version":4,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -269,7 +269,7 @@ TEST(CheckpointRobust, FrontierIndexWithTheChainFlagIsOutsideTheUniverse) {
   // loaded frontier holds plain states only: 2147483653 is 2^31 + 5, far
   // outside any universe, not unit 5 standing for its later siblings.
   const std::string prefix =
-      R"({"format":"sdf-explore-checkpoint","version":3,)"
+      R"({"format":"sdf-explore-checkpoint","version":4,)"
       R"("spec_digest":"a","options_digest":"b","front":[],"pending":[],)"
       R"("cursor":{"emitted":0,"pruned":0,"frontier":)";
   const std::string suffix =
@@ -305,23 +305,24 @@ TEST(CheckpointRobust, VersionAndFormatAreChecked) {
   ExploreCheckpoint ck = sample_checkpoint();
   std::string text = ck.to_string();
 
-  // Versions 1 and 2 hashed other digests: each is refused by its version.
-  for (const char* old : {"\"version\": 1", "\"version\": 2"}) {
+  // Versions 1 to 3 hashed other digests: each is refused by its version.
+  for (const char* old :
+       {"\"version\": 1", "\"version\": 2", "\"version\": 3"}) {
     std::string wrong_version = text;
-    const std::size_t vat = wrong_version.find("\"version\": 3");
+    const std::size_t vat = wrong_version.find("\"version\": 4");
     ASSERT_NE(vat, std::string::npos);
     wrong_version.replace(vat, 12, old);
     Result<ExploreCheckpoint> v =
         ExploreCheckpoint::from_string(wrong_version);
     ASSERT_FALSE(v.ok());
-    EXPECT_NE(v.error().message.find("unsupported version (expected 3)"),
+    EXPECT_NE(v.error().message.find("unsupported version (expected 4)"),
               std::string::npos)
         << v.error().message;
   }
 
   // A huge version number must be rejected, not truncated into range.
   std::string huge_version = text;
-  huge_version.replace(huge_version.find("\"version\": 3"), 12,
+  huge_version.replace(huge_version.find("\"version\": 4"), 12,
                        "\"version\": 1e99");
   EXPECT_FALSE(ExploreCheckpoint::from_string(huge_version).ok());
 

@@ -13,10 +13,13 @@
 #include <thread>
 
 #include "cli/cli.hpp"
+#include "spec/attributes.hpp"
+#include "spec/builder.hpp"
 #include "spec/paper_models.hpp"
 #include "spec/spec_io.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace sdf {
 namespace {
@@ -637,6 +640,67 @@ TEST_F(CliTest, ExploreEvolutionaryRejectsResume) {
       << err_.str();
 }
 
+TEST_F(CliTest, ExploreEvolutionaryRejectsEquivalents) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--equivalents"}),
+            2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(
+      err_.str().find("--evolutionary cannot be combined with --equivalents"),
+      std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsThreads) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--threads=2"}),
+            2);
+  EXPECT_NE(err_.str().find("--evolutionary cannot be combined with --threads"),
+            std::string::npos)
+      << err_.str();
+  // The default count is not a request.
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary", "--threads=1"}),
+            0)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsNoDominanceFilter) {
+  EXPECT_EQ(run({"explore", settop_path(), "--evolutionary",
+                 "--no-dominance-filter"}),
+            2);
+  EXPECT_NE(err_.str().find(
+                "--evolutionary cannot be combined with --no-dominance-filter"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsNoFlexBound) {
+  EXPECT_EQ(
+      run({"explore", settop_path(), "--evolutionary", "--no-flex-bound"}), 2);
+  EXPECT_NE(
+      err_.str().find("--evolutionary cannot be combined with --no-flex-bound"),
+      std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreEvolutionaryRejectsNoBranchBound) {
+  EXPECT_EQ(
+      run({"explore", settop_path(), "--evolutionary", "--no-branch-bound"}),
+      2);
+  EXPECT_NE(err_.str().find(
+                "--evolutionary cannot be combined with --no-branch-bound"),
+            std::string::npos)
+      << err_.str();
+}
+
+TEST_F(CliTest, ExploreSeedRequiresEvolutionary) {
+  EXPECT_EQ(run({"explore", settop_path(), "--seed=5"}), 2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(err_.str().find("--seed applies only to --evolutionary"),
+            std::string::npos)
+      << err_.str();
+  EXPECT_EQ(run({"explore", settop_path(), "--seed=5", "--evolutionary"}), 0)
+      << err_.str();
+}
+
 TEST_F(CliTest, ExploreRejectsRemovedAnalyzerFlags) {
   for (const char* flag : {"--no-analysis", "--analysis", "--analysis-bound"})
     EXPECT_EQ(run({"explore", settop_path(), flag}), 2) << flag;
@@ -788,10 +852,129 @@ TEST_F(CliTest, AnalyzeUsageErrors) {
   EXPECT_EQ(run({"analyze", settop_path(), "--comm=wat"}), 2);
 }
 
+TEST_F(CliTest, ExplorePreflightJudgesTheRunsUtilizationBound) {
+  // Settop with Pg1's period cut to 18.75: utilization 0.8 on its fastest
+  // mappings (A1-A3), over the default 0.69 bound.
+  SpecificationGraph spec = models::make_settop_spec();
+  spec.problem().set_attr(spec.problem().find_node("Pg1"), attr::kPeriod,
+                          18.75);
+  const std::string path = tmp_path("hot_settop.json");
+  std::ofstream(path) << spec_to_string(spec).value();
+
+  // Refused at the default bound, by the preflight and by lint alike.
+  EXPECT_EQ(run({"explore", path}), 2);
+  EXPECT_NE(err_.str().find("[SDF016]"), std::string::npos) << err_.str();
+  EXPECT_EQ(run({"lint", path}), 2);
+  EXPECT_NE(out_.str().find("[SDF016]"), std::string::npos) << out_.str();
+
+  // Under a bound the mapping meets, and with timing off, the preflight
+  // passes and the run prints the front `--no-preflight` explores.
+  for (const char* bound : {"--util-bound=0.9", "--util-bound=0"}) {
+    SCOPED_TRACE(bound);
+    ASSERT_EQ(run({"explore", path, bound, "--csv", "--no-stats",
+                   "--no-preflight"}),
+              0);
+    const std::string unguarded = out_.str();
+    EXPECT_EQ(run({"explore", path, bound, "--csv", "--no-stats"}), 0)
+        << err_.str();
+    EXPECT_EQ(out_.str(), unguarded);
+  }
+  const std::string front = out_.str();  // timing off
+  EXPECT_NE(front.find("100,3,"), std::string::npos) << front;
+  ASSERT_EQ(run({"explore", path, "--util-bound=0.9", "--csv", "--no-stats"}),
+            0);
+  std::vector<std::string> points;
+  for (const std::string& line : split(out_.str(), '\n')) {
+    const std::vector<std::string> cells = split(line, ',');
+    if (cells.size() > 2) points.push_back(cells[0] + "," + cells[1]);
+  }
+  EXPECT_EQ(points, (std::vector<std::string>{"cost,flexibility", "100,2",
+                                              "170,3", "230,4", "360,7",
+                                              "430,8"}));
+}
+
+/// Writes a spec of `interfaces` root interfaces, each with two one-process
+/// alternatives, every process mappable onto a $10 uP and a $20 uP2 with
+/// no timing: any allocation activates 2^interfaces elementary cluster
+/// activations.  With `split`, p0_1 maps on uP2 alone, so {uP} activates
+/// half of them.
+std::string wide_spec_path(std::size_t interfaces, bool split = false) {
+  SpecBuilder b("wide" + std::to_string(interfaces));
+  const NodeId up = b.resource("uP", 10.0);
+  const NodeId up2 = b.resource("uP2", 20.0);
+  for (std::size_t i = 0; i < interfaces; ++i) {
+    const NodeId iface = b.interface("I" + std::to_string(i));
+    for (int a = 0; a < 2; ++a) {
+      const std::string tag = std::to_string(i) + "_" + std::to_string(a);
+      const NodeId p = b.process("p" + tag, b.alternative(iface, "g" + tag));
+      if (!split || tag != "0_1") b.map(p, up, 1.0);
+      b.map(p, up2, 1.0);
+    }
+  }
+  const std::string path = tmp_path("wide" + std::to_string(interfaces) +
+                                    (split ? "split" : "") + ".json");
+  std::ofstream(path) << spec_to_string(b.build()).value();
+  return path;
+}
+
+TEST_F(CliTest, ActivationLimitAnswersAtItAndRefusesPastIt) {
+  // 2^12 = 4096 activations: answered exactly.
+  const std::string at = wide_spec_path(12);
+  EXPECT_EQ(run({"sensitivity", at}), 0) << err_.str();
+  EXPECT_NE(out_.str().find("implemented flexibility: 13\n"),
+            std::string::npos)
+      << out_.str();
+  EXPECT_EQ(run({"explore", at, "--csv", "--no-stats"}), 0) << err_.str();
+  EXPECT_NE(out_.str().find("\n10,13,uP,"), std::string::npos) << out_.str();
+
+  // 2^13 = 8192: refused, naming the count and the limit.  A prefix of
+  // 4096 activations would judge f = 13 of 14.
+  const std::string past = wide_spec_path(13);
+  const auto names_count_and_limit = [this] {
+    return err_.str().find("8192") != std::string::npos &&
+           err_.str().find("4096") != std::string::npos;
+  };
+  EXPECT_EQ(run({"sensitivity", past}), 1);
+  EXPECT_TRUE(names_count_and_limit()) << err_.str();
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_EQ(run({"explore", past}), 1);
+  EXPECT_TRUE(names_count_and_limit()) << err_.str();
+  EXPECT_EQ(run({"explore", past, "--json"}), 1);
+  EXPECT_TRUE(names_count_and_limit()) << err_.str();
+  Result<Json> doc = Json::parse(out_.str());
+  ASSERT_TRUE(doc.ok()) << out_.str();
+  ASSERT_NE(doc.value().find("front"), nullptr);
+  EXPECT_TRUE(doc.value().find("front")->as_array().empty());
+  const Json* stats = doc.value().find("stats");
+  ASSERT_NE(stats, nullptr);
+  ASSERT_NE(stats->find("exact_up_to_cost"), nullptr);
+  EXPECT_EQ(stats->find("exact_up_to_cost")->as_number(), 10.0);
+
+  // p0_1 on uP2 alone: {uP} is answered exactly, {uP2} refused at $20.
+  // The table still prints the front the run proved exact below it, at
+  // any thread count.
+  const std::string split = wide_spec_path(13, true);
+  for (const char* threads : {"--threads=1", "--threads=4"}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(run({"explore", split, threads}), 1);
+    EXPECT_TRUE(names_count_and_limit()) << err_.str();
+    EXPECT_NE(err_.str().find("{uP2}"), std::string::npos) << err_.str();
+    EXPECT_NE(err_.str().find("front exact below cost 20\n"),
+              std::string::npos)
+        << err_.str();
+    EXPECT_NE(out_.str().find(" uP "), std::string::npos) << out_.str();
+    EXPECT_NE(out_.str().find("stop_reason=worker_error"), std::string::npos)
+        << out_.str();
+    EXPECT_EQ(run({"explore", split, threads, "--csv", "--no-stats"}), 1);
+    EXPECT_EQ(out_.str().rfind("cost,flexibility,", 0), 0u) << out_.str();
+    EXPECT_NE(out_.str().find("\n10,13,uP,"), std::string::npos) << out_.str();
+  }
+}
+
 TEST_F(CliTest, ExploreAnalysisPreflightProvesFrontEmpty) {
   // Lint-clean under the default 0.69 bound (utilization 0.5), but the
   // analyzer's relaxation proves the front empty once --util-bound drops
-  // below it — the second preflight stage catches it before exploring.
+  // below it: the preflight judges SDF019 under the run's bound.
   const std::string path = tmp_path("analyze_preflight.json");
   std::ofstream(path) << R"({
     "name": "tight",
@@ -802,8 +985,7 @@ TEST_F(CliTest, ExploreAnalysisPreflightProvesFrontEmpty) {
   })";
   EXPECT_EQ(run({"explore", path}), 0);
   EXPECT_EQ(run({"explore", path, "--util-bound=0.4"}), 2);
-  EXPECT_NE(err_.str().find("relaxation proves the Pareto front empty"),
-            std::string::npos);
+  EXPECT_NE(err_.str().find("[SDF019]"), std::string::npos);
   // The escape hatch explores anyway and confirms: empty front, exit 0.
   EXPECT_EQ(run({"explore", path, "--util-bound=0.4", "--no-preflight"}), 0);
 }

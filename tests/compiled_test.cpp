@@ -524,15 +524,15 @@ TEST_P(PreparedMemo, ListsEqualEnumerationWithTheCachedFlattenings) {
   cs.set_flat_cache_budget(0, 0);  // no eviction: flattenings stay canonical
   const std::vector<DynBitset> sets = possible_activatable_sets(cs);
   ASSERT_FALSE(sets.empty());
-  const std::size_t limit = ImplementationOptions{}.eca_limit;
   for (const DynBitset& activatable : sets) {
     SCOPED_TRACE("activatable " + activatable.to_string());
     const std::shared_ptr<const PreparedEcas> prepared =
-        cs.prepared_ecas(activatable, limit);
-    const std::vector<Eca> ecas =
-        enumerate_ecas(cs.problem(), activatable, limit);
+        cs.prepared_ecas(activatable);
+    const std::vector<Eca> ecas = enumerate_ecas(cs.problem(), activatable);
     ASSERT_NE(prepared, nullptr);
     ASSERT_EQ(prepared->size(), ecas.size());
+    EXPECT_EQ(count_ecas(cs.problem(), activatable),
+              static_cast<double>(ecas.size()));
     for (std::size_t i = 0; i < ecas.size(); ++i) {
       const PreparedEca& p = (*prepared)[i];
       EXPECT_TRUE(p.prepared());
@@ -570,40 +570,38 @@ TEST_P(PreparedMemo, RepeatedCallsShareOneList) {
   for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
   const Activatability act(cs, full);
   const std::shared_ptr<const PreparedEcas> first =
-      cs.prepared_ecas(act.clusters(), 4096);
+      cs.prepared_ecas(act.clusters());
   const std::shared_ptr<const PreparedEcas> again =
-      cs.prepared_ecas(act.clusters(), 4096);
+      cs.prepared_ecas(act.clusters());
   EXPECT_EQ(first.get(), again.get());
   EXPECT_EQ(cs.prepared_entries(), 1u);
 }
 
 TEST_P(PreparedMemo, EachEcaLimitGetsItsOwnTruncatedList) {
+  // The memo holds one list per activatable set; `enumerate_ecas` keeps
+  // its limit for tests and benches, and each limit truncates that list.
   const SpecificationGraph spec = memo_spec(GetParam().spec);
   const CompiledSpec& cs = spec.compiled();
   AllocSet full = cs.make_alloc_set();
   for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
   const Activatability act(cs, full);
   const DynBitset& activatable = act.clusters();
-  const std::shared_ptr<const PreparedEcas> all =
-      cs.prepared_ecas(activatable, 0);
+  const std::shared_ptr<const PreparedEcas> all = cs.prepared_ecas(activatable);
   ASSERT_GT(all->size(), 1u);
   const std::set<std::size_t> limits = {1, all->size() - 1, all->size(),
                                         all->size() + 1};
   for (const std::size_t limit : limits) {
-    SCOPED_TRACE("eca_limit " + std::to_string(limit));
-    const std::shared_ptr<const PreparedEcas> capped =
-        cs.prepared_ecas(activatable, limit);
-    EXPECT_NE(capped.get(), all.get());
+    SCOPED_TRACE("limit " + std::to_string(limit));
     const std::vector<Eca> ecas =
         enumerate_ecas(cs.problem(), activatable, limit);
-    ASSERT_EQ(capped->size(), ecas.size());
-    ASSERT_EQ(capped->size(), std::min(limit, all->size()));
-    for (std::size_t i = 0; i < capped->size(); ++i) {
-      EXPECT_EQ((*capped)[i].eca.selection.key(), ecas[i].selection.key());
-      EXPECT_EQ((*capped)[i].key, (*all)[i].key);
+    ASSERT_EQ(ecas.size(), std::min(limit, all->size()));
+    for (std::size_t i = 0; i < ecas.size(); ++i) {
+      EXPECT_EQ((*all)[i].eca.selection.key(), ecas[i].selection.key());
+      EXPECT_EQ((*all)[i].eca.clusters, ecas[i].clusters);
     }
   }
-  EXPECT_EQ(cs.prepared_entries(), limits.size() + 1);
+  EXPECT_EQ(cs.prepared_ecas(activatable).get(), all.get());
+  EXPECT_EQ(cs.prepared_entries(), 1u);
 }
 
 /// The explore result as `--json` prints it, minus the timings and the
@@ -639,7 +637,7 @@ TEST_P(PreparedMemo, TinyBudgetLeavesTheRunIdentical) {
   for (std::size_t i = 0; i < full.size(); ++i) full.set(i);
   const Activatability act(cs, full);
   const std::shared_ptr<const PreparedEcas> list =
-      cs.prepared_ecas(act.clusters(), ImplementationOptions{}.eca_limit);
+      cs.prepared_ecas(act.clusters());
   ASSERT_FALSE(list->empty());
   EXPECT_TRUE(list->front().prepared());
   for (std::size_t i = 1; i < list->size(); ++i) {

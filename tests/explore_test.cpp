@@ -13,6 +13,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "explore/evolutionary.hpp"
 #include "explore/exhaustive.hpp"
 #include "explore/explorer.hpp"
+#include "explore/incremental.hpp"
 #include "explore/uncertain.hpp"
 #include "gen/presets.hpp"
 #include "gen/spec_generator.hpp"
@@ -650,14 +653,208 @@ TEST(Explore, CollectEquivalentsFindsAlternativeAllocations) {
 }
 
 TEST(Explore, MaxCandidatesCapStopsEarly) {
+  // The run budget's allocation cap is the candidate cap.
   const SpecificationGraph& spec = settop();
   ExploreOptions options;
-  options.max_candidates = 10;
+  options.budget.max_allocations = 10;
   const ExploreResult result = explore(spec, options);
-  EXPECT_LE(result.stats.candidates_generated, 11u);
+  EXPECT_EQ(result.stats.candidates_generated, 10u);
   // The cap ended the run, not a dry stream.
+  EXPECT_EQ(result.stats.stop_reason, StopReason::kAllocations);
   EXPECT_FALSE(result.stats.exhausted);
   EXPECT_GT(result.stats.frontier_remaining, 0u);
+}
+
+// ---- the activation limit ------------------------------------------------------
+
+/// `interfaces` root interfaces, each with two one-process alternatives;
+/// every process maps onto a $10 uP and a $20 uP2, and no timing applies.
+/// Any allocation activates 2^interfaces elementary cluster activations.
+/// With `split`, p0_1 maps on uP2 alone, so {uP} activates half of them.
+SpecificationGraph wide_spec(std::size_t interfaces, bool split = false) {
+  SpecBuilder b("wide" + std::to_string(interfaces));
+  const NodeId up = b.resource("uP", 10.0);
+  const NodeId up2 = b.resource("uP2", 20.0);
+  for (std::size_t i = 0; i < interfaces; ++i) {
+    const NodeId iface = b.interface("I" + std::to_string(i));
+    for (int a = 0; a < 2; ++a) {
+      const std::string tag = std::to_string(i) + "_" + std::to_string(a);
+      const NodeId p = b.process("p" + tag, b.alternative(iface, "g" + tag));
+      if (!split || tag != "0_1") b.map(p, up, 1.0);
+      b.map(p, up2, 1.0);
+    }
+  }
+  return b.build();
+}
+
+/// Thirteen two-alternative interfaces W0–W12 and one six-alternative
+/// interface J, one process per alternative, no timing.  The $10 uA maps
+/// the first alternative of every W, the second of W0–W7 and all of J:
+/// 2^8 · 6 = 1,536 activations, f = 14.  The equally cheap uB maps every W
+/// alternative and J's first: 8,192 activations, estimate 14.  Together
+/// they admit 49,152, estimate 19.
+SpecificationGraph shadowed_spec() {
+  SpecBuilder b("shadowed");
+  const NodeId ua = b.resource("uA", 10.0);
+  const NodeId ub = b.resource("uB", 10.0);
+  for (int i = 0; i < 13; ++i) {
+    const NodeId iface = b.interface("W" + std::to_string(i));
+    for (int a = 0; a < 2; ++a) {
+      const std::string tag = std::to_string(i) + "_" + std::to_string(a);
+      const NodeId p = b.process("w" + tag, b.alternative(iface, "gw" + tag));
+      if (a == 0 || i < 8) b.map(p, ua, 1.0);
+      b.map(p, ub, 1.0);
+    }
+  }
+  const NodeId j = b.interface("J");
+  for (int a = 0; a < 6; ++a) {
+    const NodeId p =
+        b.process("j" + std::to_string(a), b.alternative(j, "gj" + std::to_string(a)));
+    b.map(p, ua, 1.0);
+    if (a == 0) b.map(p, ub, 1.0);
+  }
+  return b.build();
+}
+
+AllocSet alloc_of(const SpecificationGraph& spec,
+                  std::initializer_list<const char*> names) {
+  AllocSet a = spec.make_alloc_set();
+  for (const char* name : names) a.set(spec.find_unit(name).index());
+  return a;
+}
+
+bool names_count_and_limit(const std::string& message) {
+  return message.find("8192") != std::string::npos &&
+         message.find(std::to_string(kEcaLimit)) != std::string::npos;
+}
+
+TEST(ActivationLimit, ConstructionAtTheLimitImplementsEveryCluster) {
+  ASSERT_EQ(kEcaLimit, 4096u);
+  const SpecificationGraph at = wide_spec(12);
+  const std::optional<Implementation> impl =
+      build_implementation(at.compiled(), alloc_of(at, {"uP"}));
+  ASSERT_TRUE(impl.has_value());
+  EXPECT_EQ(impl->ecas.size(), 4096u);
+  EXPECT_EQ(impl->flexibility, 13.0);
+
+  // One interface more: refused before any activation is enumerated,
+  // where a prefix of 4096 would have judged f = 13 of 14.
+  const SpecificationGraph past = wide_spec(13);
+  try {
+    static_cast<void>(
+        build_implementation(past.compiled(), alloc_of(past, {"uP"})));
+    ADD_FAILURE() << "an allocation past the limit was constructed";
+  } catch (const std::length_error& e) {
+    EXPECT_TRUE(names_count_and_limit(e.what())) << e.what();
+  }
+  EXPECT_EQ(past.compiled().prepared_entries(), 0u);
+}
+
+TEST(ActivationLimit, ExploreIsExactAtTheLimitAndRefusesPastIt) {
+  const ExploreResult exact = explore(wide_spec(12));
+  ASSERT_TRUE(exact.status.ok()) << exact.status.error().message;
+  ASSERT_EQ(exact.front.size(), 1u);
+  EXPECT_EQ(exact.front.front().cost, 10.0);
+  EXPECT_EQ(exact.front.front().flexibility, 13.0);
+  EXPECT_EQ(exact.max_flexibility, 13.0);
+
+  const SpecificationGraph past = wide_spec(13);
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExploreOptions options;
+    options.num_threads = threads;
+    const ExploreResult refused = explore(past, options);
+    ASSERT_FALSE(refused.status.ok());
+    EXPECT_TRUE(names_count_and_limit(refused.status.error().message))
+        << refused.status.error().message;
+    EXPECT_EQ(refused.stats.stop_reason, StopReason::kWorkerError);
+    EXPECT_TRUE(refused.front.empty());
+    EXPECT_EQ(refused.max_flexibility, 14.0);
+    // Nothing below the refused $10 candidate was left unexamined.
+    EXPECT_EQ(refused.stats.exact_up_to_cost, 10.0);
+    EXPECT_TRUE(refused.checkpoint.has_value());
+  }
+}
+
+TEST(ActivationLimit, RefusalIsTheSameAtEveryThreadCount) {
+  // p0_1 maps on uP2 alone: {uP} admits 4,096 activations and implements
+  // f = 13 exactly; {uP2} and {uP, uP2} admit 8,192.  One thread refuses
+  // {uP2} at $20.  A band pool evaluates all three candidates at once, and
+  // must stop at the same one.
+  const SpecificationGraph spec = wide_spec(13, true);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExploreOptions options;
+    options.num_threads = threads;
+    const ExploreResult r = explore(spec, options);
+    ASSERT_FALSE(r.status.ok());
+    const std::string& message = r.status.error().message;
+    EXPECT_NE(message.find("{uP2}"), std::string::npos) << message;
+    EXPECT_TRUE(names_count_and_limit(message)) << message;
+    EXPECT_EQ(r.stats.stop_reason, StopReason::kWorkerError);
+    ASSERT_EQ(r.front.size(), 1u);
+    EXPECT_EQ(r.front.front().cost, 10.0);
+    EXPECT_EQ(r.front.front().flexibility, 13.0);
+    EXPECT_EQ(r.stats.exact_up_to_cost, 20.0);
+  }
+}
+
+TEST(ActivationLimit, ACandidateTheBoundSkipsIsNotRefused) {
+  const SpecificationGraph spec = shadowed_spec();
+  for (const bool equivalents : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("equivalents " + std::to_string(equivalents) +
+                   " threads " + std::to_string(threads));
+      ExploreOptions options;
+      options.collect_equivalents = equivalents;
+      options.num_threads = threads;
+      const ExploreResult r = explore(spec, options);
+      ASSERT_FALSE(r.status.ok());
+      const std::string& message = r.status.error().message;
+      EXPECT_EQ(r.stats.stop_reason, StopReason::kWorkerError);
+      ASSERT_EQ(r.front.size(), 1u);
+      EXPECT_EQ(r.front.front().cost, 10.0);
+      EXPECT_EQ(r.front.front().flexibility, 14.0);
+      if (!equivalents) {
+        // {uA}'s f = 14 bounds {uB} (estimate 14) away unconstructed; the
+        // run stops at {uA, uB}.  A pool attempts {uB} beside {uA}, since a
+        // level's own bound never skips a tie, and the merge skips it.
+        EXPECT_NE(message.find("{uA, uB}"), std::string::npos) << message;
+        EXPECT_NE(message.find("49152"), std::string::npos) << message;
+        EXPECT_EQ(r.stats.exact_up_to_cost, 20.0);
+      } else {
+        // A tie may be an equivalent, so {uB} is attempted, and refused.
+        EXPECT_NE(message.find("{uB}"), std::string::npos) << message;
+        EXPECT_EQ(r.stats.exact_up_to_cost, 10.0);
+      }
+    }
+  }
+}
+
+TEST(ActivationLimit, UpgradeBaselinePastTheLimitFailsThroughStatus) {
+  const SpecificationGraph past = wide_spec(13);
+  const UpgradeResult r = explore_upgrades(past, alloc_of(past, {"uP"}));
+  ASSERT_FALSE(r.status.ok());
+  EXPECT_TRUE(names_count_and_limit(r.status.error().message))
+      << r.status.error().message;
+  EXPECT_TRUE(r.front.empty());
+}
+
+TEST(ActivationLimit, ResumeRefusesAForgedFrontPointPastTheLimit) {
+  const SpecificationGraph past = wide_spec(13);
+  const ExploreResult refused = explore(past);
+  ASSERT_TRUE(refused.checkpoint.has_value());
+  ExploreCheckpoint forged = *refused.checkpoint;
+  forged.front.push_back(ExploreCheckpoint::FrontEntry{
+      {static_cast<std::uint32_t>(past.find_unit("uP").index())}, {}});
+  ExploreOptions options;
+  options.resume = &forged;
+  const ExploreResult resumed = explore(past, options);
+  ASSERT_FALSE(resumed.status.ok());
+  EXPECT_NE(resumed.status.error().message.find("front point"),
+            std::string::npos);
+  EXPECT_TRUE(names_count_and_limit(resumed.status.error().message))
+      << resumed.status.error().message;
 }
 
 TEST(Explore, IndexBuildTimeCoversTheColdCompile) {
@@ -666,7 +863,7 @@ TEST(Explore, IndexBuildTimeCoversTheColdCompile) {
   // on this spec).
   const SpecificationGraph spec = generate_preset(PlatformPreset::kNestedM, 1);
   ExploreOptions options;
-  options.max_candidates = 1;
+  options.budget.max_allocations = 1;
   const double cold = explore(spec, options).stats.index_build_seconds;
   double warm = cold;
   for (int i = 0; i < 3; ++i)

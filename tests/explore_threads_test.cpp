@@ -335,7 +335,7 @@ TEST(PreparedMemoThreads, ConcurrentCallersGetTheEnumeratedLists) {
   ASSERT_GT(sets.size(), 100u);
   std::vector<std::vector<Eca>> expected;
   for (const DynBitset& s : sets)
-    expected.push_back(enumerate_ecas(cs.problem(), s, 4096));
+    expected.push_back(enumerate_ecas(cs.problem(), s));
 
   constexpr std::size_t kThreads = 4;
   std::atomic<std::size_t> mismatches{0};
@@ -346,7 +346,7 @@ TEST(PreparedMemoThreads, ConcurrentCallersGetTheEnumeratedLists) {
         for (std::size_t k = 0; k < sets.size(); ++k) {
           const std::size_t i = (k * (2 * t + 1) + t) % sets.size();
           const std::shared_ptr<const PreparedEcas> got =
-              cs.prepared_ecas(sets[i], 4096);
+              cs.prepared_ecas(sets[i]);
           bool same = got->size() == expected[i].size();
           for (std::size_t e = 0; same && e < got->size(); ++e) {
             const PreparedEca& p = (*got)[e];
@@ -492,7 +492,7 @@ TEST(ParallelExplore, AblationsIdenticalToSequential) {
   }
 }
 
-// ---- max_candidates budget semantics ---------------------------------------
+// ---- candidate cap semantics (`budget.max_allocations`) ---------------------
 
 TEST(ParallelExplore, MaxCandidatesCountsOnlyNonEmptyCandidates) {
   // Regression: the empty base allocation used to eat one unit of the
@@ -514,24 +514,28 @@ TEST(ParallelExplore, MaxCandidatesCountsOnlyNonEmptyCandidates) {
   ASSERT_GT(budget, 0u);
 
   ExploreOptions options;
-  options.max_candidates = budget;
+  options.budget.max_allocations = budget;
   options.prune_dominated_allocations = false;  // keep the count exact
   const ExploreResult seq = explore(spec, options);
   ASSERT_EQ(seq.front.size(), 1u);
   EXPECT_EQ(seq.front.front().cost, 50.0);
   EXPECT_EQ(seq.front.front().flexibility, 1.0);
   EXPECT_EQ(seq.stats.possible_allocations, 1u);
-  // The engine counts the candidate that trips the cap before breaking.
-  EXPECT_EQ(seq.stats.candidates_generated, budget + 1);
+  // The candidate that would pass the cap is left for a resume, uncounted.
+  EXPECT_EQ(seq.stats.candidates_generated, budget);
+  EXPECT_EQ(seq.stats.stop_reason, StopReason::kAllocations);
 
-  expect_identical(seq, explore_with(spec, options, 2));
+  const ExploreResult par = explore_with(spec, options, 2);
+  expect_identical(seq, par);
+  EXPECT_EQ(par.stats.candidates_generated, budget);
 }
 
 TEST(ParallelExplore, MaxCandidatesCapStopsEarly) {
   ExploreOptions options;
-  options.max_candidates = 10;
+  options.budget.max_allocations = 10;
   const ExploreResult result = explore_with(settop(), options, 4);
-  EXPECT_LE(result.stats.candidates_generated, 11u);
+  EXPECT_EQ(result.stats.candidates_generated, 10u);
+  EXPECT_EQ(result.stats.stop_reason, StopReason::kAllocations);
 }
 
 // ---- stats plausibility ----------------------------------------------------

@@ -431,10 +431,6 @@ TEST(Validate, FlagsInterfaceWithoutClusters) {
   const auto issues = validate(g);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_NE(issues[0].message.find("no refinement"), std::string::npos);
-
-  ValidateOptions lax;
-  lax.require_refinements = false;
-  EXPECT_TRUE(validate(g, lax).empty());
 }
 
 TEST(Validate, FlagsCycles) {

@@ -112,12 +112,11 @@ TEST(Exhaustive, StatsCountEverySubset) {
 }
 
 TEST(Evolutionary, DefaultMutationRateIsPerBit) {
-  // mutation_rate <= 0 means 1/universe; the run must still work.
+  // The mutation rate is 1/universe; the run must still work.
   const SpecificationGraph spec = models::make_tv_decoder_spec();
   EaOptions options;
   options.population = 8;
   options.generations = 3;
-  options.mutation_rate = -1.0;
   const EaResult r = explore_evolutionary(spec, options);
   EXPECT_GT(r.stats.evaluations, 0u);
 }

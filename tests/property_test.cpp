@@ -239,9 +239,9 @@ TEST(Stress, LargeUniverseExploresUnderCap) {
   ASSERT_GE(spec.alloc_units().size(), 15u);
 
   ExploreOptions options;
-  options.max_candidates = 20000;
+  options.budget.max_allocations = 20000;
   const ExploreResult result = explore(spec, options);
-  EXPECT_LE(result.stats.candidates_generated, 20001u);
+  EXPECT_LE(result.stats.candidates_generated, 20000u);
   // The front found so far is internally valid even when truncated.
   double prev_cost = -1.0, prev_f = 0.0;
   for (const Implementation& impl : result.front) {
